@@ -398,27 +398,46 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     Checks header consistency, that every path walks real edges from a
     seed vertex to a non-seed vertex, that amounts add to the declared
     full flow value, and the demand/congestion constraints. Returns a
-    report; raises only on unparseable input.
+    report; raises :class:`ParameterError`, naming the line, on unparseable
+    input or a vertex outside the graph.
     """
-    header: dict[str, str] = {}
-    lines = [ln.strip() for ln in fh if ln.strip()]
+    header: dict[str, tuple[int, str]] = {}
     paths: list[tuple[tuple[int, ...], Fraction]] = []
-    for ln in lines:
+    for lineno, raw in enumerate(fh, start=1):
+        ln = raw.strip()
+        if not ln:
+            continue
         key, _, rest = ln.partition(" ")
-        if key == "path":
-            parts = rest.split()
+        if key != "path":
+            header[key] = (lineno, rest)
+            continue
+        parts = rest.split()
+        try:
             if len(parts) < 2:
-                raise ParameterError(f"malformed certificate path line: {ln!r}")
-            paths.append((tuple(int(v) for v in parts[:-1]), Fraction(parts[-1])))
-        else:
-            header[key] = rest
-    try:
-        alpha = Fraction(header["alpha"])
-        eps = None if header["eps-sigma"] == "inf" else Fraction(header["eps-sigma"])
-        vol_a = int(header["vol-a"])
-        flow_value = Fraction(header["flow-value"])
-    except KeyError as missing:
-        raise ParameterError(f"certificate header misses {missing}") from None
+                raise ValueError
+            path, amount = tuple(int(v) for v in parts[:-1]), Fraction(parts[-1])
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"certificate line {lineno}: malformed path line {ln!r}") from None
+        outside = [v for v in path if not 0 <= v < g.n]
+        if outside:
+            raise ParameterError(
+                f"certificate line {lineno}: vertex {outside[0]} out of range (n={g.n})"
+            )
+        paths.append((path, amount))
+
+    def field(name: str, parse):
+        if name not in header:
+            raise ParameterError(f"certificate header misses {name!r}")
+        lineno, text = header[name]
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise ParameterError(f"certificate line {lineno}: malformed {name} {text!r}") from None
+
+    alpha = field("alpha", Fraction)
+    eps = field("eps-sigma", lambda text: None if text == "inf" else Fraction(text))
+    vol_a = field("vol-a", int)
+    flow_value = field("flow-value", Fraction)
     violations: list[str] = []
     if vol_a != a.volume:
         violations.append(f"header vol-a {vol_a} != vol(A) {a.volume}")
@@ -428,6 +447,12 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     into: dict[int, Fraction] = {}
     edge_load: dict[tuple[int, int], Fraction] = {}
     mult_cache: dict[int, dict[int, int]] = {}
+
+    def multiplicities(u: int) -> dict[int, int]:
+        if u not in mult_cache:
+            mult_cache[u] = dict(g.neighbor_multiplicities(u))
+        return mult_cache[u]
+
     for path, amount in paths:
         if path[0] not in a:
             violations.append(f"path starts outside the seed set: {path[0]}")
@@ -436,9 +461,7 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         out_of[path[0]] = out_of.get(path[0], Fraction(0)) + amount
         into[path[-1]] = into.get(path[-1], Fraction(0)) + amount
         for u, v in zip(path, path[1:]):
-            if u not in mult_cache:
-                mult_cache[u] = dict(g.neighbor_multiplicities(u))
-            if v not in mult_cache[u]:
+            if v not in multiplicities(u):
                 violations.append(f"path step ({u}, {v}) is not an edge")
                 continue
             key = (min(u, v), max(u, v))
@@ -456,7 +479,7 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
             if got > eps * g.degree(v):
                 violations.append(f"sink {v} absorbs {got} > eps*deg = {eps * g.degree(v)}")
     for (u, v), load in edge_load.items():
-        mult = mult_cache[u].get(v, 0)
+        mult = multiplicities(u).get(v, 0)
         if load > mult / alpha:
             violations.append(
                 f"edge ({u}, {v}) carries {load} > multiplicity/alpha = {Fraction(mult) / alpha}"

@@ -1,109 +1,374 @@
 """Graph and seed-set file ingestion.
 
-Two formats: a whitespace edge list ("u v" per line, 0-based, '#'
+Two graph formats: a whitespace edge list ("u v" per line, 0-based, '#'
 comments, duplicate lines are parallel edges) and the standard METIS
 adjacency format (header "n m [fmt]", 1-based neighbor lines, '%'
-comments). Self-loops are rejected with their line number.
+comment lines). Self-loops are rejected with their line number.
+
+Grammar shared by all three readers (graph, METIS, seed set):
+
+- A line ends at LF; CR, space, tab, VT and FF separate tokens, so CRLF
+  files read like LF files.
+- A vertex id is a run of ASCII decimal digits. Signs, underscores and
+  non-ASCII digits are rejected (``int()`` would accept ``+5`` and
+  ``1_000``); a leading ``-`` is reported as a negative id, even on
+  ``-0``, and an edge-list id of 19 or more significant digits as too
+  large. Non-ASCII bytes may appear only inside comments.
+- In an edge list and a seed file, '#' starts a comment that runs to the
+  end of its line. In a METIS file, a line whose first non-blank byte is
+  '%' is a comment line; blank lines are adjacency lines.
+- An edge list's largest id may be at most ``MAX_IDS_PER_EDGE`` times
+  its edge count, so the vertex count, and every array sized by it, stays
+  proportional to the file. A METIS header's vertex count must equal its
+  number of adjacency lines, which is checked before anything is sized
+  by it.
+
+The readers scan line-aligned blocks of about ``CHUNK_BYTES`` with numpy:
+blank and comment masks, token bounds, token counts per line and one
+int64 value per token, and vectorized checks. Working memory is a few arrays of block
+size plus the parsed tokens. When a check finds a bad line, the first one
+in file order is re-read by a per-line check that words the error.
 """
 
 from __future__ import annotations
 
+import io
 import os
-from typing import IO, Iterable
+from functools import partial
+from typing import IO, Iterator, NamedTuple
 
-from .errors import GraphFormatError
+import numpy as np
+
+from .errors import GraphFormatError, InvariantViolation
 from .graphs import Graph, VertexSet
 
-__all__ = ["load_graph", "load_edgelist", "load_metis", "load_vertex_set"]
+__all__ = ["load_graph", "load_edgelist", "load_metis", "load_vertex_set", "MAX_IDS_PER_EDGE"]
+
+CHUNK_BYTES = 1 << 18
+MAX_IDS_PER_EDGE = 16
+# Ids of 19 or more significant digits all read as this value: it is out of
+# range for every graph and fits int64 without overflow.
+_TOO_LARGE = 10**18
+_DIGITS = 18  # longest token the vectorized accumulation reads exactly
+
+_LF, _HASH, _PERCENT = ord("\n"), ord("#"), ord("%")
 
 
-def _open_lines(source: str | os.PathLike | IO[str]) -> Iterable[tuple[int, str]]:
-    if hasattr(source, "read"):
-        return enumerate(source, start=1)
-    with open(source, "r", encoding="utf-8") as fh:
-        return list(enumerate(fh, start=1))
+def _blocks(source: str | os.PathLike | bytes) -> Iterator[bytes]:
+    """The input as line-aligned byte blocks of about ``CHUNK_BYTES``.
+
+    A path is read block by block, so only one block (plus its unfinished
+    last line) is held.
+    """
+    with io.BytesIO(source) if isinstance(source, bytes) else open(source, "rb") as fh:
+        pending: list[bytes] = []
+        for block in iter(partial(fh.read, CHUNK_BYTES), b""):
+            cut = block.rfind(b"\n") + 1
+            if not cut:
+                pending.append(block)
+                continue
+            pending.append(block[:cut])
+            yield b"".join(pending)
+            pending = [block[cut:]]
+        tail = b"".join(pending)
+        if tail:
+            yield tail
+
+
+def _rereadable(source: str | os.PathLike | IO[str]) -> str | os.PathLike | bytes:
+    """A path as is; a text stream read whole and encoded, so that
+    :func:`_blocks` can split it as often as needed."""
+    return source.read().encode("utf-8") if hasattr(source, "read") else source
+
+
+def _value(token: bytes) -> int:
+    """Value of an all-digit token, with ``_TOO_LARGE`` for 19+ significant digits."""
+    digits = token.lstrip(b"0")
+    if len(digits) > _DIGITS:
+        return _TOO_LARGE
+    return int(digits) if digits else 0
+
+
+class _Tokens(NamedTuple):
+    """One block, tokenized.
+
+    ``ends[i]`` is the offset of line ``i``'s LF (or of the block's end);
+    ``before[i]`` counts the tokens up to the end of line ``i``; ``value``
+    holds each token's value (meaningless for a token with a non-digit
+    byte); ``other`` is the first line holding a non-digit token byte
+    (``len(ends)`` if none); ``comment`` flags METIS comment lines.
+    """
+
+    data: bytes
+    ends: np.ndarray
+    before: np.ndarray
+    value: np.ndarray
+    other: int
+    comment: np.ndarray | None
+
+    def text(self, i: int) -> bytes:
+        start = int(self.ends[i - 1]) + 1 if i else 0
+        return self.data[start : int(self.ends[i])]
+
+    def count(self) -> np.ndarray:
+        """Tokens on each line."""
+        return np.diff(self.before, prepend=0)
+
+    def line_of(self, token: int) -> int:
+        return int(np.searchsorted(self.before, token, side="right"))
+
+    def first_line(self, tokens: np.ndarray) -> int:
+        """Line of the first of the ascending ``tokens``; ``len(ends)`` if none."""
+        return self.line_of(int(tokens[0])) if len(tokens) else len(self.ends)
+
+    def tokens_before(self, line: int) -> int:
+        return int(self.before[line - 1]) if line else 0
+
+
+def _line_spans(lo: np.ndarray, hi: np.ndarray, size: int) -> np.ndarray:
+    """Mask of the disjoint half-open spans ``[lo, hi)`` over ``size`` bytes."""
+    mark = np.zeros(size + 1, dtype=np.int8)
+    mark[lo] = 1
+    mark[hi] -= 1
+    return np.cumsum(mark[:-1], dtype=np.int8).view(bool)
+
+
+def _tokenize(data: bytes, comment: int) -> _Tokens:
+    """Split one block into tokens; ``comment`` is '#' (to end of line) or '%' (whole line)."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(a == _LF)
+    if not len(ends) or ends[-1] != len(a) - 1:
+        ends = np.append(ends, len(a))
+    # space, tab, LF, VT, FF, CR; uint8 wrap-around keeps bytes below TAB out
+    space = (a == 32) | (a - np.uint8(9) < 5)
+    comment_lines = np.zeros(len(ends), dtype=bool) if comment == _PERCENT else None
+    marks = np.flatnonzero(a == comment)
+    if len(marks):
+        mline = np.searchsorted(ends, marks)
+        first = np.ones(len(marks), dtype=bool)
+        first[1:] = mline[1:] != mline[:-1]
+        marks, mline = marks[first], mline[first]
+        if comment_lines is not None:
+            # a comment line has only blanks before its '%'
+            starts = np.zeros(len(ends), dtype=np.int64)
+            starts[1:] = ends[:-1] + 1
+            filled = np.zeros(len(a) + 1, dtype=np.int64)
+            np.cumsum(~space, out=filled[1:])
+            lead = starts[mline]
+            keep = filled[marks] == filled[lead]
+            marks, mline = lead[keep], mline[keep]
+            comment_lines[mline] = True
+        space |= _line_spans(marks, ends[mline], len(a))
+    bad = np.flatnonzero(~space & (a - np.uint8(48) >= 10))
+    other = int(np.searchsorted(ends, bad[0])) if len(bad) else len(ends)
+    # token bounds: where the blank mask flips, plus the block's own ends
+    edge = np.flatnonzero(space[1:] != space[:-1]) + 1
+    if not space[0]:
+        edge = np.insert(edge, 0, 0)
+    if not space[-1]:
+        edge = np.append(edge, len(a))
+    del space, bad
+    start = edge[0::2]
+    length = edge[1::2] - start
+    del edge
+    # digit k from the right of every token at once; longer tokens are read below
+    stop = start + length
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(1, min(int(length.max(initial=0)), _DIGITS) + 1):
+        digit = a[stop - k].astype(np.int64) - 48
+        digit[length < k] = 0
+        value += digit * 10 ** (k - 1)
+    for t in np.flatnonzero(length > _DIGITS):
+        token = data[start[t] : start[t] + length[t]]
+        if token.isdigit():
+            value[t] = _value(token)
+    return _Tokens(data, ends, np.searchsorted(start, ends), value, other, comment_lines)
+
+
+def _raise_line(error: str | None, lineno: int) -> None:
+    if error is None:
+        raise InvariantViolation(f"line {lineno} was flagged but its check passes")
+    raise GraphFormatError(error, lineno)
+
+
+# per-line checks: they word the error for the first line a scan flags
+
+
+def _edgelist_line_error(raw: bytes) -> str | None:
+    line = raw.split(b"#", 1)[0].strip()
+    parts = line.split()
+    shown = line.decode("utf-8", "replace")
+    if not parts:
+        return None
+    if len(parts) != 2:
+        return f"expected two vertex ids, got {shown!r}"
+    if not all(p.isdigit() for p in parts):
+        if all(p.isdigit() or (p[:1] == b"-" and p[1:].isdigit()) for p in parts):
+            return f"negative vertex id in {shown!r}"
+        return f"non-integer vertex id in {shown!r}"
+    u, v = _value(parts[0]), _value(parts[1])
+    if max(u, v) >= _TOO_LARGE:
+        return f"vertex id too large in {shown!r}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    return None
+
+
+def _metis_line_error(raw: bytes, u: int, n: int) -> str | None:
+    for token in raw.split():
+        shown = token.decode("utf-8", "replace")
+        if not token.isdigit():
+            if token[:1] == b"-" and token[1:].isdigit():
+                return f"neighbor {shown} out of range"
+            return f"non-integer neighbor {shown!r}"
+        v = _value(token) - 1
+        if not 0 <= v < n:
+            return f"neighbor {shown} out of range"
+        if v == u:
+            return f"self-loop at vertex {u + 1}"
+    return None
+
+
+def _seed_line_error(raw: bytes, n: int) -> str | None:
+    for token in raw.split(b"#", 1)[0].split():
+        shown = token.decode("utf-8", "replace")
+        if token.isdigit():
+            u = _value(token)
+            if u >= n:
+                return f"vertex id {u if u < _TOO_LARGE else shown} out of range (n={n})"
+        elif token[:1] == b"-" and token[1:].isdigit():
+            return f"vertex id {shown} out of range (n={n})"
+        else:
+            return f"non-integer vertex id {shown!r}"
+    return None
+
+
+def _metis_header(raw: bytes, lineno: int) -> tuple[int, int]:
+    line = raw.strip()
+    parts = line.split()
+    if len(parts) not in (2, 3) or not (parts[0].isdigit() and parts[1].isdigit()):
+        shown = line.decode("utf-8", "replace")
+        raise GraphFormatError(f"malformed METIS header {shown!r}", lineno)
+    fmt = parts[2] if len(parts) == 3 else b"0"
+    if fmt.strip(b"0"):
+        raise GraphFormatError(
+            f"weighted METIS format {fmt.decode('utf-8', 'replace')!r} is not supported", lineno
+        )
+    return int(parts[0]), int(parts[1])
+
+
+def _edge_blocks(source: str | os.PathLike | bytes) -> Iterator[tuple[np.ndarray, _Tokens, int]]:
+    """Per block: its ``(k, 2)`` edges, its tokens and its first line number.
+
+    Raises at the first bad line, in file order.
+    """
+    lineno = 1
+    for data in _blocks(source):
+        t = _tokenize(data, _HASH)
+        count = t.count()
+        bad = int(min([t.other, *np.flatnonzero((count != 0) & (count != 2))[:1]]))
+        uv = t.value[: t.tokens_before(bad)].reshape(-1, 2)
+        u, v = uv[:, 0], uv[:, 1]
+        wrong = np.flatnonzero((np.maximum(u, v) >= _TOO_LARGE) | (u == v))
+        bad = min(bad, t.first_line(2 * wrong))
+        if bad < len(t.ends):
+            _raise_line(_edgelist_line_error(t.text(bad)), lineno + bad)
+        yield uv, t, lineno
+        lineno += len(t.ends)
 
 
 def load_edgelist(source: str | os.PathLike | IO[str]) -> Graph:
     """Parse a 0-based "u v" edge list; parallel edges kept, self-loops rejected."""
-    edges: list[tuple[int, int]] = []
-    max_id = -1
-    for lineno, raw in _open_lines(source):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected two vertex ids, got {line!r}", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer vertex id in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"negative vertex id in {line!r}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        edges.append((u, v))
-        max_id = max(max_id, u, v)
-    if not edges:
+    source = _rereadable(source)
+    pairs = [uv for uv, _, _ in _edge_blocks(source)]
+    m = sum(len(uv) for uv in pairs)
+    if not m:
         raise GraphFormatError("no edges found")
-    return Graph(max_id + 1, edges)
+    edges = np.concatenate(pairs)
+    del pairs
+    top = np.maximum(edges[:, 0], edges[:, 1])
+    n = int(top.max()) + 1
+    limit = MAX_IDS_PER_EDGE * m
+    if n > limit + 1:
+        i = int(np.argmax(top > limit))
+        message = f"vertex id {int(top[i])} exceeds {MAX_IDS_PER_EDGE} x {m} edges = {limit}"
+        for uv, t, lineno in _edge_blocks(source):
+            if i < len(uv):
+                raise GraphFormatError(message, lineno + t.line_of(2 * i))
+            i -= len(uv)
+    return Graph(n, edges)
 
 
 def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     """Parse METIS adjacency format (1-based, each edge listed from both sides)."""
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in _open_lines(source):
-        line = raw.strip()
-        if line.startswith("%"):
-            continue
-        rows.append((lineno, line))
-    if not rows:
+    header: tuple[int, int] | None = None
+    rows = 0  # adjacency lines seen, the header excluded
+    tails: list[np.ndarray] = []
+    heads: list[np.ndarray] = []
+    first_bad: tuple[int, bytes, int] | None = None  # line number, text, vertex
+    lineno = 1
+    for data in _blocks(_rereadable(source)):
+        t = _tokenize(data, _PERCENT)
+        body = np.flatnonzero(~t.comment)
+        skip = 0  # the header's tokens
+        if header is None and len(body):
+            h, body = int(body[0]), body[1:]
+            header = _metis_header(t.text(h), lineno + h)
+            n_cap = min(header[0], _TOO_LARGE)
+            skip = t.tokens_before(h + 1)
+        vertex = np.full(len(t.ends), -1, dtype=np.int64)
+        vertex[body] = np.arange(rows, rows + len(body))
+        rows += len(body)
+        if first_bad is None and len(body):
+            u = np.repeat(vertex, t.count())[skip:]
+            v = t.value[skip:] - 1
+            wrong = np.flatnonzero((v < 0) | (v >= n_cap) | (v == u))
+            bad = min(t.other, t.first_line(skip + wrong))
+            if bad < len(t.ends):
+                first_bad = (lineno + bad, t.text(bad), int(vertex[bad]))
+                tails.clear()
+                heads.clear()
+            else:
+                tails.append(u)
+                heads.append(v)
+        lineno += len(t.ends)
+    if header is None:
         raise GraphFormatError("empty METIS file")
-    header_line, header = rows[0]
-    parts = header.split()
-    if len(parts) not in (2, 3):
-        raise GraphFormatError(f"malformed METIS header {header!r}", header_line)
-    try:
-        n, m = int(parts[0]), int(parts[1])
-        fmt = parts[2] if len(parts) == 3 else "0"
-    except ValueError:
-        raise GraphFormatError(f"malformed METIS header {header!r}", header_line) from None
-    if fmt.strip("0"):
-        raise GraphFormatError(
-            f"weighted METIS format {fmt!r} is not supported", header_line
-        )
-    body = rows[1:]
-    if len(body) != n:
-        raise GraphFormatError(
-            f"header declares {n} vertices but file has {len(body)} adjacency lines"
-        )
-    mentions: dict[tuple[int, int], int] = {}
-    for u, (lineno, line) in enumerate(body):
-        for token in line.split():
-            try:
-                v = int(token) - 1
-            except ValueError:
-                raise GraphFormatError(f"non-integer neighbor {token!r}", lineno) from None
-            if not 0 <= v < n:
-                raise GraphFormatError(f"neighbor {token} out of range", lineno)
-            if v == u:
-                raise GraphFormatError(f"self-loop at vertex {u + 1}", lineno)
-            mentions[(u, v)] = mentions.get((u, v), 0) + 1
-    edges: list[tuple[int, int]] = []
-    for (u, v), count in mentions.items():
-        if u > v:
-            continue
-        back = mentions.get((v, u), 0)
-        if back != count:
-            raise GraphFormatError(
-                f"asymmetric adjacency between {u + 1} and {v + 1}: "
-                f"{count} vs {back} mentions"
-            )
-        edges.extend([(u, v)] * count)
-    if len(edges) != m:
-        raise GraphFormatError(f"header declares {m} edges but file encodes {len(edges)}")
-    return Graph(n, edges)
+    n, m = header
+    if rows != n:
+        raise GraphFormatError(f"header declares {n} vertices but file has {rows} adjacency lines")
+    if first_bad is not None:
+        at, text, u = first_bad
+        _raise_line(_metis_line_error(text, u, n), at)
+    u = np.concatenate(tails) if tails else np.empty(0, dtype=np.int64)
+    v = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
+    del tails, heads
+    if not np.array_equal(np.sort(u * n + v), np.sort(v * n + u)):
+        raise GraphFormatError(_asymmetry(u, v, n))
+    lower = u < v
+    if int(lower.sum()) != m:
+        raise GraphFormatError(f"header declares {m} edges but file encodes {int(lower.sum())}")
+    return Graph(n, np.stack([u[lower], v[lower]], axis=1))
+
+
+def _asymmetry(u: np.ndarray, v: np.ndarray, n: int) -> str:
+    """Word the first asymmetric pair.
+
+    Pairs that the smaller end lists come first, in the order of that
+    end's first mention; then pairs only the larger end lists.
+    """
+    pair = np.minimum(u, v) * n + np.maximum(u, v)
+    keys, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    lower = u < v
+    below = np.bincount(inverse[lower], minlength=len(keys))
+    above = np.bincount(inverse[~lower], minlength=len(keys))
+    order = np.full(len(keys), len(pair), dtype=np.int64)
+    at = np.flatnonzero(lower)
+    np.minimum.at(order, inverse[at], at)
+    rank = np.where(below > 0, order, len(pair) + first)
+    i = int(np.argmin(np.where(below != above, rank, 2 * len(pair) + 1)))
+    a, b = divmod(int(keys[i]), n)
+    return f"asymmetric adjacency between {a + 1} and {b + 1}: {below[i]} vs {above[i]} mentions"
 
 
 def load_graph(source: str | os.PathLike | IO[str], fmt: str = "edgelist") -> Graph:
@@ -117,19 +382,15 @@ def load_graph(source: str | os.PathLike | IO[str], fmt: str = "edgelist") -> Gr
 
 def load_vertex_set(source: str | os.PathLike | IO[str], g: Graph) -> VertexSet:
     """Parse whitespace/newline-separated vertex ids; '#' starts a comment."""
-    ids: list[int] = []
-    for lineno, raw in _open_lines(source):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        for token in line.split():
-            try:
-                u = int(token)
-            except ValueError:
-                raise GraphFormatError(f"non-integer vertex id {token!r}", lineno) from None
-            if not 0 <= u < g.n:
-                raise GraphFormatError(f"vertex id {u} out of range (n={g.n})", lineno)
-            ids.append(u)
-    if not ids:
+    ids: list[np.ndarray] = []
+    lineno = 1
+    for data in _blocks(_rereadable(source)):
+        t = _tokenize(data, _HASH)
+        bad = min(t.other, t.first_line(np.flatnonzero(t.value >= g.n)))
+        if bad < len(t.ends):
+            _raise_line(_seed_line_error(t.text(bad), g.n), lineno + bad)
+        ids.append(t.value)
+        lineno += len(t.ends)
+    if not any(len(x) for x in ids):
         raise GraphFormatError("no vertex ids found")
-    return VertexSet(g, ids)
+    return VertexSet(g, np.unique(np.concatenate(ids)).tolist())

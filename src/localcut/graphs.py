@@ -30,6 +30,9 @@ __all__ = [
     "induced_subgraph",
 ]
 
+# the largest vertex count whose arc keys tail*n+head fit in int64
+_MAX_N = 3_037_000_499
+
 
 class Graph:
     """Undirected multigraph on vertices ``0..n-1``.
@@ -58,17 +61,20 @@ class Graph:
             loops = pairs[:, 0] == pairs[:, 1]
             if loops.any():
                 raise ValueError(f"self-loop at vertex {pairs[loops.argmax(), 0]}")
-        # CSR with each adjacency run sorted: one lexsort over both arc directions
-        tails = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        heads = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((heads, tails))
-        deg = np.bincount(tails, minlength=n) if m else np.zeros(n, dtype=np.int64)
+        if n > _MAX_N:
+            raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
+        # CSR with each adjacency run sorted: one sort of the arc keys tail*n+head
+        u, v = pairs[:, 0], pairs[:, 1]
+        key = np.concatenate([u * n + v, v * n + u])
+        key.sort()
+        if n:
+            np.remainder(key, n, out=key)
         off_np = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=off_np[1:])
+        np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=off_np[1:])
         off = array("q")
         off.frombytes(off_np.data.cast("B"))
         flat = array("q")
-        flat.frombytes(np.ascontiguousarray(heads[order]).data.cast("B"))
+        flat.frombytes(key.data.cast("B"))
         self._n = n
         self._m = m
         self._off = off

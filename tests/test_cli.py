@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from gen import ring_of_cliques
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 
 
@@ -196,3 +199,56 @@ def test_metis_input(capsys, fixtures_dir):
     )
     assert code == EXIT_OK
     assert json.loads(out)["m"] == 25
+
+
+def write_ring_files(tmp_path):
+    """A ring of 100 10-cliques and the seed of clique 3 minus two members plus the next hub."""
+    g = ring_of_cliques(100, 10)
+    graph_file = tmp_path / "ring.edgelist"
+    graph_file.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    seed_file = tmp_path / "seed.txt"
+    seed = [v for v in range(30, 40) if v not in (31, 35)] + [40]
+    seed_file.write_text(" ".join(map(str, seed)) + "\n")
+    return ["--graph", str(graph_file), "--seed-set", str(seed_file)]
+
+
+def test_certify_check_reads_back_ring_certificate(capsys, tmp_path):
+    # a certificate whose edges are first walked from their larger endpoint
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    code, out, _ = run(
+        capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file)
+    )
+    assert code == EXIT_OK, out
+    code, out, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert (code, out.strip()) == (EXIT_OK, "certificate valid"), err
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        ("path 30 x 1", "certificate line 5: malformed path line 'path 30 x 1'"),
+        ("path 30 99999 1", "certificate line 5: vertex 99999 out of range (n=1000)"),
+        ("path 30 -2 1", "certificate line 5: vertex -2 out of range (n=1000)"),
+        ("path 30 41 1/0", "certificate line 5: malformed path line 'path 30 41 1/0'"),
+    ],
+)
+def test_certify_check_malformed_certificate_exits_2(capsys, tmp_path, bad_line, message):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file))
+    lines = cert_file.read_text().splitlines()
+    lines.insert(4, bad_line)
+    cert_file.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert code == EXIT_INPUT_ERROR
+    assert err.strip() == f"error: {message}"
+
+
+def test_certify_check_malformed_header_exits_2(capsys, tmp_path):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text("alpha one\neps-sigma inf\nvol-a 1\nflow-value 1\n")
+    code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert code == EXIT_INPUT_ERROR
+    assert "certificate line 1: malformed alpha 'one'" in err

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,3 +146,30 @@ def test_induced_subgraph_degrees_internal(gs):
     for i, u in enumerate(order):
         internal = sum(1 for v in g.adjacent(u) if v in s)
         assert sub.degree(i) == internal
+
+
+@given(
+    st.integers(1, 30).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda e: e[0] != e[1]
+                ),
+                max_size=60,
+            ),
+        )
+    ),
+    st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_csr_matches_sorted_adjacency(n_edges, as_array):
+    n, edges = n_edges
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = Graph(n, np.array(edges, dtype=np.int32).reshape(-1, 2) if as_array else edges)
+    assert g.m == len(edges)
+    assert list(g._off) == [0, *itertools.accumulate(len(a) for a in adj)]
+    assert [list(g.adjacent(u)) for u in range(n)] == [sorted(a) for a in adj]
