@@ -3,10 +3,10 @@
 Given a seed set in a large undirected graph, finds a nearby set of
 provably low conductance by solving localized maximum-flow problems on a
 source/sink-augmented graph, touching only a volume proportional to the
-seed's. Ships an approximate (phase-capped Dinic) and an exact (hybrid
-binary blocking flow) localized solver, binary-search improvement drivers,
-routing certificates, a push/sweep seed expander, brute-force test
-oracles, and a CLI.
+seed's. One localized Dinic engine serves both solvers: phase-capped for
+the approximate solver, run to a maximum flow for the exact one. Also
+ships binary-search improvement drivers, routing certificates, a
+push/sweep seed expander, brute-force test oracles, and a CLI.
 """
 
 from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma

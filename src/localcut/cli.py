@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import certify as cert
@@ -106,8 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--beta", type=float, default=0.1)
     p_seed.add_argument("--r-max", type=float)
     p_seed.add_argument("--volume-cap", type=int)
-    p_seed.add_argument("--jobs", type=int, default=1,
-                        help="run multiple seeds concurrently")
     return parser
 
 
@@ -236,11 +233,7 @@ def _cmd_seed(args) -> int:
             "phi": _frac_json(conductance(g, out)),
         }
 
-    if args.jobs > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(expand, seeds))
-    else:
-        results = [expand(v) for v in seeds]
+    results = [expand(v) for v in seeds]
     for payload in results:
         print(json.dumps(payload))
     return EXIT_OK

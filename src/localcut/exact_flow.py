@@ -1,416 +1,24 @@
-"""Localized exact max flow via binary blocking flows with a hybrid length function.
-
-Classic binary-length blocking flow assigns length 0 to high-residual arcs,
-which makes the admissible graph cyclic; routing then contracts strongly
-connected components of zero-length arcs. Here arcs get a binary length
-only when both endpoints are inside the materialized core (seed plus
-saturated set) and are forced to length 1 otherwise, which keeps every
-zero-length arc, and with it all contraction work, inside the local view.
-
-The outer loop keeps a bound ``F`` on the remaining flow, picks a quantum
-``delta = ceil(F / (6 * lam))``, runs up to ``4 * lam`` binary blocking
-flows, and halves ``F``. Termination and exactness do not lean on the
-bound arithmetic: the run ends exactly when the sink becomes unreachable
-in the residual graph, which certifies maximality outright.
-"""
+"""Localized exact max flow and min cut: localized Dinic with no phase cap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .augmented import AugmentedGraph, build, overlap_for_sink_factor
-from .errors import InvariantViolation
-from .flow import DistanceLabels, FlowState, bfs_distances, check_label_monotone
+from .augmented import AugmentedGraph, build
 from .graphs import Graph, VertexSet
-from .local_flow import (
-    LocalFlowResult,
-    LocalFlowStats,
-    SaturatedSet,
-    update_saturated_set,
-)
+from .local_flow import LocalFlowResult, _localized_dinic
 
-__all__ = [
-    "LengthAssignment",
-    "PhaseRecord",
-    "length_hat",
-    "binary_blocking_flow",
-    "phase_progress_check",
-    "local_flow_exact",
-]
+# Not used here: the benchmark's span tracer (perfbench/spans.py) patches
+# these names on this module, and the two placeholders below, by name.
+from .flow import bfs_distances, check_label_monotone  # noqa: F401
+from .local_flow import update_saturated_set  # noqa: F401
 
-DELTA_FLOW = "delta-flow"
-BLOCKING_FLOW = "blocking-flow"
+__all__ = ["local_flow_exact"]
 
-
-@dataclass
-class LengthAssignment:
-    """Per-arc binary lengths for one inner iteration at quantum ``delta``.
-
-    ``lengths[a]`` is 0 or 1 for every materialized arc id. An arc is
-    *modern* when both endpoints are in the core and may then earn length 0
-    (residual at least ``3 * delta``, or the special reset for nearly
-    reversible arcs within one layer); every other arc is *classical* with
-    length 1.
-    """
-
-    delta: int
-    lengths: list[int]
-    modern: list[bool]
-    special_count: int = 0
-
-    def is_modern(self, a: int) -> bool:
-        return self.modern[a]
-
-
-def length_hat(
-    fs: FlowState, bs: SaturatedSet, delta: int
-) -> tuple[LengthAssignment, DistanceLabels]:
-    """Two-pass length assignment plus its distance labels.
-
-    First pass: length 0 for modern arcs with residual ``>= 3 * delta``,
-    else 1; labels come from a deque 0/1 shortest path over those lengths.
-    Second pass: a modern arc within one layer whose residual is in
-    ``[2 * delta, 3 * delta)`` while its reverse holds ``>= 3 * delta``
-    is reset to length 0. The labels stay valid and exact, since a reset
-    arc connects vertices of equal label.
-    """
-    to = fs.arc_to
-    cap = fs.arc_cap
-    flow = fs.arc_flow
-    modern = fs.arc_modern
-    count = len(to)
-    threshold = 3 * delta
-    lengths = [
-        0 if (m and c - f >= threshold) else 1
-        for m, c, f in zip(modern, cap, flow)
-    ]
-    labels = bfs_distances(fs, lengths)
-    dist = labels.dist
-    special = 0
-    low = 2 * delta
-    for a in range(count):
-        if modern[a] and lengths[a] == 1:
-            residual = cap[a] - flow[a]
-            if low <= residual < threshold and cap[a ^ 1] - flow[a ^ 1] >= threshold:
-                du = dist.get(to[a ^ 1])
-                if du is not None and dist.get(to[a]) == du:
-                    lengths[a] = 0
-                    special += 1
-    # modern is shared, not copied: it only mutates on vertex openings,
-    # which happen after the assignment has been consumed
-    return LengthAssignment(delta, lengths, modern, special), labels
-
-
-def _zero_sccs(
-    order: list[int], zero_adj: dict[int, list[int]]
-) -> dict[int, int]:
-    """Iterative Tarjan over the zero-length admissible arcs.
-
-    Returns a component id per vertex; vertices without zero arcs become
-    singletons. Ids are assigned so that any traversal stays deterministic.
-    """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comp: dict[int, int] = {}
-    counter = 0
-    next_comp = 0
-    for root in order:
-        if root in index:
-            continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            out = zero_adj.get(v, ())
-            recurse = False
-            while i < len(out):
-                w = out[i]
-                i += 1
-                if w not in index:
-                    work.append((v, i))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = next_comp
-                    if w == v:
-                        break
-                next_comp += 1
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return comp
-
-
-def binary_blocking_flow(
-    fs: FlowState,
-    la: LengthAssignment,
-    labels: DistanceLabels,
-) -> tuple[str, int]:
-    """Either route exactly ``delta`` units or block the admissible graph.
-
-    Contracts strongly connected components of zero-length admissible arcs,
-    runs a current-arc blocking flow on the resulting acyclic component
-    graph with the total capped at ``delta``, and expands the flow through
-    each component along spanning trees of its internal zero-length arcs
-    (feasible: zero-length arcs hold residual at least ``2 * delta`` and
-    each tree direction carries at most ``delta``).
-
-    Returns ``(DELTA_FLOW, delta)`` or ``(BLOCKING_FLOW, pushed)`` with
-    ``pushed < delta``.
-    """
-    ag = fs.ag
-    t = ag.sink_id
-    s = ag.source_id
-    dist = labels.dist
-    dt = dist.get(t)
-    if dt is None:
-        return BLOCKING_FLOW, 0
-    delta = la.delta
-    to = fs.arc_to
-    cap = fs.arc_cap
-    flow = fs.arc_flow
-    lengths = la.lengths
-
-    # admissible arcs among vertices strictly inside the horizon, plus the
-    # sink; one fused pass over every materialized arc
-    dist_get = dist.get
-    zero_adj: dict[int, list[int]] = {}
-    admissible: list[int] = []
-    for a in range(len(to)):
-        if cap[a] <= flow[a]:
-            continue
-        u = to[a ^ 1]
-        du = dist_get(u)
-        if du is None or du >= dt:
-            continue
-        w = to[a]
-        if w == t:
-            if du + lengths[a] == dt:
-                admissible.append(a)
-            continue
-        dw = dist_get(w)
-        if dw is None or dw >= dt or du + lengths[a] != dw:
-            continue
-        admissible.append(a)
-        if lengths[a] == 0:
-            lst = zero_adj.get(u)
-            if lst is None:
-                zero_adj[u] = lst = []
-            lst.append(w)
-
-    nodes = sorted(v for v, d in dist.items() if d < dt)
-    comp = _zero_sccs(nodes, zero_adj)
-    comp[t] = -1  # sink is its own terminal component
-    if s not in comp:
-        comp[s] = -2
-
-    comp_adj: dict[int, list[int]] = {}
-    internal: dict[int, list[int]] = {}
-    for a in admissible:
-        u = to[a ^ 1]
-        w = to[a]
-        cu = comp[u]
-        cw = comp[w]
-        if cu == cw:
-            internal.setdefault(cu, []).append(a)
-        else:
-            comp_adj.setdefault(cu, []).append(a)
-
-    pushed, transfers = _component_blocking_flow(fs, comp, comp_adj, delta, s, t)
-    for c, moves in transfers.items():
-        _route_inside_component(fs, internal.get(c, []), moves, delta)
-    kind = DELTA_FLOW if pushed == delta else BLOCKING_FLOW
-    return kind, pushed
-
-
-def _component_blocking_flow(
-    fs: FlowState,
-    comp: dict[int, int],
-    comp_adj: dict[int, list[int]],
-    delta: int,
-    s: int,
-    t: int,
-) -> tuple[int, dict[int, list[tuple[int, int, int]]]]:
-    """Current-arc blocking flow on the contracted acyclic graph, capped at ``delta``.
-
-    Because the total is capped at ``delta``, no component can see more
-    than ``delta`` of throughput, which is exactly the per-component cap
-    the expansion step needs. Records (entry, exit, amount) transfers per
-    component for that expansion.
-    """
-    to = fs.arc_to
-    cap = fs.arc_cap
-    flow = fs.arc_flow
-    cs = comp[s]
-    ct = comp[t]
-    ptr: dict[int, int] = {}
-    dead: set[int] = set()
-    path: list[int] = []
-    transfers: dict[int, list[tuple[int, int, int]]] = {}
-    total = 0
-    c = cs
-    while total < delta:
-        if c == ct:
-            room = delta - total
-            bottleneck = min(min(cap[a] - flow[a] for a in path), room)
-            for a in path:
-                fs.push(a, bottleneck)
-            # transfers through intermediate components on this path
-            for i in range(len(path) - 1):
-                enter = to[path[i]]
-                leave = to[path[i + 1] ^ 1]
-                if enter != leave:
-                    cc = comp[enter]
-                    transfers.setdefault(cc, []).append((enter, leave, bottleneck))
-            total += bottleneck
-            if total >= delta:
-                break
-            for i, a in enumerate(path):
-                if cap[a] == flow[a]:
-                    del path[i:]
-                    break
-            c = comp[to[path[-1]]] if path else cs
-            continue
-        arcs = comp_adj.get(c, ())
-        i = ptr.get(c, 0)
-        advanced = False
-        while i < len(arcs):
-            a = arcs[i]
-            cw = comp[to[a]]
-            if cap[a] > flow[a] and cw not in dead:
-                ptr[c] = i
-                path.append(a)
-                c = cw
-                advanced = True
-                break
-            i += 1
-        if not advanced:
-            ptr[c] = i
-            if c == cs:
-                break
-            dead.add(c)
-            a = path.pop()
-            c = comp[to[a ^ 1]]
-    return total, transfers
-
-
-def _route_inside_component(
-    fs: FlowState, internal_arcs: list[int], moves: list[tuple[int, int, int]], delta: int
-) -> None:
-    """Expand component throughput along in/out spanning trees of zero arcs.
-
-    All entering flow is walked to a representative along a tree of paths
-    into it, then walked out to the exit vertices along a tree of paths out
-    of it. Each tree direction carries at most ``delta``, so every internal
-    arc carries at most ``2 * delta``, within its guaranteed residual.
-    """
-    if not moves:
-        return
-    needed = [(vin, vout, amt) for vin, vout, amt in moves if vin != vout]
-    if not needed:
-        return
-    to = fs.arc_to
-    rep = needed[0][0]
-    out_adj: dict[int, list[int]] = {}
-    in_adj: dict[int, list[int]] = {}
-    for a in internal_arcs:
-        u = to[a ^ 1]
-        v = to[a]
-        out_adj.setdefault(u, []).append(a)
-        in_adj.setdefault(v, []).append(a)
-
-    def tree_from(adj: dict[int, list[int]]) -> dict[int, int]:
-        parent: dict[int, int] = {}
-        frontier = [rep]
-        seen = {rep}
-        while frontier:
-            nxt: list[int] = []
-            for u in frontier:
-                for a in adj.get(u, ()):
-                    w = to[a] if adj is out_adj else to[a ^ 1]
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = a
-                        nxt.append(w)
-            frontier = nxt
-        return parent
-
-    out_tree = tree_from(out_adj)  # arcs leading away from rep
-    in_tree = tree_from(in_adj)  # arcs leading toward rep
-    for vin, vout, amt in needed:
-        v = vin
-        while v != rep:
-            a = in_tree.get(v)
-            if a is None:
-                raise InvariantViolation(
-                    f"component lacks a zero-length path from {vin} to its representative"
-                )
-            fs.push(a, amt)
-            v = to[a]
-        v = vout
-        chain: list[int] = []
-        while v != rep:
-            a = out_tree.get(v)
-            if a is None:
-                raise InvariantViolation(
-                    f"component lacks a zero-length path from its representative to {vout}"
-                )
-            chain.append(a)
-            v = to[a ^ 1]
-        for a in reversed(chain):
-            fs.push(a, amt)
-
-
-@dataclass
-class PhaseRecord:
-    """One outer iteration: its bound, quantum, and inner outcome counts."""
-
-    f_bound: int
-    delta: int
-    delta_flows: int = 0
-    blocking_flows: int = 0
-    gained: int = 0
-    completed: bool = False
-
-
-def phase_progress_check(record: PhaseRecord, lam: int) -> bool:
-    """Did this phase certify that the remaining flow halved?
-
-    True when the run completed (remaining flow is zero), when enough
-    quantum-valued flows were found (gain at least ``3 * lam * delta >=
-    F/2``), or when enough blocking flows drove the sink distance up far
-    enough that an averaged layer cut bounds the residual by ``3 * lam *
-    delta``. Exactness never depends on this check; it is a diagnostic
-    asserted in tests against the brute-force residual.
-    """
-    if record.completed:
-        return True
-    return record.delta_flows >= 3 * lam or record.blocking_flows >= lam
-
-
-def _ceil_sqrt(num: int, den: int) -> int:
-    """Smallest integer at least sqrt(num/den)."""
-    m = -(-num // den)
-    r = isqrt(m)
-    return r if r * r >= m else r + 1
+length_hat = binary_blocking_flow = None
+"""Placeholders for the tracer only; no solver code uses them. They go
+when the tracer stops patching this module, with the next benchmark
+change."""
 
 
 def local_flow_exact(
@@ -425,119 +33,8 @@ def local_flow_exact(
     """Exact localized max flow and min cut on the augmented graph.
 
     The result always has ``exact=True``; ``full_flow`` marks a flow value
-    of ``vol(A)`` (empty cut). Phase records are attached to the stats for
-    the progress diagnostic.
+    of ``vol(A)`` (empty cut), and ``stats.phases`` counts Dinic phases.
     """
     if ag is None:
         ag = build(g, a, alpha, eps)
-    sigma = overlap_for_sink_factor(ag.eps)
-    lam = _ceil_sqrt(3 * a.volume * sigma.denominator, sigma.numerator)
-    fs = FlowState(ag)
-    bs = SaturatedSet(ag)
-    stats = LocalFlowStats()
-    phases: list[PhaseRecord] = []
-    t = ag.sink_id
-    f_bound = ag.source_total
-    done = False
-    final_labels: DistanceLabels | None = None
-    max_outer = f_bound.bit_length() + g.n + 5
-    while not done:
-        if len(phases) > max_outer:
-            raise InvariantViolation("outer loop exceeded its phase budget")
-        delta = max(1, -(-f_bound // (6 * lam)))
-        record = PhaseRecord(f_bound, delta)
-        prev: DistanceLabels | None = None
-        prev_kind: str | None = None
-        for _ in range(4 * lam):
-            la, labels = length_hat(fs, bs, delta)
-            if validate:
-                _check_binary_labels(fs, bs, la, labels)
-                if prev is not None:
-                    check_label_monotone(prev, labels, t, exact_zone_only=True)
-                    _check_sink_growth(prev, labels, t, prev_kind)
-            if t not in labels.dist:
-                done = True
-                record.completed = True
-                final_labels = labels
-                break
-            stats.sink_distance_trace.append(labels.dist[t])
-            kind, pushed = binary_blocking_flow(fs, la, labels)
-            if pushed == 0 and kind == BLOCKING_FLOW and t in labels.dist:
-                # a reachable sink always admits at least one unit
-                raise InvariantViolation("admissible sink but nothing pushed")
-            record.gained += pushed
-            if kind == DELTA_FLOW:
-                record.delta_flows += 1
-            else:
-                record.blocking_flows += 1
-            fresh = update_saturated_set(fs, bs)
-            if fresh:
-                # new saturated vertices flip their incident arcs from
-                # classical to modern, which may legally shorten labels;
-                # monotonicity only binds under a fixed classification
-                prev = None
-                prev_kind = None
-            else:
-                prev = labels
-                prev_kind = kind
-        if validate:
-            fs.check_conservation()
-        phases.append(record)
-        f_bound //= 2
-    stats.phases = len(phases)
-    stats.touched_volume = fs.touched_volume
-    stats.opened_vertices = len(fs.opened)
-    stats.arcs = len(fs.arc_to)
-    stats.phase_records = phases
-    stats.lam = lam
-    if fs.value > ag.source_total:
-        raise InvariantViolation("flow value exceeds total source capacity")
-    full = fs.value == ag.source_total
-    assert final_labels is not None
-    n = g.n
-    cut = VertexSet(g, (v for v in final_labels.dist if v < n))
-    if full and len(cut) != 0:
-        raise InvariantViolation("full-value flow must leave the source isolated")
-    return LocalFlowResult(fs, cut, True, full, stats, bs)
-
-
-def _check_binary_labels(
-    fs: FlowState, bs: SaturatedSet, la: LengthAssignment, labels: DistanceLabels
-) -> None:
-    """Layer containment under the hybrid lengths.
-
-    Zero-implies-modern is structural in the length assignment (both the
-    residual rule and the special reset test the modern flag first), so it
-    is asserted by unit test rather than re-scanned per call here.
-    """
-    ag = fs.ag
-    dist = labels.dist
-    dt = dist.get(ag.sink_id)
-    if dt is None:
-        return
-    if dt < 3:
-        raise InvariantViolation(f"sink distance {dt} below 3 under hybrid lengths")
-    n = ag.graph.n
-    seed = ag.seed
-    for v, d in dist.items():
-        if v >= n:
-            continue
-        if 1 <= d <= dt - 2 and v not in seed and v not in bs.members:
-            raise InvariantViolation(
-                f"vertex {v} at binary distance {d} outside seed and saturated set"
-            )
-
-
-def _check_sink_growth(
-    prev: DistanceLabels, cur: DistanceLabels, t: int, prev_kind: str | None
-) -> None:
-    dp = prev.dist.get(t)
-    dc = cur.dist.get(t)
-    if dp is None or dc is None:
-        return
-    if dc < dp:
-        raise InvariantViolation(f"sink distance dropped {dp} -> {dc}")
-    if prev_kind == BLOCKING_FLOW and dc < dp + 1:
-        raise InvariantViolation(
-            f"sink distance failed to grow after a blocking flow ({dp} -> {dc})"
-        )
+    return _localized_dinic(ag, None, validate)

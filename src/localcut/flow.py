@@ -31,7 +31,6 @@ class FlowState:
         "arc_to",
         "arc_cap",
         "arc_flow",
-        "arc_modern",
         "arcs_of",
         "_dirty",
         "opened",
@@ -46,9 +45,6 @@ class FlowState:
         self.arc_to: list[int] = []
         self.arc_cap: list[int] = []
         self.arc_flow: list[int] = []
-        # both endpoints opened: maintained here so length assignment
-        # costs one list read per arc instead of two set probes
-        self.arc_modern: list[bool] = []
         self.arcs_of: dict[int, list[int]] = {ag.source_id: [], ag.sink_id: []}
         self._dirty: set[int] = set()
         self.opened: set[int] = set()
@@ -70,8 +66,6 @@ class FlowState:
         self.arc_cap.append(cap_vu)
         self.arc_flow.append(0)
         self.arc_flow.append(0)
-        self.arc_modern.append(False)
-        self.arc_modern.append(False)
         lu = self.arcs_of.get(u)
         if lu is None:
             lu = self.arcs_of[u] = []
@@ -103,12 +97,6 @@ class FlowState:
                 self._ensure_sink_arc(w)
         self._ensure_sink_arc(v)
         opened.add(v)
-        modern = self.arc_modern
-        to = self.arc_to
-        for a in self.arcs_of[v]:
-            if to[a] in opened:
-                modern[a] = True
-                modern[a ^ 1] = True
         self.touched_volume += ag.graph.degree(v)
 
     def open_all(self) -> None:
@@ -182,13 +170,12 @@ class FlowState:
 
 
 class DistanceLabels:
-    """Shortest-path labels from the source under a 0/1 or unit length function."""
+    """Unit-length shortest-path labels from the source over residual arcs."""
 
-    __slots__ = ("dist", "kind")
+    __slots__ = ("dist",)
 
-    def __init__(self, dist: dict[int, int], kind: str):
+    def __init__(self, dist: dict[int, int]):
         self.dist = dist
-        self.kind = kind
 
     def d(self, v: int) -> int | None:
         return self.dist.get(v)
@@ -208,18 +195,11 @@ class DistanceLabels:
         return out
 
 
-def bfs_distances(
-    fs: FlowState,
-    lengths: list[int] | None = None,
-    restrict: set[int] | None = None,
-) -> DistanceLabels:
+def bfs_distances(fs: FlowState) -> DistanceLabels:
     """Shortest-path labels from ``s`` over positive-residual arcs.
 
-    ``lengths`` maps arc id to length 0 or 1 (unit lengths when omitted);
-    zero-length arcs are relaxed from the front of a deque. ``restrict``
-    stops expansion at vertices outside the given set; the lazily built arc
-    structure already confines traversal to the materialized subgraph, so
-    normal callers do not need it.
+    The lazily built arc structure confines the search to the materialized
+    subgraph; the sink is labeled but never expanded.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
@@ -230,28 +210,16 @@ def bfs_distances(
     flow = fs.arc_flow
     while dq:
         u = dq.popleft()
-        du = dist[u]
         if u == t:
             continue
-        if restrict is not None and u != s and u not in restrict:
-            continue
+        dv = dist[u] + 1
         for a in fs.sorted_arcs(u):
             if cap[a] > flow[a]:
                 v = to[a]
-                step = 1 if lengths is None else lengths[a]
-                dv = du + step
-                known = dist.get(v)
-                if known is None:
+                if v not in dist:
                     dist[v] = dv
-                    if step == 0:
-                        dq.appendleft(v)
-                    else:
-                        dq.append(v)
-                elif dv < known:
-                    # only 0-length arcs can improve an already-seen label
-                    dist[v] = dv
-                    dq.appendleft(v)
-    return DistanceLabels(dist, "unit" if lengths is None else "binary")
+                    dq.append(v)
+    return DistanceLabels(dist)
 
 
 def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:

@@ -1,4 +1,4 @@
-"""Localized, phase-capped Dinic over the augmented graph.
+"""Localized Dinic over the augmented graph, phase-capped or run to completion.
 
 The solver runs blocking-flow phases while materializing only the seed
 set, the saturated set (non-seed vertices whose sink arc filled up), and
@@ -7,12 +7,21 @@ exact maximum flow and the residual reachability is a minimum cut. If the
 phase budget runs out first, the best layer cut of the final residual
 distance labels is returned instead; its conductance is below twice the
 capacity parameter whenever the budget was the configured one.
+
+The exact solver (:func:`localcut.exact_flow.local_flow_exact`) is the
+same loop with no budget. It terminates because every phase raises the
+sink's distance by at least one, and that distance is at most the number
+of materialized vertices minus one, so an uncapped run ends within that
+many phases; the loop raises ``InvariantViolation`` rather than spin past
+it. The minimum cut it returns is the source side of residual
+reachability: the unique minimal minimum cut, whichever maximum flow
+produced it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
@@ -22,10 +31,8 @@ from .graphs import Graph, VertexSet
 
 __all__ = [
     "SaturatedSet",
-    "LocalGraphView",
     "LayerCutResult",
     "LocalFlowResult",
-    "local_graph",
     "local_blocking_flow",
     "update_saturated_set",
     "iteration_bound",
@@ -79,50 +86,6 @@ class SaturatedSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class LocalGraphView:
-    """Vertex and arc whitelist the localized solvers are confined to.
-
-    Holds the source, the sink, the seed set, the saturated set, and the
-    external neighbors of their union; allowed arcs are source arcs into
-    the seed, sink arcs out of saturated/frontier vertices, and every edge
-    incident to a seed or saturated vertex.
-    """
-
-    ag: AugmentedGraph
-    core: frozenset[int]
-    frontier: frozenset[int]
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return self.core | self.frontier | {self.ag.source_id, self.ag.sink_id}
-
-    def allows_pair(self, u: int, v: int) -> bool:
-        ag = self.ag
-        if u > v:
-            u, v = v, u
-        if v == ag.sink_id:
-            return u in self.frontier or (u in self.core and u not in ag.seed)
-        if v == ag.source_id:
-            return u in ag.seed
-        if u == ag.source_id:
-            return v in ag.seed
-        return u in self.core or v in self.core
-
-
-def local_graph(ag: AugmentedGraph, bs: SaturatedSet) -> LocalGraphView:
-    """The subgraph the flow computation may touch, given saturated set ``bs``."""
-    core = set(ag.seed)
-    core.update(bs.members)
-    frontier: set[int] = set()
-    g = ag.graph
-    for u in core:
-        for v in g.adjacent(u):
-            if v not in core:
-                frontier.add(v)
-    return LocalGraphView(ag, frozenset(core), frozenset(frontier))
-
-
 def local_blocking_flow(
     fs: FlowState, bs: SaturatedSet, labels: DistanceLabels | None = None
 ) -> tuple[int, bool]:
@@ -157,9 +120,34 @@ def update_saturated_set(fs: FlowState, bs: SaturatedSet) -> list[int]:
 
 
 def iteration_bound(alpha: Fraction, vol_a: int, sigma: Fraction) -> int:
-    """Phase budget ``ceil((5/alpha) * ln(3 vol(A) / sigma))``."""
-    ratio = 3 * Fraction(vol_a) / Fraction(sigma)
-    return math.ceil(float(5 / Fraction(alpha)) * math.log(float(ratio)))
+    """Phase budget ``ceil((5/alpha) * ln(3 vol(A) / sigma))``, computed exactly.
+
+    For rational ``r != 1``, ``ln r`` is irrational, so the product is never
+    an integer, and any two bounds on it with the same floor decide the
+    ceiling. A correctly rounded decimal logarithm gives ``10**digits *
+    ln r`` to within 2; ``digits`` doubles until the bounds agree. A ratio
+    of at most 1 (a seed of volume 0, which routes nothing) gets budget 0.
+    """
+    alpha = Fraction(alpha)
+    sigma = Fraction(sigma)
+    top = 3 * vol_a * sigma.denominator
+    bottom = sigma.numerator
+    if top <= bottom:
+        return 0
+    num = 5 * alpha.denominator
+    den = alpha.numerator
+    digits = 12
+    while True:
+        # ln r < bit_length(top), so the log's last significant digit sits
+        # two places below 10**-digits; rounding r moves its log by under a
+        # tenth of a unit, rounding the log by less, truncating by under one
+        ctx = Context(prec=digits + len(str(top.bit_length())) + 2)
+        mid = int(ctx.scaleb(ctx.ln(ctx.divide(Decimal(top), Decimal(bottom))), digits))
+        unit = den * 10**digits
+        lo = num * (mid - 2) // unit
+        if lo == num * (mid + 2) // unit:
+            return lo + 1
+        digits *= 2
 
 
 @dataclass(frozen=True)
@@ -180,8 +168,6 @@ class LocalFlowStats:
     opened_vertices: int = 0
     arcs: int = 0
     sink_distance_trace: list[int] = field(default_factory=list)
-    phase_records: list = field(default_factory=list)
-    lam: int = 0
 
 
 @dataclass
@@ -290,16 +276,28 @@ def local_flow(
     """
     if ag is None:
         ag = build(g, a, alpha, eps)
-    sigma = overlap_for_sink_factor(ag.eps)
-    budget = iteration_bound(ag.alpha, a.volume, sigma) if max_phases is None else max_phases
+    if max_phases is None:
+        sigma = overlap_for_sink_factor(ag.eps)
+        max_phases = iteration_bound(ag.alpha, a.volume, sigma)
+    return _localized_dinic(ag, max_phases, validate)
+
+
+def _localized_dinic(ag: AugmentedGraph, budget: int | None, validate: bool) -> LocalFlowResult:
+    """Run at most ``budget`` localized Dinic phases; ``None`` runs to a max flow.
+
+    Each phase labels the materialized residual graph, saturates its
+    admissible arcs, and opens the vertices whose sink arcs filled. With
+    ``validate`` every phase checks layer containment, label monotonicity
+    within the exact zone, sink-distance growth and flow conservation.
+    """
+    g = ag.graph
     fs = FlowState(ag)
     bs = SaturatedSet(ag)
     stats = LocalFlowStats()
     t = ag.sink_id
     prev: DistanceLabels | None = None
     labels = bfs_distances(fs)
-    exact = False
-    for _ in range(budget):
+    while True:
         if validate:
             _check_layer_containment(fs, bs, labels)
             if prev is not None:
@@ -309,7 +307,13 @@ def local_flow(
                 if dt_cur is not None and dt_prev is not None and dt_cur < dt_prev + 1:
                     raise InvariantViolation("sink distance failed to grow across a phase")
         if t not in labels.dist:
-            exact = True
+            break
+        if budget is None:
+            if stats.phases > len(fs.arcs_of) + 2:
+                # the sink distance grows every phase and stays below the
+                # number of materialized vertices
+                raise InvariantViolation("uncapped run exceeded the materialized vertex count")
+        elif stats.phases >= budget:
             break
         stats.sink_distance_trace.append(labels.dist[t])
         pushed, _ = local_blocking_flow(fs, bs, labels)
@@ -321,16 +325,10 @@ def local_flow(
             fs.check_conservation()
         prev = labels
         labels = bfs_distances(fs)
-    else:
-        # budget exhausted; the last recomputed labels decide the outcome
-        if t not in labels.dist:
-            exact = True
-    if validate:
-        _check_layer_containment(fs, bs, labels)
     stats.touched_volume = fs.touched_volume
     stats.opened_vertices = len(fs.opened)
     stats.arcs = len(fs.arc_to)
-    if exact:
+    if t not in labels.dist:
         if fs.value > ag.source_total:
             raise InvariantViolation("flow value exceeds total source capacity")
         full = fs.value == ag.source_total

@@ -1,12 +1,9 @@
 import random
-import sys
 from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
-
-from gen import random_instance  # noqa: E402
+from gen import random_instance
 
 SMALL_SUITE_SIZE = 500
 

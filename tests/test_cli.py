@@ -180,7 +180,6 @@ def test_seed_multiple_jobs(capsys, fixtures_dir):
         "seed",
         "--graph", str(fixtures_dir / "barbell.edgelist"),
         "--seed", "0,4",
-        "--jobs", "2",
     )
     assert code == EXIT_OK
     lines = out.strip().splitlines()

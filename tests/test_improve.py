@@ -14,6 +14,7 @@ from localcut import (
     pipeline_nibble_improve,
     verify_bidemand_routing,
 )
+from localcut.augmented import overlap_for_sink_factor
 from localcut.certify import BiDemand
 
 from gen import (
@@ -137,6 +138,24 @@ def test_cut_certificates_verify():
                 cert.flow, BiDemand(a, Fraction(1), eps), 1 / Fraction(1)
             )
             assert check.ok
+
+
+@pytest.mark.parametrize("solver", ["approx", "exact"])
+def test_validate_flag_changes_no_result(small_suite, solver):
+    """Skipping the runtime checks leaves every output and counter alone."""
+    rng = random.Random(5150)
+    g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
+    a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
+    cases = [(g, a, Fraction(2, 3))]
+    cases += [(g, a, overlap_for_sink_factor(eps)) for g, a, _, eps in small_suite[:100]]
+    for g, a, sigma in cases:
+        on, off = (
+            local_improve_overlap(g, a, sigma, solver, validate=flag) for flag in (True, False)
+        )
+        assert on.cut == off.cut and on.phi == off.phi
+        assert on.alpha_trace == off.alpha_trace and on.cut_alpha == off.cut_alpha
+        assert on.certificate_flow.value == off.certificate_flow.value
+        assert (on.touched_volume, on.phases) == (off.touched_volume, off.phases)
 
 
 def test_pipeline_two_cluster():

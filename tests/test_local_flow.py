@@ -1,23 +1,30 @@
+import math
 import random
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localcut import (
     FlowState,
+    Graph,
     VertexSet,
     bfs_distances,
     blocking_flow,
+    brute_min_cut_value,
     build,
     conductance,
     global_max_flow,
     iteration_bound,
     local_flow,
+    local_flow_exact,
 )
+from localcut.augmented import sink_factor_for_overlap
 from localcut.local_flow import (
     SaturatedSet,
     local_blocking_flow,
-    local_graph,
     update_saturated_set,
 )
 
@@ -27,9 +34,8 @@ from gen import asym_barbell, barbell, random_instance, ring_of_cliques
 def test_iteration_bound_examples():
     assert iteration_bound(Fraction(1, 2), 7, Fraction(1, 2)) == 38
     assert iteration_bound(Fraction(1), 1, Fraction(1)) == 6
+    assert iteration_bound(Fraction(1), 0, Fraction(1, 2)) == 0  # nothing to route
     # doubling vol(A) adds at most ceil(5 ln 2 / alpha)
-    import math
-
     for alpha in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
         for vol in (3, 10, 77):
             delta = iteration_bound(alpha, 2 * vol, Fraction(1, 2)) - iteration_bound(
@@ -38,34 +44,22 @@ def test_iteration_bound_examples():
             assert delta <= math.ceil(5 * math.log(2) / alpha)
 
 
-def test_local_graph_view():
-    g = barbell()
-    a = VertexSet(g, [0, 1, 2])
-    ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
-    bs = SaturatedSet(ag)
-    view = local_graph(ag, bs)
-    assert view.core == frozenset([0, 1, 2])
-    assert view.frontier == frozenset([3])
-    bs.add(3)
-    view = local_graph(ag, bs)
-    assert view.vertices == frozenset([0, 1, 2, 3, 4, 5, ag.source_id, ag.sink_id])
-    assert view.allows_pair(ag.source_id, 0)
-    assert view.allows_pair(3, ag.sink_id)
-    assert not view.allows_pair(4, 5)  # neither endpoint in the core
-    assert view.allows_pair(3, 4)
-
-
-def test_local_graph_full_when_everything_saturated():
-    g = barbell()
-    a = VertexSet(g, [0, 1, 2])
-    ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
-    bs = SaturatedSet(ag)
-    for v in (3, 4, 5):
-        bs.add(v)
-    assert local_graph(ag, bs).vertices == frozenset(range(6)) | {
-        ag.source_id,
-        ag.sink_id,
-    }
+def test_iteration_bound_matches_decimal_reference():
+    """Exact ceilings against 60-digit logarithms over the whole grid."""
+    alphas = [Fraction(1, 2**k) for k in range(7)]
+    for sigma in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)):
+        for vol in range(1, 5001):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                ln = (Decimal(3 * vol * sigma.denominator) / sigma.numerator).ln()
+                expected = [
+                    int((5 * alpha.denominator * ln).to_integral_value(ROUND_CEILING))
+                    for alpha in alphas
+                ]
+            assert [iteration_bound(alpha, vol, sigma) for alpha in alphas] == expected, (
+                vol,
+                sigma,
+            )
 
 
 def test_local_matches_global_blocking_flow(small_suite):
@@ -191,3 +185,38 @@ def test_locality_on_ring_of_cliques():
     sigma = Fraction(1, 2)
     assert res.stats.touched_volume <= 3 * a.volume / sigma
     assert res.exact
+
+
+@st.composite
+def small_flow_instances(draw):
+    """Graphs on at most 7 vertices: parallel edges, isolated vertices and
+    several components all occur, and seeds may include degree-0 vertices."""
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    g = Graph(n, draw(st.lists(pair, max_size=14)))
+    seed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n - 1))
+    a = VertexSet(g, seed)
+    if 2 * a.volume > g.total_volume:
+        a = VertexSet(g, set(range(n)) - seed)
+    alpha = draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(1, 2), Fraction(1, 8)]))
+    sigma = draw(st.sampled_from([Fraction(1), Fraction(3, 4), Fraction(2, 3), Fraction(1, 2)]))
+    return g, a, alpha, sink_factor_for_overlap(sigma)
+
+
+@given(small_flow_instances())
+@settings(max_examples=300, deadline=None)
+def test_solvers_agree_with_oracles(instance):
+    g, a, alpha, eps = instance
+    ag = build(g, a, alpha, eps)
+    approx = local_flow(g, a, alpha, eps)
+    exact = local_flow_exact(g, a, alpha, eps)
+    ref, ref_cut = global_max_flow(ag)
+    _, brute = brute_min_cut_value(ag)
+    # at most n - 1 phases on n <= 7 vertices, and the budget is at least 6
+    assert approx.exact
+    assert approx.value == exact.value == ref.flow_value == brute
+    # residual reachability is the minimal min cut, whichever flow left it
+    assert exact.cut == ref_cut == approx.cut
+    assert ag.cut_value(exact.cut) == brute

@@ -16,8 +16,6 @@ from localcut import (
     local_flow,
     local_improve_overlap,
 )
-from localcut.exact_flow import length_hat
-from localcut.exact_flow import _zero_sccs
 from localcut.local_flow import SaturatedSet, update_saturated_set
 
 from gen import asym_barbell, barbell
@@ -88,45 +86,6 @@ def test_update_saturated_trivial_cases():
     fresh = update_saturated_set(fs, bs)
     assert fresh == [3] and 3 in bs
     assert 3 in fs.opened
-
-
-def test_special_edge_reset():
-    """A nearly-reversed modern arc within one layer gets length zero."""
-    g = barbell()
-    a = VertexSet(g, [0, 1, 2])
-    ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
-    fs = FlowState(ag)
-    bs = SaturatedSet(ag)
-    arc01 = next(x for x in fs.arcs_of[0] if fs.arc_to[x] == 1)
-    fs.push(arc01, 1)  # residual 5 forward, 7 backward
-    delta = 2  # window [4, 6): 5 qualifies, reverse 7 >= 6 qualifies
-    la, labels = length_hat(fs, bs, delta)
-    assert labels.dist[0] == labels.dist[1] == 1
-    assert la.special_count >= 1
-    assert la.lengths[arc01] == 0
-    assert la.modern[arc01]
-
-
-def test_zero_scc_two_cycle_contracts():
-    comp = _zero_sccs([1, 2, 3], {1: [2], 2: [1]})
-    assert comp[1] == comp[2] != comp[3]
-
-
-def test_bfs_restrict_blocks_expansion():
-    g = barbell()
-    a = VertexSet(g, [0, 1, 2])
-    ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
-    fs = FlowState(ag)
-    fs.open_all()
-    # restricted to the seed set: the frontier is labeled but never expanded
-    labels = bfs_distances(fs, restrict=set(a))
-    assert labels.dist[3] == 2
-    assert 4 not in labels.dist and 5 not in labels.dist
-    assert ag.sink_id not in labels.dist
-    # adding the frontier vertex lets the sink be reached through it
-    labels = bfs_distances(fs, restrict={0, 1, 2, 3})
-    assert labels.dist[ag.sink_id] == 3
-    assert labels.dist[4] == labels.dist[5] == 3
 
 
 def test_improve_barbell_confirmed_by_oracle():
