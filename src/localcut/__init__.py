@@ -5,8 +5,9 @@ provably low conductance by solving localized maximum-flow problems on a
 source/sink-augmented graph, touching only a volume proportional to the
 seed's. One localized Dinic engine serves both solvers: phase-capped for
 the approximate solver, run to a maximum flow for the exact one. Also
-ships binary-search improvement drivers, routing certificates, a
-push/sweep seed expander, brute-force test oracles, and a CLI.
+ships binary-search improvement drivers, whose probes resume each
+other's flows, routing certificates, a push/sweep seed expander,
+brute-force test oracles, and a CLI.
 """
 
 from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma

@@ -79,7 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="binary-search stopping width (default 1/5)")
         p.add_argument("--human", action="store_true", help="human-readable output")
         p.add_argument("--instrument", action="store_true",
-                       help="include locality counters in the output")
+                       help="include locality counters in the output: the Dinic "
+                       "phases the search ran (warm-started probes count only "
+                       "their own) and the largest volume a probe's flow opened")
 
     p_flow = sub.add_parser("flow", help="single localized flow run at a fixed alpha")
     add_graph_args(p_flow)

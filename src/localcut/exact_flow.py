@@ -29,12 +29,15 @@ def local_flow_exact(
     *,
     validate: bool = True,
     ag: AugmentedGraph | None = None,
+    start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
     """Exact localized max flow and min cut on the augmented graph.
 
     The result always has ``exact=True``; ``full_flow`` marks a flow value
     of ``vol(A)`` (empty cut), and ``stats.phases`` counts Dinic phases.
+    ``start`` resumes from an earlier result's flow, as in
+    :func:`localcut.local_flow.local_flow`.
     """
     if ag is None:
         ag = build(g, a, alpha, eps)
-    return _localized_dinic(ag, None, validate)
+    return _localized_dinic(ag, None, validate, start)

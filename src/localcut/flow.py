@@ -58,6 +58,51 @@ class FlowState:
         for u in ag.seed:
             self.open_vertex(u)
 
+    def resumed(self, ag: AugmentedGraph) -> FlowState:
+        """A copy of this flow as the starting flow of the same instance at a lower alpha.
+
+        ``ag`` must share this flow's graph, seed set and sink factor, have
+        an alpha no higher than this flow's, and a scale that is a multiple
+        of this flow's. Flows and source and sink capacities scale by the
+        ratio of the scales; each edge arc becomes its multiplicity times
+        ``ag.edge_cap_unit``, which is at least the scaled old capacity
+        because ``1/alpha`` only grew. So the copy is a feasible flow on
+        ``ag`` with the same saturated arcs and opened set. This flow is
+        left untouched.
+
+        Raises:
+            InvariantViolation: on a different instance, a higher alpha, or
+                a scale that is not a multiple of this flow's.
+        """
+        old = self.ag
+        if ag.graph is not old.graph or ag.seed != old.seed or ag.eps != old.eps:
+            raise InvariantViolation("a flow can only resume on its own graph, seed set and eps")
+        if ag.alpha > old.alpha:
+            raise InvariantViolation(f"alpha rose from {old.alpha} to {ag.alpha}")
+        factor, rest = divmod(ag.scale, old.scale)
+        if rest:
+            raise InvariantViolation(f"scale {ag.scale} is not a multiple of {old.scale}")
+        # pairs are (forward, reverse); only an edge pair has a reverse capacity
+        unit_old = old.edge_cap_unit
+        unit = ag.edge_cap_unit
+        rev = [c // unit_old * unit for c in self.arc_cap[1::2]]
+        cap = [0] * len(self.arc_cap)
+        cap[1::2] = rev
+        cap[0::2] = [r or c * factor for c, r in zip(self.arc_cap[0::2], rev)]
+        fs = FlowState.__new__(FlowState)
+        fs.ag = ag
+        fs.arc_to = self.arc_to[:]
+        fs.arc_cap = cap
+        fs.arc_flow = [f * factor for f in self.arc_flow] if factor > 1 else self.arc_flow[:]
+        fs.arcs_of = {v: arcs[:] for v, arcs in self.arcs_of.items()}
+        fs._dirty = set(self._dirty)
+        fs.opened = set(self.opened)
+        fs._has_sink_arc = set(self._has_sink_arc)
+        fs.value = self.value * factor
+        fs.touched_volume = self.touched_volume
+        fs.newly_saturated = self.newly_saturated[:]
+        return fs
+
     def _add_pair(self, u: int, v: int, cap_uv: int, cap_vu: int) -> int:
         a = len(self.arc_to)
         self.arc_to.append(v)

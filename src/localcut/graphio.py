@@ -343,12 +343,16 @@ def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     u = np.concatenate(tails) if tails else np.empty(0, dtype=np.int64)
     v = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
     del tails, heads
-    if not np.array_equal(np.sort(u * n + v), np.sort(v * n + u)):
+    # the sorted keys of a symmetric file are already the graph's CSR
+    arcs = u * n + v
+    arcs.sort()
+    if not np.array_equal(arcs, np.sort(v * n + u)):
         raise GraphFormatError(_asymmetry(u, v, n))
-    lower = u < v
-    if int(lower.sum()) != m:
-        raise GraphFormatError(f"header declares {m} edges but file encodes {int(lower.sum())}")
-    return Graph(n, np.stack([u[lower], v[lower]], axis=1))
+    lower = int(np.count_nonzero(u < v))
+    if lower != m:
+        raise GraphFormatError(f"header declares {m} edges but file encodes {lower}")
+    del u, v
+    return Graph.from_sorted_arcs(n, arcs)
 
 
 def _asymmetry(u: np.ndarray, v: np.ndarray, n: int) -> str:

@@ -67,10 +67,29 @@ class Graph:
         u, v = pairs[:, 0], pairs[:, 1]
         key = np.concatenate([u * n + v, v * n + u])
         key.sort()
-        if n:
-            np.remainder(key, n, out=key)
         off_np = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=off_np[1:])
+        self._set_csr(n, m, key, off_np)
+
+    @classmethod
+    def from_sorted_arcs(cls, n: int, keys: np.ndarray) -> Graph:
+        """Graph whose sorted int64 arc keys ``tail*n+head`` are ``keys``.
+
+        Every edge appears once from each end. Nothing is validated, so
+        the caller vouches for a symmetric key set within ``0..n*n-1``
+        with no self-loops; ``keys`` is overwritten.
+        """
+        off_np = np.zeros(n + 1, dtype=np.int64)
+        if n:
+            np.cumsum(np.bincount(keys // n, minlength=n), out=off_np[1:])
+        g = cls.__new__(cls)
+        g._set_csr(n, len(keys) // 2, keys, off_np)
+        return g
+
+    def _set_csr(self, n: int, m: int, key: np.ndarray, off_np: np.ndarray) -> None:
+        """Store the CSR of the sorted arc keys ``key`` (overwritten) and offsets."""
+        if n:
+            np.remainder(key, n, out=key)
         off = array("q")
         off.frombytes(off_np.data.cast("B"))
         flat = array("q")

@@ -5,6 +5,14 @@ A probe at ``alpha`` either routes a full-value flow (no nearby cut beats
 exact dyadic midpoints, so capacity scales stay small. The search keeps the
 best cut seen and finishes with a run at the surviving upper endpoint.
 
+A probe resumes the flow of an earlier probe at a higher alpha, in the
+manner of parametric max flow: the lower alpha only raises edge
+capacities, so that flow stays feasible and its saturated set stays
+valid, and the probe routes only what is left. It resumes the closest
+such probe whose integer scale divides its own least scale, so every
+probe's flow stays at the least scale of its alpha, as a cold run's
+would. The probes' own results are never modified.
+
 When even ``alpha = 1`` routes a full-value flow there is no improvement
 to report; that outcome is returned as a distinct non-error result whose
 certificate is the routing itself.
@@ -15,11 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .augmented import build, epsilon_sigma, min_feasible_sigma
+from .augmented import (
+    build,
+    epsilon_sigma,
+    least_scale,
+    min_feasible_sigma,
+    overlap_for_sink_factor,
+)
 from .errors import InvariantViolation, ParameterError
 from .exact_flow import local_flow_exact
 from .graphs import Graph, VertexSet, conductance
-from .local_flow import LocalFlowResult, local_flow
+from .local_flow import LocalFlowResult, local_flow, phase_budget
 from .seeding import ApprConfig, appr_push, sweep_cut
 
 __all__ = ["ImproveResult", "local_improve", "local_improve_overlap", "pipeline_nibble_improve"]
@@ -34,6 +48,11 @@ class ImproveResult:
     ``improved`` distinguishes a genuine cut from the no-improvement
     outcome, where ``cut`` is empty, ``phi`` is ``None``, and the final
     full-value flow state is kept as the routing certificate.
+
+    ``phases`` is the number of Dinic phases the search actually ran: a
+    probe that resumed an earlier probe's flow adds only its own phases.
+    ``touched_volume`` is the largest volume any probe's flow had opened,
+    inherited vertices included, so it is the region the search touched.
     """
 
     cut: VertexSet
@@ -53,10 +72,27 @@ class ImproveResult:
         return self.cut.volume
 
 
-def _solve(g, a, alpha, eps, solver, validate):
+def _resume_point(
+    results: dict[Fraction, LocalFlowResult], alpha: Fraction, eps: Fraction | None
+) -> LocalFlowResult | None:
+    """The result closest above ``alpha`` whose scale divides ``alpha``'s least scale.
+
+    Every result above the current probe found a cut, and its flow is
+    feasible at ``alpha``. ``None`` (nothing to resume) means a cold start.
+    """
+    least = least_scale(alpha, eps)
+    for above in sorted(x for x in results if x > alpha):
+        if least % results[above].flow.ag.scale == 0:
+            return results[above]
+    return None
+
+
+def _solve(g, a, alpha, eps, solver, validate, budget, start):
     if solver == "approx":
-        return local_flow(g, a, alpha, eps, validate=validate)
-    return local_flow_exact(g, a, alpha, eps, validate=validate)
+        return local_flow(
+            g, a, alpha, eps, validate=validate, max_phases=budget(alpha), start=start
+        )
+    return local_flow_exact(g, a, alpha, eps, validate=validate, start=start)
 
 
 def local_improve(
@@ -81,6 +117,7 @@ def local_improve(
     if not 0 < eps <= 1:
         raise ParameterError(f"eps must be in (0, 1], got {eps}")
     build(g, a, Fraction(1), eps_sigma)  # validate instance preconditions up front
+    budget = phase_budget(a.volume, overlap_for_sink_factor(eps_sigma))
 
     alpha_min = Fraction(0)
     alpha_max = Fraction(1)
@@ -107,7 +144,8 @@ def local_improve(
         if probes > _MAX_PROBES:
             raise InvariantViolation("binary search failed to converge")
         alpha = (alpha_min + alpha_max) / 2
-        res = _solve(g, a, alpha, eps_sigma, solver, validate)
+        start = _resume_point(results, alpha, eps_sigma)
+        res = _solve(g, a, alpha, eps_sigma, solver, validate, budget, start)
         record(alpha, res)
         if res.full_flow:
             trace.append((alpha, "full-flow"))
@@ -120,7 +158,7 @@ def local_improve(
 
     final = results.get(alpha_max)
     if final is None:
-        final = _solve(g, a, alpha_max, eps_sigma, solver, validate)
+        final = _solve(g, a, alpha_max, eps_sigma, solver, validate, budget, None)
         record(alpha_max, final)
         trace.append((alpha_max, "full-flow" if final.full_flow else "cut-found"))
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
+from math import lcm
+from typing import Callable
 
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
 from .errors import InvariantViolation
@@ -36,6 +38,7 @@ __all__ = [
     "local_blocking_flow",
     "update_saturated_set",
     "iteration_bound",
+    "phase_budget",
     "local_flow",
 ]
 
@@ -61,6 +64,18 @@ class SaturatedSet:
             eps = self.ag.eps
             if eps is not None and eps * deg <= self.ag.seed.volume:
                 self._unclamped_volume += deg
+
+    def resumed(self, ag: AugmentedGraph) -> SaturatedSet:
+        """A copy for the flow resumed on ``ag`` (see :meth:`FlowState.resumed`).
+
+        Resuming keeps every sink arc saturated and leaves the seed set and
+        sink factor alone, so the members and both volumes carry over.
+        """
+        out = SaturatedSet(ag)
+        out.members = set(self.members)
+        out.volume = self.volume
+        out._unclamped_volume = self._unclamped_volume
+        return out
 
     def check_volume_bound(self) -> None:
         """Saturated volume can never exceed vol(A)/eps.
@@ -119,35 +134,56 @@ def update_saturated_set(fs: FlowState, bs: SaturatedSet) -> list[int]:
     return fresh
 
 
-def iteration_bound(alpha: Fraction, vol_a: int, sigma: Fraction) -> int:
-    """Phase budget ``ceil((5/alpha) * ln(3 vol(A) / sigma))``, computed exactly.
+def phase_budget(vol_a: int, sigma: Fraction) -> Callable[[Fraction], int]:
+    """``alpha -> ceil((5/alpha) * ln(3 vol(A) / sigma))``, computed exactly.
 
     For rational ``r != 1``, ``ln r`` is irrational, so the product is never
     an integer, and any two bounds on it with the same floor decide the
     ceiling. A correctly rounded decimal logarithm gives ``10**digits *
     ln r`` to within 2; ``digits`` doubles until the bounds agree. A ratio
     of at most 1 (a seed of volume 0, which routes nothing) gets budget 0.
+
+    Only alpha varies between the probes of one binary search, so the
+    returned function keeps the logarithm at each precision it has needed
+    and a search computes it once instead of once per probe.
     """
-    alpha = Fraction(alpha)
     sigma = Fraction(sigma)
     top = 3 * vol_a * sigma.denominator
     bottom = sigma.numerator
-    if top <= bottom:
-        return 0
-    num = 5 * alpha.denominator
-    den = alpha.numerator
-    digits = 12
-    while True:
-        # ln r < bit_length(top), so the log's last significant digit sits
-        # two places below 10**-digits; rounding r moves its log by under a
-        # tenth of a unit, rounding the log by less, truncating by under one
-        ctx = Context(prec=digits + len(str(top.bit_length())) + 2)
-        mid = int(ctx.scaleb(ctx.ln(ctx.divide(Decimal(top), Decimal(bottom))), digits))
-        unit = den * 10**digits
-        lo = num * (mid - 2) // unit
-        if lo == num * (mid + 2) // unit:
-            return lo + 1
-        digits *= 2
+    logs: dict[int, int] = {}
+
+    def log_ratio(digits: int) -> int:
+        mid = logs.get(digits)
+        if mid is None:
+            # ln r < bit_length(top), so the log's last significant digit sits
+            # two places below 10**-digits; rounding r moves its log by under a
+            # tenth of a unit, rounding the log by less, truncating by under one
+            ctx = Context(prec=digits + len(str(top.bit_length())) + 2)
+            ln = ctx.ln(ctx.divide(Decimal(top), Decimal(bottom)))
+            mid = logs[digits] = int(ctx.scaleb(ln, digits))
+        return mid
+
+    def budget(alpha: Fraction) -> int:
+        if top <= bottom:
+            return 0
+        alpha = Fraction(alpha)
+        num = 5 * alpha.denominator
+        den = alpha.numerator
+        digits = 12
+        while True:
+            mid = log_ratio(digits)
+            unit = den * 10**digits
+            lo = num * (mid - 2) // unit
+            if lo == num * (mid + 2) // unit:
+                return lo + 1
+            digits *= 2
+
+    return budget
+
+
+def iteration_bound(alpha: Fraction, vol_a: int, sigma: Fraction) -> int:
+    """Phase budget ``ceil((5/alpha) * ln(3 vol(A) / sigma))``; see :func:`phase_budget`."""
+    return phase_budget(vol_a, sigma)(alpha)
 
 
 @dataclass(frozen=True)
@@ -262,6 +298,7 @@ def local_flow(
     validate: bool = True,
     max_phases: int | None = None,
     ag: AugmentedGraph | None = None,
+    start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
     """Localized phase-capped Dinic on the augmented graph of ``(a, alpha, eps)``.
 
@@ -271,28 +308,68 @@ def local_flow(
     approximate and ``cut`` is the best layer cut (smallest layer index
     among conductance minimizers).
 
-    ``max_phases`` overrides the phase budget; it exists for tests that
-    need to force the approximate branch and voids the layer-cut guarantee.
+    ``max_phases`` is the phase budget, by default :func:`iteration_bound`.
+    A smaller one, which tests use to force the approximate branch, voids
+    the layer-cut guarantee. ``start`` resumes from the flow of an earlier
+    run on the same instance at an alpha at least this one (see
+    :func:`_localized_dinic`); that run's result is not modified.
     """
     if ag is None:
         ag = build(g, a, alpha, eps)
     if max_phases is None:
         sigma = overlap_for_sink_factor(ag.eps)
         max_phases = iteration_bound(ag.alpha, a.volume, sigma)
-    return _localized_dinic(ag, max_phases, validate)
+    return _localized_dinic(ag, max_phases, validate, start)
 
 
-def _localized_dinic(ag: AugmentedGraph, budget: int | None, validate: bool) -> LocalFlowResult:
+def _localized_dinic(
+    ag: AugmentedGraph,
+    budget: int | None,
+    validate: bool,
+    start: LocalFlowResult | None,
+) -> LocalFlowResult:
     """Run at most ``budget`` localized Dinic phases; ``None`` runs to a max flow.
 
     Each phase labels the materialized residual graph, saturates its
     admissible arcs, and opens the vertices whose sink arcs filled. With
     ``validate`` every phase checks layer containment, label monotonicity
     within the exact zone, sink-distance growth and flow conservation.
+
+    The run starts from a zero flow, or with ``start`` from a copy of that
+    result's flow and saturated set, rescaled to the least common multiple
+    of both integer scales (:meth:`FlowState.resumed`). Only the phases and
+    the vertices opened by this run count as its work: ``stats.phases``
+    counts its own phases, while ``stats.touched_volume`` is the volume of
+    everything its flow has opened, the inherited part included.
+
+    Why a warm start keeps the guarantees. Lowering alpha only raises edge
+    capacities, so the copied flow is feasible, and every copied sink arc
+    stays saturated, so the saturated set is valid and the opened set is
+    still the seed plus the saturated set. The saturated-volume bound
+    ``vol(A)/eps`` holds for any feasible flow, since each unclamped member
+    absorbs ``eps * deg`` of a total of at most ``vol(A)``, and with it the
+    touched-volume cap ``3 vol(A)/sigma``. The layer-cut guarantee
+    needs only two facts about the final labels: every layer below the
+    sink's last two lies in the seed plus saturated set, and the sink
+    distance is at least ``budget + 3`` when the budget runs out. The first
+    holds for any flow, since any other vertex still has residual capacity
+    to the sink. For the second, the sink distance is at least 3 on any
+    flow (seed vertices have no sink arcs), and each Dinic phase raises it
+    by at least one whatever feasible flow it starts from. Neither fact
+    uses a zero start, and the validation checks both every phase. A run
+    that ends with the sink unreachable returns the minimal minimum cut,
+    which is the same whichever maximum flow it reached, so exact results
+    do not depend on the start at all.
     """
     g = ag.graph
-    fs = FlowState(ag)
-    bs = SaturatedSet(ag)
+    if start is None:
+        fs = FlowState(ag)
+        bs = SaturatedSet(ag)
+    else:
+        scale = lcm(ag.scale, start.flow.ag.scale)
+        ag = AugmentedGraph(ag.graph, ag.seed, ag.alpha, ag.eps, scale)
+        fs = start.flow.resumed(ag)
+        bs = start.saturated.resumed(ag)
     stats = LocalFlowStats()
     t = ag.sink_id
     prev: DistanceLabels | None = None

@@ -3,12 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import localcut.improve as improve_module
 from localcut import (
     Graph,
     ParameterError,
     VertexSet,
     build,
     conductance,
+    local_flow,
+    local_flow_exact,
     local_improve,
     local_improve_overlap,
     pipeline_nibble_improve,
@@ -23,6 +26,7 @@ from gen import (
     perturb_to_overlap,
     planted_alpha_star,
     random_instance,
+    ring_of_cliques,
     two_cluster_graph,
 )
 
@@ -156,6 +160,53 @@ def test_validate_flag_changes_no_result(small_suite, solver):
         assert on.alpha_trace == off.alpha_trace and on.cut_alpha == off.cut_alpha
         assert on.certificate_flow.value == off.certificate_flow.value
         assert (on.touched_volume, on.phases) == (off.touched_volume, off.phases)
+
+
+@pytest.mark.parametrize("solver", ["approx", "exact"])
+def test_warm_probes_match_cold_runs(small_suite, solver, monkeypatch):
+    """Every probe that resumed an earlier probe's flow equals a cold run at its alpha.
+
+    The locality cap ``3 vol(A)/sigma`` holds for every probe on the planted
+    and ring instances. On the tiny random instances a clamped sink may
+    fill as the flow completes, so a cold run can exceed the cap there; a
+    resumed probe must keep it wherever the cold run does.
+    """
+    cold = local_flow if solver == "approx" else local_flow_exact
+    probes = []
+
+    def spy(g, a, alpha, eps, **kwargs):
+        res = cold(g, a, alpha, eps, **kwargs)
+        probes.append((alpha, kwargs.get("start") is not None, res))
+        return res
+
+    monkeypatch.setattr(improve_module, cold.__name__, spy)
+    cases = [(g, a, overlap_for_sink_factor(eps), False) for g, a, _, eps in small_suite[:100]]
+    rng = random.Random(5150)
+    g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
+    a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
+    cases.append((g, a, Fraction(2, 3), True))
+    ring = ring_of_cliques(2000, 10)
+    for q in (0, 7000, 15000):
+        cases.append((ring, VertexSet(ring, range(q, q + 10)), Fraction(1, 2), True))
+    resumed = 0
+    for g, a, sigma, capped in cases:
+        probes.clear()
+        res = local_improve_overlap(g, a, sigma, solver)
+        assert [alpha for alpha, _, _ in probes] == [alpha for alpha, _ in res.alpha_trace]
+        assert not probes[0][1], "the first probe has nothing to resume"
+        cap = 3 * a.volume / sigma
+        for alpha, warm, got in probes:
+            touched = got.stats.touched_volume
+            assert touched <= cap or not capped
+            if not warm:
+                continue
+            resumed += 1
+            ref = cold(g, a, alpha, res.eps)
+            assert got.cut == ref.cut and got.value == ref.value
+            assert (got.full_flow, got.exact) == (ref.full_flow, ref.exact)
+            assert got.flow.ag.scale == ref.flow.ag.scale
+            assert touched <= cap or ref.stats.touched_volume > cap
+    assert resumed >= 50, f"only {resumed} probes resumed a flow"
 
 
 def test_pipeline_two_cluster():

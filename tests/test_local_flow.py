@@ -1,30 +1,36 @@
+import io
 import math
 import random
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localcut import (
     FlowState,
     Graph,
+    InvariantViolation,
     VertexSet,
     bfs_distances,
     blocking_flow,
     brute_min_cut_value,
     build,
     conductance,
+    decompose_paths,
     global_max_flow,
     iteration_bound,
     local_flow,
     local_flow_exact,
+    verify_bidemand_routing,
 )
-from localcut.augmented import sink_factor_for_overlap
+from localcut.augmented import AugmentedGraph, least_scale, sink_factor_for_overlap
+from localcut.certify import BiDemand, validate_certificate, write_certificate
 from localcut.local_flow import (
     SaturatedSet,
     local_blocking_flow,
+    phase_budget,
     update_saturated_set,
 )
 
@@ -45,17 +51,28 @@ def test_iteration_bound_examples():
 
 
 def test_iteration_bound_matches_decimal_reference():
-    """Exact ceilings against 60-digit logarithms over the whole grid."""
-    alphas = [Fraction(1, 2**k) for k in range(7)]
+    """Exact ceilings against 60-digit logarithms over the whole grid.
+
+    Both entry points must agree with the reference: ``iteration_bound``
+    and one ``phase_budget`` reused across a search's alphas, as a binary
+    search uses it.
+    """
+    alphas = [Fraction(1, 2**k) for k in range(7)] + [Fraction(3, 8), Fraction(11, 64)]
     for sigma in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)):
         for vol in range(1, 5001):
             with localcontext() as ctx:
                 ctx.prec = 60
                 ln = (Decimal(3 * vol * sigma.denominator) / sigma.numerator).ln()
                 expected = [
-                    int((5 * alpha.denominator * ln).to_integral_value(ROUND_CEILING))
+                    int(
+                        (5 * alpha.denominator * ln / alpha.numerator).to_integral_value(
+                            ROUND_CEILING
+                        )
+                    )
                     for alpha in alphas
                 ]
+            budget = phase_budget(vol, sigma)
+            assert [budget(alpha) for alpha in alphas] == expected, (vol, sigma)
             assert [iteration_bound(alpha, vol, sigma) for alpha in alphas] == expected, (
                 vol,
                 sigma,
@@ -220,3 +237,73 @@ def test_solvers_agree_with_oracles(instance):
     # residual reachability is the minimal min cut, whichever flow left it
     assert exact.cut == ref_cut == approx.cut
     assert ag.cut_value(exact.cut) == brute
+
+
+@st.composite
+def warm_start_instances(draw):
+    """A small instance, a higher alpha to start from and a lower one to resume at.
+
+    Odd numerators and eps denominators 3, 5 and 7 make the two least
+    scales differ, so the resumed flow is usually rescaled to their lcm.
+    """
+    g, a, _, _ = draw(small_flow_instances())
+    num = st.sampled_from([1, 3, 5, 7, 9])
+    alphas = [Fraction(draw(num), draw(st.sampled_from(dens))) for dens in ([10, 16], [11, 27, 32])]
+    alpha_lo, alpha_hi = sorted(alphas)
+    eps = draw(
+        st.sampled_from([None, Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(4, 7)])
+    )
+    return g, a, alpha_hi, alpha_lo, eps
+
+
+_BARBELL = asym_barbell()
+
+
+@given(warm_start_instances())
+@example((_BARBELL, VertexSet(_BARBELL, [0, 1, 2]), Fraction(7, 9), Fraction(1, 3), Fraction(2, 5)))
+@settings(max_examples=300, deadline=None)
+def test_resumed_flow_matches_global_oracle(instance):
+    """Resuming a max flow at a lower alpha, at the lcm of both scales, is exact."""
+    g, a, alpha_hi, alpha_lo, eps = instance
+    start = local_flow_exact(g, a, alpha_hi, eps)
+    before = (start.flow.ag.scale, start.flow.value, start.flow.arc_flow[:], start.flow.arc_cap[:])
+    ref, ref_cut = global_max_flow(build(g, a, alpha_lo, eps))
+    scale = math.lcm(start.flow.ag.scale, least_scale(alpha_lo, eps))
+    for solve in (local_flow, local_flow_exact):
+        warm = solve(g, a, alpha_lo, eps, start=start)
+        fs = warm.flow
+        assert fs.ag.scale == scale and fs.ag.alpha == alpha_lo
+        assert all(f <= c for f, c in zip(fs.arc_flow, fs.arc_cap))
+        fs.check_conservation()
+        assert warm.exact
+        assert warm.value == ref.flow_value
+        assert warm.cut == ref_cut
+        assert fs.opened >= start.flow.opened
+        if warm.full_flow:
+            # the routing certificate a no-improvement result would carry
+            check = verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), 1 / alpha_lo)
+            assert check.ok, check.violations[:3]
+            pd = decompose_paths(fs)
+            assert pd.total == fs.value and pd.scale == scale
+            text = io.StringIO()
+            write_certificate(text, fs.ag, pd)
+            text.seek(0)
+            report = validate_certificate(text, g, a)
+            assert report.ok, report.violations[:3]
+    after = (start.flow.ag.scale, start.flow.value, start.flow.arc_flow, start.flow.arc_cap)
+    assert after == before, "resuming must not modify the earlier result"
+
+
+def test_resume_refuses_a_higher_alpha_or_a_foreign_scale():
+    g = asym_barbell()
+    a = VertexSet(g, [0, 1, 2])
+    start = local_flow_exact(g, a, Fraction(5, 9), Fraction(1, 3))
+    assert start.flow.ag.scale == 15
+    with pytest.raises(InvariantViolation, match="alpha rose"):
+        local_flow(g, a, Fraction(2, 3), Fraction(1, 3), start=start)
+    with pytest.raises(InvariantViolation, match="scale 3 is not a multiple of 15"):
+        start.flow.resumed(build(g, a, Fraction(1, 3), Fraction(1, 3)))
+    with pytest.raises(InvariantViolation, match="its own graph"):
+        local_flow(g, a, Fraction(1, 4), Fraction(1, 5), start=start)
+    with pytest.raises(InvariantViolation, match="least scale 3"):
+        AugmentedGraph(g, a, Fraction(1, 3), Fraction(1, 3), 5)
