@@ -11,9 +11,6 @@ set well-overlapping ``A`` can have small conductance.
 
 Capacities are stored as exact integers after scaling by the least ``L``
 that clears both denominators, so min-cut and max-flow values are exact.
-A run that resumes the flow of a run at another ``alpha`` works at the
-least common multiple of both scales, a multiple of its own least ``L``,
-so the resumed flow stays integral.
 ``eps=None`` means an unbounded sink factor (the pure quotient-improvement
 regime, ``sigma = 1``); it is realized by clamping sink capacities to the
 total source capacity, which never changes any max flow.
@@ -95,29 +92,17 @@ class AugmentedGraph:
 
     Instances are immutable and hold no per-vertex state: capacities are
     computed from degrees on demand, so construction cost is independent of
-    graph size. Use :func:`build` to construct one. ``scale`` defaults to
-    the least workable ``L``; any multiple of it is allowed.
+    graph size. Use :func:`build` to construct one.
     """
 
     __slots__ = ("graph", "seed", "alpha", "eps", "scale", "edge_cap_unit", "source_total")
 
-    def __init__(
-        self,
-        graph: Graph,
-        seed: VertexSet,
-        alpha: Fraction,
-        eps: Fraction | None,
-        scale: int | None = None,
-    ):
+    def __init__(self, graph: Graph, seed: VertexSet, alpha: Fraction, eps: Fraction | None):
         self.graph = graph
         self.seed = seed
         self.alpha = alpha
         self.eps = eps
-        least = least_scale(alpha, eps)
-        if scale is None:
-            scale = least
-        elif scale <= 0 or scale % least:
-            raise InvariantViolation(f"scale {scale} is not a multiple of the least scale {least}")
+        scale = least_scale(alpha, eps)
         self.scale = scale
         self.edge_cap_unit = scale * alpha.denominator // alpha.numerator
         self.source_total = scale * seed.volume

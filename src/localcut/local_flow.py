@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import lcm
 from typing import Callable
 
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
@@ -44,53 +43,50 @@ __all__ = [
 
 
 class SaturatedSet:
-    """Monotone set of non-seed vertices whose sink arcs are saturated."""
+    """Monotone set of opened non-seed vertices whose sink arcs are saturated.
 
-    __slots__ = ("ag", "members", "volume", "_unclamped_volume")
+    A sink arc that fills on the push completing a full-value flow stays
+    out: no phase follows, so opening its vertex would be wasted work.
+    """
+
+    __slots__ = ("ag", "members", "volume")
 
     def __init__(self, ag: AugmentedGraph):
         self.ag = ag
         self.members: set[int] = set()
         self.volume = 0
-        self._unclamped_volume = 0
 
     def add(self, v: int) -> None:
         if v in self.ag.seed:
             raise InvariantViolation(f"seed vertex {v} cannot enter the saturated set")
         if v not in self.members:
             self.members.add(v)
-            deg = self.ag.graph.degree(v)
-            self.volume += deg
-            eps = self.ag.eps
-            if eps is not None and eps * deg <= self.ag.seed.volume:
-                self._unclamped_volume += deg
+            self.volume += self.ag.graph.degree(v)
 
     def resumed(self, ag: AugmentedGraph) -> SaturatedSet:
         """A copy for the flow resumed on ``ag`` (see :meth:`FlowState.resumed`).
 
         Resuming keeps every sink arc saturated and leaves the seed set and
-        sink factor alone, so the members and both volumes carry over.
+        sink factor alone, so the members and their volume carry over.
         """
         out = SaturatedSet(ag)
         out.members = set(self.members)
         out.volume = self.volume
-        out._unclamped_volume = self._unclamped_volume
         return out
 
     def check_volume_bound(self) -> None:
         """Saturated volume can never exceed vol(A)/eps.
 
         Each member absorbed ``eps * deg`` units, and the total flow is at
-        most ``vol(A)``. The arithmetic covers members with unclamped sink
-        capacity; a clamped sink (capacity ``vol(A)``) can only fill at the
-        very moment the flow completes, so it is outside the bound.
+        most ``vol(A)``. A clamped sink (capacity ``vol(A)``) can only fill
+        as the flow completes, so it never enters the set.
         """
         eps = self.ag.eps
         if eps is None:
             return
-        if self._unclamped_volume * eps.numerator > self.ag.seed.volume * eps.denominator:
+        if self.volume * eps.numerator > self.ag.seed.volume * eps.denominator:
             raise InvariantViolation(
-                f"saturated volume {self._unclamped_volume} exceeds vol(A)/eps "
+                f"saturated volume {self.volume} exceeds vol(A)/eps "
                 f"= {Fraction(self.ag.seed.volume) / eps}"
             )
 
@@ -122,10 +118,15 @@ def update_saturated_set(fs: FlowState, bs: SaturatedSet) -> list[int]:
     """Move frontier vertices whose sink arc just filled into the saturated set.
 
     Opens each new member so its edges join the local view. Returns the
-    newly added vertices (sorted). Raises ``InvariantViolation`` if the
-    saturated volume bound breaks, which would indicate a flow bug.
+    newly added vertices (sorted). Once the flow has its full value no
+    phase can follow, so nothing is added or opened. Raises
+    ``InvariantViolation`` if the saturated volume bound breaks, which
+    would indicate a flow bug.
     """
-    fresh = sorted(v for v in set(fs.newly_saturated) if v not in bs.members)
+    if fs.value == fs.ag.source_total:
+        fresh = []
+    else:
+        fresh = sorted(v for v in set(fs.newly_saturated) if v not in bs.members)
     fs.newly_saturated.clear()
     for v in fresh:
         bs.add(v)
@@ -336,18 +337,18 @@ def _localized_dinic(
     within the exact zone, sink-distance growth and flow conservation.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
-    result's flow and saturated set, rescaled to the least common multiple
-    of both integer scales (:meth:`FlowState.resumed`). Only the phases and
-    the vertices opened by this run count as its work: ``stats.phases``
-    counts its own phases, while ``stats.touched_volume`` is the volume of
-    everything its flow has opened, the inherited part included.
+    result's flow and saturated set, rescaled to ``ag``'s scale, which must
+    be a multiple of the start's (:meth:`FlowState.resumed`).
+    ``stats.phases`` counts only the phases this run made, while
+    ``stats.touched_volume`` is the volume of everything its flow has
+    opened, the inherited part included.
 
     Why a warm start keeps the guarantees. Lowering alpha only raises edge
     capacities, so the copied flow is feasible, and every copied sink arc
     stays saturated, so the saturated set is valid and the opened set is
     still the seed plus the saturated set. The saturated-volume bound
-    ``vol(A)/eps`` holds for any feasible flow, since each unclamped member
-    absorbs ``eps * deg`` of a total of at most ``vol(A)``, and with it the
+    ``vol(A)/eps`` holds for any feasible flow, since each member absorbs
+    ``eps * deg`` of a total of at most ``vol(A)``, and with it the
     touched-volume cap ``3 vol(A)/sigma``. The layer-cut guarantee
     needs only two facts about the final labels: every layer below the
     sink's last two lies in the seed plus saturated set, and the sink
@@ -366,8 +367,6 @@ def _localized_dinic(
         fs = FlowState(ag)
         bs = SaturatedSet(ag)
     else:
-        scale = lcm(ag.scale, start.flow.ag.scale)
-        ag = AugmentedGraph(ag.graph, ag.seed, ag.alpha, ag.eps, scale)
         fs = start.flow.resumed(ag)
         bs = start.saturated.resumed(ag)
     stats = LocalFlowStats()

@@ -25,7 +25,7 @@ from localcut import (
     local_flow_exact,
     verify_bidemand_routing,
 )
-from localcut.augmented import AugmentedGraph, least_scale, sink_factor_for_overlap
+from localcut.augmented import least_scale, sink_factor_for_overlap
 from localcut.certify import BiDemand, validate_certificate, write_certificate
 from localcut.local_flow import (
     SaturatedSet,
@@ -243,13 +243,17 @@ def test_solvers_agree_with_oracles(instance):
 def warm_start_instances(draw):
     """A small instance, a higher alpha to start from and a lower one to resume at.
 
-    Odd numerators and eps denominators 3, 5 and 7 make the two least
-    scales differ, so the resumed flow is usually rescaled to their lcm.
+    The lower alpha's numerator is an odd multiple of the higher one's,
+    before reduction, and eps denominators 3, 5 and 7 make the two least
+    scales differ: the lower alpha's scale is often a larger multiple of
+    the higher one's, and sometimes not a multiple at all.
     """
     g, a, _, _ = draw(small_flow_instances())
-    num = st.sampled_from([1, 3, 5, 7, 9])
-    alphas = [Fraction(draw(num), draw(st.sampled_from(dens))) for dens in ([10, 16], [11, 27, 32])]
-    alpha_lo, alpha_hi = sorted(alphas)
+    p = draw(st.sampled_from([1, 3, 5]))
+    q = draw(st.sampled_from([8, 10, 16]))
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    alpha_hi = Fraction(p, q)
+    alpha_lo = Fraction(p * k, k * q + draw(st.sampled_from([0, 1, 2, 5])))
     eps = draw(
         st.sampled_from([None, Fraction(1, 3), Fraction(2, 3), Fraction(2, 5), Fraction(4, 7)])
     )
@@ -260,15 +264,24 @@ _BARBELL = asym_barbell()
 
 
 @given(warm_start_instances())
+@example((_BARBELL, VertexSet(_BARBELL, [0, 1, 2]), Fraction(5, 9), Fraction(3, 10), Fraction(2, 5)))
 @example((_BARBELL, VertexSet(_BARBELL, [0, 1, 2]), Fraction(7, 9), Fraction(1, 3), Fraction(2, 5)))
 @settings(max_examples=300, deadline=None)
 def test_resumed_flow_matches_global_oracle(instance):
-    """Resuming a max flow at a lower alpha, at the lcm of both scales, is exact."""
+    """Resuming a max flow at a lower alpha whose scale is a multiple of the start's is exact.
+
+    A lower alpha whose scale the start's does not divide is refused.
+    """
     g, a, alpha_hi, alpha_lo, eps = instance
     start = local_flow_exact(g, a, alpha_hi, eps)
     before = (start.flow.ag.scale, start.flow.value, start.flow.arc_flow[:], start.flow.arc_cap[:])
+    scale = least_scale(alpha_lo, eps)
+    if scale % start.flow.ag.scale:
+        for solve in (local_flow, local_flow_exact):
+            with pytest.raises(InvariantViolation, match="is not a multiple of"):
+                solve(g, a, alpha_lo, eps, start=start)
+        return
     ref, ref_cut = global_max_flow(build(g, a, alpha_lo, eps))
-    scale = math.lcm(start.flow.ag.scale, least_scale(alpha_lo, eps))
     for solve in (local_flow, local_flow_exact):
         warm = solve(g, a, alpha_lo, eps, start=start)
         fs = warm.flow
@@ -305,5 +318,5 @@ def test_resume_refuses_a_higher_alpha_or_a_foreign_scale():
         start.flow.resumed(build(g, a, Fraction(1, 3), Fraction(1, 3)))
     with pytest.raises(InvariantViolation, match="its own graph"):
         local_flow(g, a, Fraction(1, 4), Fraction(1, 5), start=start)
-    with pytest.raises(InvariantViolation, match="least scale 3"):
-        AugmentedGraph(g, a, Fraction(1, 3), Fraction(1, 3), 5)
+    with pytest.raises(InvariantViolation, match="scale 3 is not a multiple of 15"):
+        local_flow_exact(g, a, Fraction(1, 3), Fraction(1, 3), start=start)
