@@ -5,9 +5,9 @@ provably low conductance by solving localized maximum-flow problems on a
 source/sink-augmented graph, touching only a volume proportional to the
 seed's. One localized Dinic engine serves both solvers: phase-capped for
 the approximate solver, run to a maximum flow for the exact one. Also
-ships binary-search improvement drivers, whose probes resume each
-other's flows, routing certificates, a push/sweep seed expander,
-brute-force test oracles, and a CLI.
+ships cut-quotient improvement drivers, whose probes resume each
+other's flows, routing certificates, a push/sweep seed expander, and a
+CLI.
 """
 
 from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma
@@ -42,7 +42,6 @@ from .graphs import (
 )
 from .improve import ImproveResult, local_improve, local_improve_overlap, pipeline_nibble_improve
 from .local_flow import iteration_bound, local_flow
-from .oracle import brute_min_conductance, brute_min_cut_value, eval_condition_41
 from .seeding import ApprConfig, appr_push, sweep_cut
 
 __version__ = "0.1.0"
@@ -65,14 +64,11 @@ __all__ = [
     "bfs_distances",
     "blocking_flow",
     "boundary_edges",
-    "brute_min_conductance",
-    "brute_min_cut_value",
     "build",
     "conductance",
     "conn_proxy",
     "decompose_paths",
     "epsilon_sigma",
-    "eval_condition_41",
     "expansion_lower_bound",
     "global_max_flow",
     "induced_subgraph",

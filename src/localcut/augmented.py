@@ -23,7 +23,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import InvariantViolation, NotACertificateError, ParameterError
-from .graphs import Graph, VertexSet, conductance
+from .graphs import Graph, VertexSet, boundary_edges, conductance
 
 __all__ = [
     "AugmentedGraph",
@@ -31,6 +31,7 @@ __all__ = [
     "epsilon_sigma",
     "least_scale",
     "min_feasible_sigma",
+    "relative_quotient",
     "sink_factor_for_overlap",
     "overlap_for_sink_factor",
 ]
@@ -85,6 +86,28 @@ def epsilon_sigma(sigma: Fraction, g: Graph, a: VertexSet) -> Fraction | None:
                 f"sigma must be at least {min_feasible_sigma(g, a)}"
             )
     return eps
+
+
+def relative_quotient(
+    g: Graph, a: VertexSet, s: VertexSet, eps: Fraction | None
+) -> Fraction | None:
+    """``|E(S, V-S)| / (vol(S & A) - eps * vol(S - A))``; ``None`` when undefined.
+
+    A set is a cut of value below ``vol(A)`` in the augmented graph at
+    ``alpha`` exactly when its quotient is below ``alpha``. The quotient is
+    undefined when the denominator is not positive, which with ``eps=None``
+    (unbounded sink factor) is every set reaching outside ``A``. Costs
+    ``O(vol(S))``.
+    """
+    inter = sum(g.degree(u) for u in s if u in a)
+    outside = s.volume - inter
+    if eps is None:
+        denom = Fraction(0 if outside else inter)
+    else:
+        denom = inter - eps * outside
+    if denom <= 0:
+        return None
+    return boundary_edges(g, s) / denom
 
 
 class AugmentedGraph:

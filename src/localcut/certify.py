@@ -19,9 +19,10 @@ from typing import IO
 
 import numpy as np
 
-from .augmented import AugmentedGraph
+from .augmented import AugmentedGraph, relative_quotient
 from .errors import InvariantViolation, NotACertificateError, ParameterError
 from .flow import FlowState
+from .graphio import parse_rational
 from .graphs import Graph, VertexSet, boundary_edges, induced_subgraph
 from .local_flow import iteration_bound
 
@@ -297,21 +298,14 @@ def path_length_certificate(
 
 
 def quotient_score(g: Graph, a: VertexSet, s: VertexSet) -> Fraction | None:
-    """Boundary size over seed-weighted net volume; ``None`` when undefined.
+    """:func:`relative_quotient` at the least sound sink factor ``vol(A)/vol(V-A)``.
 
-    Diagnostic only: the denominator ``vol(S & A) - vol(S - A) *
-    vol(A)/vol(V-A)`` must be positive for the score to mean anything.
+    Diagnostic only; ``None`` when the quotient is undefined.
     """
-    vol_a = a.volume
-    vol_rest = g.total_volume - vol_a
+    vol_rest = g.total_volume - a.volume
     if vol_rest == 0:
         return None
-    inter = s.intersection(a).volume
-    outside = s.volume - inter
-    denom = Fraction(inter) - Fraction(outside * vol_a, vol_rest)
-    if denom <= 0:
-        return None
-    return Fraction(boundary_edges(g, s)) / denom
+    return relative_quotient(g, a, s, Fraction(a.volume, vol_rest))
 
 
 def conn_proxy(g: Graph, b: VertexSet, tol: float = 1e-9) -> float:
@@ -415,8 +409,8 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         try:
             if len(parts) < 2:
                 raise ValueError
-            path, amount = tuple(int(v) for v in parts[:-1]), Fraction(parts[-1])
-        except (ValueError, ZeroDivisionError):
+            path, amount = tuple(int(v) for v in parts[:-1]), parse_rational(parts[-1])
+        except ValueError:
             raise ParameterError(f"certificate line {lineno}: malformed path line {ln!r}") from None
         outside = [v for v in path if not 0 <= v < g.n]
         if outside:
@@ -431,13 +425,19 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         lineno, text = header[name]
         try:
             return parse(text)
-        except (ValueError, ZeroDivisionError):
+        except ValueError:
             raise ParameterError(f"certificate line {lineno}: malformed {name} {text!r}") from None
 
-    alpha = field("alpha", Fraction)
-    eps = field("eps-sigma", lambda text: None if text == "inf" else Fraction(text))
+    def alpha_in_range(text: str) -> Fraction:
+        alpha = parse_rational(text)
+        if not 0 < alpha <= 1:
+            raise ValueError
+        return alpha
+
+    alpha = field("alpha", alpha_in_range)
+    eps = field("eps-sigma", lambda text: None if text == "inf" else parse_rational(text))
     vol_a = field("vol-a", int)
-    flow_value = field("flow-value", Fraction)
+    flow_value = field("flow-value", parse_rational)
     violations: list[str] = []
     if vol_a != a.volume:
         violations.append(f"header vol-a {vol_a} != vol(A) {a.volume}")

@@ -18,7 +18,7 @@ from . import certify as cert
 from .augmented import build, epsilon_sigma
 from .errors import LocalCutError, NotACertificateError, ParameterError
 from .exact_flow import local_flow_exact
-from .graphio import load_graph, load_vertex_set
+from .graphio import load_graph, load_vertex_set, parse_rational
 from .graphs import conductance
 from .improve import local_improve_overlap
 from .local_flow import local_flow
@@ -32,11 +32,11 @@ EXIT_INPUT_ERROR = 2
 
 
 def _fraction(text: str) -> Fraction:
-    """Parse "p/q" or a decimal string exactly."""
+    """Parse "p/q" or a decimal string exactly, within :func:`parse_rational`'s bounds."""
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _frac_json(x: Fraction | None) -> dict | None:
@@ -68,15 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_stats.add_argument("--json", action="store_true", help="emit JSON")
 
     for name, help_text in (
-        ("improve", "binary-search improvement with the approximate solver"),
-        ("improve-exact", "binary-search improvement with the exact solver"),
+        ("improve", "cut-quotient search improvement with the approximate solver"),
+        ("improve-exact", "cut-quotient search improvement with the exact solver"),
     ):
         p = sub.add_parser(name, help=help_text)
         add_graph_args(p)
         p.add_argument("--sigma", type=_fraction, required=True,
                        help="overlap parameter in (0, 1]")
         p.add_argument("--eps", type=_fraction, default=Fraction(1, 5),
-                       help="binary-search stopping width (default 1/5)")
+                       help="stopping width of the search's fallback bisection (default 1/5)")
         p.add_argument("--human", action="store_true", help="human-readable output")
         p.add_argument("--instrument", action="store_true",
                        help="include locality counters in the output: the Dinic "

@@ -28,12 +28,18 @@ blank and comment masks, token bounds, token counts per line and one
 int64 value per token, and vectorized checks. Working memory is a few arrays of block
 size plus the parsed tokens. When a check finds a bad line, the first one
 in file order is re-read by a per-line check that words the error.
+
+Rational parameters, on the command line and in certificates, go through
+:func:`parse_rational`, whose digit and exponent bounds keep a short
+string from expanding into a huge integer.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
+from fractions import Fraction
 from functools import partial
 from typing import IO, Iterator, NamedTuple
 
@@ -42,7 +48,15 @@ import numpy as np
 from .errors import GraphFormatError, InvariantViolation
 from .graphs import Graph, VertexSet
 
-__all__ = ["load_graph", "load_edgelist", "load_metis", "load_vertex_set", "MAX_IDS_PER_EDGE"]
+__all__ = [
+    "load_graph",
+    "load_edgelist",
+    "load_metis",
+    "load_vertex_set",
+    "parse_rational",
+    "MAX_IDS_PER_EDGE",
+    "MAX_RATIONAL_DIGITS",
+]
 
 CHUNK_BYTES = 1 << 18
 MAX_IDS_PER_EDGE = 16
@@ -52,6 +66,45 @@ _TOO_LARGE = 10**18
 _DIGITS = 18  # longest token the vectorized accumulation reads exactly
 
 _LF, _HASH, _PERCENT = ord("\n"), ord("#"), ord("%")
+
+MAX_RATIONAL_DIGITS = 64
+_RATIONAL = re.compile(
+    r"([+-]?)(?:([0-9]+)/([0-9]+)|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?)"
+)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse ``p/q`` or a plain decimal with an optional exponent, exactly.
+
+    Surrounding whitespace is ignored. Each digit run (numerator,
+    denominator, the decimal's digits, the exponent) and the exponent's
+    value are bounded by ``MAX_RATIONAL_DIGITS``, so the result's numerator
+    and denominator have at most a few hundred digits; ``Fraction`` alone
+    would expand ``1e999999999`` into a billion-digit integer.
+
+    Raises:
+        ValueError: on anything else, a zero denominator or a bound
+            exceeded; the message says which.
+    """
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"not a rational number: {text!r}")
+    sign, num, den, whole, frac, exp = m.groups()
+    shift = 0
+    if num is None:
+        frac = frac or ""
+        num, den, shift = whole + frac, "1", len(frac)
+    exp = exp or "0"
+    digits = max(len(num), len(den), len(exp.lstrip("+-")))
+    if digits > MAX_RATIONAL_DIGITS or abs(int(exp)) > MAX_RATIONAL_DIGITS:
+        raise ValueError(
+            f"rational {text.strip()[:40]!r} has a part of more than "
+            f"{MAX_RATIONAL_DIGITS} digits or an exponent beyond +-{MAX_RATIONAL_DIGITS}"
+        )
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {text.strip()!r}")
+    value = Fraction(int(num), int(den)) * Fraction(10) ** (int(exp) - shift)
+    return -value if sign == "-" else value
 
 
 def _blocks(source: str | os.PathLike | bytes) -> Iterator[bytes]:

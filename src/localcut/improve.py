@@ -1,9 +1,14 @@
-"""Binary search over the capacity parameter, and overlap-parameterized entry points.
+"""Cut-quotient search over the capacity parameter, and overlap-parameterized entry points.
 
-A probe at ``alpha`` either routes a full-value flow (no nearby cut beats
-``alpha``; search higher) or produces a cut (search lower). Probes use
-exact dyadic midpoints, so capacity scales stay small. The search keeps the
-best cut seen and finishes with a run at the surviving upper endpoint.
+A probe at ``alpha`` either routes a full-value flow (no set's relative
+quotient ``Q(S) = |E(S, V-S)| / (vol(S & A) - eps vol(S - A))`` is below
+``alpha``) or produces a cut. The search probes ``alpha = 1`` first, then
+steps to the quotient of each cut it finds, as in the Dinkelbach iteration
+of Andersen-Lang Improve and Lang-Rao MQI: a full flow there proves that no
+set beats that cut. Only a cut that fails to lower the quotient (possible
+only for the approximate solver's budget-limited layer cuts) makes the
+search bisect its bracket instead. The search keeps the best cut seen by
+conductance.
 
 A probe resumes the flow of an earlier probe at a higher alpha, in the
 manner of parametric max flow: the lower alpha only raises edge
@@ -13,8 +18,8 @@ such probe whose integer scale divides its own least scale, so every
 probe's flow stays at the least scale of its alpha, as a cold run's
 would. The probes' own results are never modified.
 
-When even ``alpha = 1`` routes a full-value flow there is no improvement
-to report; that outcome is returned as a distinct non-error result whose
+When ``alpha = 1`` routes a full-value flow there is no improvement to
+report; that outcome is returned as a distinct non-error result whose
 certificate is the routing itself.
 """
 
@@ -29,6 +34,7 @@ from .augmented import (
     least_scale,
     min_feasible_sigma,
     overlap_for_sink_factor,
+    relative_quotient,
 )
 from .errors import InvariantViolation, ParameterError
 from .exact_flow import local_flow_exact
@@ -104,12 +110,16 @@ def local_improve(
     *,
     validate: bool = True,
 ) -> ImproveResult:
-    """Minimize the capacity parameter by binary search and return the best cut.
+    """Minimize the capacity parameter by cut-quotient search and return the best cut.
 
-    ``eps`` is the relative stopping width of the search. With the
-    ``approx`` solver the output conductance is below ``2 (1 + eps)`` times
-    the smallest parameter at which a well-overlapping low-conductance set
-    exists; the ``exact`` solver drops the factor 2.
+    Each cut found moves the next probe to its relative quotient, until a
+    probe there routes a full flow. When a cut fails to lower the quotient
+    the search bisects instead, and ``eps`` is the relative width at which
+    that bisection stops. With the ``approx`` solver the output conductance
+    is below ``2 (1 + eps)`` times the smallest parameter at which a
+    well-overlapping low-conductance set exists; the ``exact`` solver drops
+    both factors, since its search ends at a full flow at the least
+    quotient of any set.
     """
     if solver not in ("approx", "exact"):
         raise ParameterError(f"solver must be 'approx' or 'exact', got {solver!r}")
@@ -120,7 +130,7 @@ def local_improve(
     budget = phase_budget(a.volume, overlap_for_sink_factor(eps_sigma))
 
     alpha_min = Fraction(0)
-    alpha_max = Fraction(1)
+    alpha = alpha_max = Fraction(1)
     trace: list[tuple[Fraction, str]] = []
     results: dict[Fraction, LocalFlowResult] = {}
     best: tuple[Fraction, int, tuple[int, ...], Fraction] | None = None
@@ -138,12 +148,9 @@ def local_improve(
             if best is None or key < best:
                 best = key
 
-    probes = 0
-    while alpha_max - alpha_min > eps * alpha_min:
-        probes += 1
-        if probes > _MAX_PROBES:
-            raise InvariantViolation("binary search failed to converge")
-        alpha = (alpha_min + alpha_max) / 2
+    # A full flow at alpha_min proves no set has a quotient below it, so every
+    # cut's quotient is at least alpha_min and the bracket never inverts.
+    for _ in range(_MAX_PROBES):
         start = _resume_point(results, alpha, eps_sigma)
         res = _solve(g, a, alpha, eps_sigma, solver, validate, budget, start)
         record(alpha, res)
@@ -153,16 +160,22 @@ def local_improve(
         else:
             trace.append((alpha, "cut-found"))
             alpha_max = alpha
-            if best is not None and best[0] == 0:
+            if best[0] == 0:
                 break  # a disconnection cut cannot be beaten
-
-    final = results.get(alpha_max)
-    if final is None:
-        final = _solve(g, a, alpha_max, eps_sigma, solver, validate, budget, None)
-        record(alpha_max, final)
-        trace.append((alpha_max, "full-flow" if final.full_flow else "cut-found"))
+            q = relative_quotient(g, a, res.cut, eps_sigma)
+            if q is not None and q < alpha:
+                alpha_max = q
+                if q > alpha_min:
+                    alpha = q  # the Dinkelbach step
+                    continue
+        if alpha_max - alpha_min <= eps * alpha_min:
+            break
+        alpha = (alpha_min + alpha_max) / 2
+    else:
+        raise InvariantViolation(f"cut-quotient search did not close within {_MAX_PROBES} probes")
 
     if best is None:
+        # alpha = 1 routed a full flow, and that closed the bracket
         return ImproveResult(
             cut=VertexSet(g, ()),
             phi=None,
@@ -171,7 +184,7 @@ def local_improve(
             alpha_trace=trace,
             cut_alpha=None,
             cut_kind=None,
-            certificate_flow=final,
+            certificate_flow=res,
             eps=eps_sigma,
             touched_volume=touched,
             phases=phases,

@@ -144,7 +144,7 @@ def phase_budget(vol_a: int, sigma: Fraction) -> Callable[[Fraction], int]:
     ln r`` to within 2; ``digits`` doubles until the bounds agree. A ratio
     of at most 1 (a seed of volume 0, which routes nothing) gets budget 0.
 
-    Only alpha varies between the probes of one binary search, so the
+    Only alpha varies between the probes of one improvement search, so the
     returned function keeps the logarithm at each precision it has needed
     and a search computes it once instead of once per probe.
     """

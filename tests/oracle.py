@@ -1,4 +1,4 @@
-"""Brute-force reference implementations, for tests and acceptance only.
+"""Brute-force reference implementations for the test suite.
 
 Exhaustive enumerations over all vertex subsets, hard-capped at 20
 vertices. Subset scans walk a Gray code so each step updates the boundary
@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .augmented import AugmentedGraph
-from .errors import ParameterError
-from .graphs import Graph, VertexSet
+from localcut import AugmentedGraph, Graph, ParameterError, VertexSet
 
-__all__ = ["brute_min_conductance", "brute_min_cut_value", "eval_condition_41"]
+__all__ = [
+    "brute_min_conductance",
+    "brute_min_cut_value",
+    "brute_min_quotient",
+    "eval_condition_41",
+]
 
 _MAX_N = 20
 
@@ -130,6 +133,52 @@ def brute_min_cut_value(ag: AugmentedGraph) -> tuple[VertexSet, Fraction]:
             best_mask = mask
     members = [u for u in range(n) if (best_mask >> u) & 1]
     return VertexSet(g, members), Fraction(best_val, scale)
+
+
+def brute_min_quotient(
+    g: Graph, a: VertexSet, eps: Fraction | None
+) -> tuple[VertexSet, Fraction]:
+    """Exhaustive minimum of the relative quotient over every subset where it is defined.
+
+    The quotient is ``|E(S, V-S)| / (vol(S & A) - eps * vol(S - A))`` with
+    a positive denominator; ``eps=None`` admits only subsets of ``A``. The
+    seed set itself always qualifies. Returns the first minimizer in
+    Gray-code order.
+    """
+    n = g.n
+    _check_size(n)
+    deg = [g.degree(u) for u in range(n)]
+    mult = [dict(g.neighbor_multiplicities(u)) for u in range(n)]
+    in_seed = [u in a for u in range(n)]
+    e_num, e_den = (1, 1) if eps is None else (eps.numerator, eps.denominator)
+    mask = 0
+    cross = 0
+    inter = 0
+    outside = 0
+    inside = [0] * n
+    best: tuple[int, int] | None = None  # quotient as (cross * e_den, denominator * e_den)
+    best_mask = 0
+    for i in range(1, 1 << n):
+        b = _gray_flip(i)
+        sign = -1 if (mask >> b) & 1 else 1
+        mask ^= 1 << b
+        cross += sign * (deg[b] - 2 * inside[b])
+        for w, k in mult[b].items():
+            inside[w] += sign * k
+        if in_seed[b]:
+            inter += sign * deg[b]
+        else:
+            outside += sign * deg[b]
+        if eps is None and outside:
+            continue
+        denom = inter * e_den - e_num * outside
+        if denom <= 0:
+            continue
+        if best is None or cross * e_den * best[1] < best[0] * denom:
+            best = (cross * e_den, denom)
+            best_mask = mask
+    members = [u for u in range(n) if (best_mask >> u) & 1]
+    return VertexSet(g, members), Fraction(*best)
 
 
 def eval_condition_41(

@@ -19,11 +19,9 @@ from localcut import (
     InvariantViolation,
     VertexSet,
     bfs_distances,
-    brute_min_cut_value,
     build,
     conductance,
     decompose_paths,
-    eval_condition_41,
     global_max_flow,
     local_flow,
     local_flow_exact,
@@ -41,6 +39,7 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
+from oracle import brute_min_cut_value, eval_condition_41
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

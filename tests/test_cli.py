@@ -1,9 +1,18 @@
+import contextlib
+import io
 import json
+import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import ring_of_cliques
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
+from localcut.graphio import parse_rational
 
 
 def run(capsys, *argv):
@@ -251,3 +260,130 @@ def test_certify_check_malformed_header_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
     assert "certificate line 1: malformed alpha 'one'" in err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1/2", "3/2", "1e99999"])
+def test_certify_check_alpha_out_of_range_exits_2(capsys, tmp_path, alpha):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text(f"alpha {alpha}\neps-sigma inf\nvol-a 1\nflow-value 1\npath 30 41 1\n")
+    code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert code == EXIT_INPUT_ERROR
+    assert f"certificate line 1: malformed alpha '{alpha}'" in err
+
+
+# rational inputs -------------------------------------------------------------
+
+_SIGNS = st.sampled_from(["", "-", "+"])
+_DIGIT_RUNS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=8),
+    st.text("0123456789", min_size=60, max_size=70),
+    st.sampled_from(["0", "9" * 5000]),
+)
+_EXPONENTS = st.one_of(
+    st.integers(-70, 70), st.sampled_from([999999999, -999999999, 10**40])
+)
+RATIONAL_TEXTS = st.one_of(
+    st.builds("{}{}/{}".format, _SIGNS, _DIGIT_RUNS, _DIGIT_RUNS),
+    st.builds("{}{}.{}e{}".format, _SIGNS, _DIGIT_RUNS, _DIGIT_RUNS, _EXPONENTS),
+    st.builds("{}{}E{}".format, _SIGNS, _DIGIT_RUNS, _EXPONENTS),
+    st.sampled_from(["1e999999999", "1e-999999999", "1/0", "0", "inf", "nan", "", " 1/2 ", "1_0"]),
+    st.text(max_size=12),
+)
+# every rational argument of every subcommand, with the other arguments valid
+RATIONAL_ARGV = [
+    ("improve", "--sigma", "{}"),
+    ("improve", "--sigma", "1/2", "--eps", "{}"),
+    ("improve-exact", "--sigma", "{}"),
+    ("improve-exact", "--sigma", "1/2", "--eps", "{}"),
+    ("flow", "--alpha", "{}", "--sigma", "1/2"),
+    ("flow", "--alpha", "1/2", "--sigma", "{}", "--solver", "exact"),
+    ("flow", "--alpha", "1/2", "--eps-sigma", "{}"),
+    ("certify", "--alpha", "{}", "--sigma", "1/2", "--out", "CERT"),
+    ("certify", "--alpha", "1/8", "--sigma", "{}", "--out", "CERT"),
+    ("certify", "--alpha", "1/8", "--eps-sigma", "{}", "--out", "CERT"),
+]
+TIME_BOUND_S = 5.0
+MEMORY_BOUND = 32 << 20
+
+
+def _bounded_run(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of one CLI run, asserting the time and allocation bounds."""
+    err = io.StringIO()
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = run_cli(argv)
+            except SystemExit as exc:  # argparse rejects an argument with exit 2
+                code = exc.code
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < TIME_BOUND_S, f"{argv} took {elapsed:.2f} s"
+    assert peak < MEMORY_BOUND, f"{argv} allocated {peak} bytes"
+    assert code in (EXIT_OK, EXIT_NO_IMPROVEMENT, EXIT_INPUT_ERROR)
+    assert "Traceback" not in err.getvalue()
+    return code, err.getvalue()
+
+
+def test_parse_rational_grammar():
+    for text in ("1/2", " 0.5 ", "-3", "+1.5e-3", ".5", "5.", "1E+2", "007/010"):
+        assert parse_rational(text) == Fraction(text)
+    for text in ("1e999999999", "1/0", "", ".", "e5", "1/2.", "1_0", "inf", "1 /2", "1e65"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+
+
+def test_out_of_bound_argument_is_named(capsys, fixtures_dir):
+    with pytest.raises(SystemExit) as exc:
+        run_cli([
+            "flow",
+            "--graph", str(fixtures_dir / "barbell.edgelist"),
+            "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
+            "--alpha", "1e999999999",
+        ])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert "argument --alpha" in err and "exponent" in err
+
+
+@given(st.sampled_from(RATIONAL_ARGV), RATIONAL_TEXTS)
+@settings(max_examples=200, deadline=None)
+def test_rational_arguments_exit_cleanly(tmp_path_factory, template, text):
+    fixtures = Path(__file__).parent / "fixtures"
+    cert = tmp_path_factory.mktemp("cert") / "cert.txt"
+    argv = [template[0], "--graph", str(fixtures / "barbell.edgelist"),
+            "--seed-set", str(fixtures / "barbell_seed.txt")]
+    argv += [text if arg == "{}" else str(cert) if arg == "CERT" else arg for arg in template[1:]]
+    _bounded_run(argv)
+
+
+@pytest.fixture(scope="module")
+def ring_certificate(tmp_path_factory):
+    """Arguments naming a ring graph and seed set, and a valid certificate's lines."""
+    tmp_path = tmp_path_factory.mktemp("ring")
+    common = write_ring_files(tmp_path)
+    cert = tmp_path / "cert.txt"
+    code, _ = _bounded_run(["certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert)])
+    assert code == EXIT_OK
+    return common, cert.read_text().splitlines()
+
+
+@given(st.data(), RATIONAL_TEXTS.filter(lambda text: not set(text) & {"\n", "\r"}))
+@settings(max_examples=200, deadline=None)
+def test_certificate_rationals_exit_cleanly(tmp_path_factory, ring_certificate, data, text):
+    common, lines = ring_certificate
+    # a header value (alpha, eps-sigma, flow-value) or a path amount
+    index = data.draw(st.sampled_from([0, 1, 3] + list(range(4, len(lines)))))
+    key, _, rest = lines[index].partition(" ")
+    value = rest.rsplit(" ", 1)[0] + " " + text if key == "path" else text
+    mutated = list(lines)
+    mutated[index] = f"{key} {value}"
+    cert = tmp_path_factory.mktemp("check") / "cert.txt"
+    cert.write_text("\n".join(mutated) + "\n")
+    code, err = _bounded_run(["certify", *common, "--check", str(cert)])
+    if code == EXIT_INPUT_ERROR and err.startswith("error: "):
+        assert f"certificate line {index + 1}: malformed" in err

@@ -6,13 +6,13 @@ from localcut import (
     VertexSet,
     bfs_distances,
     blocking_flow,
-    brute_min_cut_value,
     build,
     global_max_flow,
 )
 from localcut.flow import check_label_monotone
 
 from gen import barbell, random_instance
+from oracle import brute_min_cut_value
 
 
 def tri_state():

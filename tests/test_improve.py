@@ -17,7 +17,7 @@ from localcut import (
     pipeline_nibble_improve,
     verify_bidemand_routing,
 )
-from localcut.augmented import overlap_for_sink_factor
+from localcut.augmented import overlap_for_sink_factor, relative_quotient
 from localcut.certify import BiDemand
 
 from gen import (
@@ -29,26 +29,86 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
+from oracle import brute_min_quotient
 
 
-def test_improve_asym_barbell():
+def _spy_probes(monkeypatch, solver, max_phases=None):
+    """Record ``(alpha, result)`` of every probe the search makes.
+
+    ``max_phases`` maps the search's phase budget to the one actually run,
+    which lets a test starve the approximate solver into layer cuts.
+    """
+    cold = local_flow if solver == "approx" else local_flow_exact
+    probes = []
+
+    def spy(g, a, alpha, eps, **kwargs):
+        if max_phases is not None:
+            kwargs["max_phases"] = max_phases(kwargs["max_phases"])
+        res = cold(g, a, alpha, eps, **kwargs)
+        probes.append((alpha, res))
+        return res
+
+    monkeypatch.setattr(improve_module, cold.__name__, spy)
+    return probes
+
+
+def _check_search_rule(g, a, eps_sigma, probes, width=Fraction(1, 5)) -> int:
+    """Assert the cut-quotient search's stepping rule; return how many probes bisected.
+
+    The first probe is at 1. A cut whose quotient is below its alpha
+    moves the next probe to that quotient; only after a cut that fails to
+    lower the quotient may midpoints of the bracket follow. The search
+    stops at a full flow that closes the bracket, at a disconnection cut,
+    or when the bisected bracket is narrower than ``width``.
+    """
+    assert probes[0][0] == 1
+    lo, hi = Fraction(0), Fraction(1)
+    non_lowering = False
+    midpoints = 0
+    for i, (alpha, res) in enumerate(probes):
+        q = None if res.full_flow else relative_quotient(g, a, res.cut, eps_sigma)
+        if res.full_flow:
+            lo = alpha
+        else:
+            hi = alpha if q is None else min(alpha, q)
+            non_lowering = non_lowering or hi == alpha
+        if i + 1 == len(probes):
+            disconnected = not res.full_flow and conductance(g, res.cut) == 0
+            assert disconnected or hi - lo <= width * lo
+            break
+        nxt = probes[i + 1][0]
+        if hi < alpha and hi > lo:
+            assert nxt == q, "a quotient-lowering cut moves the next probe to its quotient"
+        else:
+            assert non_lowering, "bisection follows only a cut that failed to lower the quotient"
+            assert nxt == (lo + hi) / 2
+            midpoints += 1
+    return midpoints
+
+
+def test_improve_asym_barbell(monkeypatch):
     g = asym_barbell()
     a = VertexSet(g, [0, 1, 2])
+    probes = _spy_probes(monkeypatch, "approx")
     res = local_improve_overlap(g, a, Fraction(1, 2))
     assert res.improved
     assert res.cut.ids == (0, 1, 2)
     assert res.phi == Fraction(1, 7)
-    # interval halves every iteration
-    widths = []
-    lo, hi = Fraction(0), Fraction(1)
-    for alpha, outcome in res.alpha_trace[:-1] if res.alpha_trace[-1][0] == hi else res.alpha_trace:
-        assert alpha == (lo + hi) / 2
-        widths.append(hi - lo)
-        if outcome == "full-flow":
-            lo = alpha
-        else:
-            hi = alpha
-    assert all(b == a_ / 2 for a_, b in zip(widths, widths[1:]))
+    # the cut found at alpha = 1 has quotient 1/7, which routes a full flow
+    assert res.alpha_trace == [(Fraction(1), "cut-found"), (Fraction(1, 7), "full-flow")]
+    assert _check_search_rule(g, a, res.eps, probes) == 0
+
+
+def test_search_rule_with_starved_layer_cuts(small_suite, monkeypatch):
+    """Budget-starved layer cuts that fail to lower the quotient make the search bisect."""
+    probes = _spy_probes(monkeypatch, "approx", max_phases=lambda budget: budget // 8)
+    midpoints = 0
+    for g, a, _, eps in small_suite[:200]:
+        probes.clear()
+        res = local_improve(g, a, eps)
+        assert [alpha for alpha, _ in probes] == [alpha for alpha, _ in res.alpha_trace]
+        midpoints += _check_search_rule(g, a, eps, probes)
+    assert midpoints >= 10, f"only {midpoints} bisection probes"
 
 
 def test_improve_no_improvement_outcome():
@@ -102,7 +162,9 @@ def test_exact_solver_never_worse_than_approx_bound():
 
 
 def test_bracketing_invariant_on_planted_instances():
+    """No probe routes a full flow above the planted set's quotient."""
     rng = random.Random(31)
+    instances = 0
     for _ in range(10):
         g, b = two_cluster_graph(rng, 15, 20, 0.5, 1)
         a, delta = perturb_to_overlap(rng, g, b, Fraction(2, 3))
@@ -110,21 +172,50 @@ def test_bracketing_invariant_on_planted_instances():
         alpha_star = planted_alpha_star(g, a, b, eps)
         if alpha_star >= 1:
             continue
+        instances += 1
         res = local_improve(g, a, eps)
-        lo, hi = Fraction(0), Fraction(1)
-        cut_below = False
+        lo = Fraction(0)
+        checked = 0
         for alpha, outcome in res.alpha_trace:
-            if alpha == hi and (lo + hi) / 2 != alpha:
-                break  # final re-run entry, not a bisection probe
-            if not cut_below:
-                assert lo <= alpha_star <= hi or lo < alpha_star
-                assert lo <= alpha_star, "full-flow probes stay at or below the threshold"
             if outcome == "full-flow":
                 lo = alpha
-            else:
-                hi = alpha
-                if res.phi is not None and res.phi < 2 * alpha_star:
-                    cut_below = True
+            assert lo <= alpha_star, "full-flow probes stay at or below the threshold"
+            checked += 1
+        assert checked == len(res.alpha_trace) >= 1
+    assert instances >= 5
+
+
+def test_exact_search_attains_least_quotient(small_suite, monkeypatch):
+    """The exact search's cuts reach the brute-force least quotient, and it ends there.
+
+    With no quotient below 1 the search reports no improvement. Bisection
+    could only bracket this minimum within its stopping width.
+    """
+    probes = _spy_probes(monkeypatch, "exact")
+    cases = [(g, a, eps) for g, a, _, eps in small_suite[:100]]
+    # a seed inside a triangle that is a component of its own: quotient 0
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5)])
+    cases.append((g, VertexSet(g, [0, 1]), Fraction(2, 3)))
+    seen = {"none": 0, "unbounded": 0, "zero": 0, "closed": 0}
+    for g, a, eps in cases:
+        probes.clear()
+        res = local_improve(g, a, eps, solver="exact")
+        _, least = brute_min_quotient(g, a, eps)
+        assert res.improved == (least < 1)
+        seen["unbounded"] += eps is None
+        if not res.improved:
+            seen["none"] += 1
+            assert res.alpha_trace == [(Fraction(1), "full-flow")]
+            continue
+        cuts = [relative_quotient(g, a, r.cut, eps) for _, r in probes if not r.full_flow]
+        assert min(cuts) == least
+        if least == 0:
+            seen["zero"] += 1
+            assert res.phi == 0 and res.alpha_trace[-1][1] == "cut-found"
+        else:
+            seen["closed"] += 1
+            assert res.alpha_trace[-1] == (least, "full-flow")
+    assert min(seen.values()) >= 1, seen
 
 
 def test_cut_certificates_verify():
@@ -177,7 +268,7 @@ def test_warm_probes_match_cold_runs(small_suite, solver, monkeypatch):
         return res
 
     monkeypatch.setattr(improve_module, cold.__name__, spy)
-    cases = [(g, a, overlap_for_sink_factor(eps)) for g, a, _, eps in small_suite[:100]]
+    cases = [(g, a, overlap_for_sink_factor(eps)) for g, a, _, eps in small_suite[:150]]
     rng = random.Random(5150)
     g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
     a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))

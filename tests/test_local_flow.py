@@ -15,7 +15,6 @@ from localcut import (
     VertexSet,
     bfs_distances,
     blocking_flow,
-    brute_min_cut_value,
     build,
     conductance,
     decompose_paths,
@@ -35,6 +34,7 @@ from localcut.local_flow import (
 )
 
 from gen import asym_barbell, barbell, random_instance, ring_of_cliques
+from oracle import brute_min_cut_value
 
 
 def test_iteration_bound_examples():

@@ -7,15 +7,19 @@ import pytest
 from localcut import (
     ParameterError,
     VertexSet,
-    brute_min_conductance,
-    brute_min_cut_value,
     build,
     conductance,
-    eval_condition_41,
     global_max_flow,
 )
+from localcut.augmented import relative_quotient
 
 from gen import barbell, complete_graph, cycle_graph, random_instance
+from oracle import (
+    brute_min_conductance,
+    brute_min_cut_value,
+    brute_min_quotient,
+    eval_condition_41,
+)
 
 
 def test_min_conductance_barbell():
@@ -87,6 +91,25 @@ def test_min_cut_matches_exhaustive_subsets():
             for combo in itertools.combinations(range(g.n), r)
         )
         assert value == exhaustive
+
+
+def test_min_quotient_matches_exhaustive_subsets():
+    """The Gray-code scan agrees with enumerating subsets, and the quotient is the threshold."""
+    rng = random.Random(3)
+    for _ in range(25):
+        g, a, _, eps = random_instance(rng, nmax=8)
+        s, least = brute_min_quotient(g, a, eps)
+        quotients = {}
+        for r in range(1, g.n + 1):
+            for combo in itertools.combinations(range(g.n), r):
+                sub = VertexSet(g, combo)
+                q = relative_quotient(g, a, sub, eps)
+                if q is not None:
+                    quotients[combo] = q
+                    # the planted-set inequality holds exactly above the quotient
+                    assert not eval_condition_41(g, a, sub, q, eps)
+                    assert eval_condition_41(g, a, sub, q + Fraction(1, 10**6), eps)
+        assert least == min(quotients.values()) == quotients[s.ids]
 
 
 def test_condition_41_examples():

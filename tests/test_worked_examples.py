@@ -9,8 +9,6 @@ from localcut import (
     bfs_distances,
     blocking_flow,
     boundary_edges,
-    brute_min_conductance,
-    brute_min_cut_value,
     build,
     decompose_paths,
     local_flow,
@@ -19,6 +17,7 @@ from localcut import (
 from localcut.local_flow import SaturatedSet, update_saturated_set
 
 from gen import asym_barbell, barbell
+from oracle import brute_min_conductance, brute_min_cut_value
 
 
 def _dag_min_cut(arcs: dict[tuple[int, int], int], s, t) -> int:
