@@ -22,7 +22,7 @@ import numpy as np
 from .augmented import AugmentedGraph, relative_quotient
 from .errors import InvariantViolation, NotACertificateError, ParameterError
 from .flow import FlowState
-from .graphio import parse_rational
+from .graphio import parse_rational, parse_unsigned
 from .graphs import Graph, VertexSet, boundary_edges, induced_subgraph
 from .local_flow import iteration_bound
 
@@ -393,7 +393,8 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     seed vertex to a non-seed vertex, that amounts add to the declared
     full flow value, and the demand/congestion constraints. Returns a
     report; raises :class:`ParameterError`, naming the line, on unparseable
-    input or a vertex outside the graph.
+    input or a vertex outside the graph. Vertex ids and ``vol-a`` follow the
+    unsigned-decimal grammar of graph and seed files (:func:`parse_unsigned`).
     """
     header: dict[str, tuple[int, str]] = {}
     paths: list[tuple[tuple[int, ...], Fraction]] = []
@@ -406,13 +407,16 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
             header[key] = (lineno, rest)
             continue
         parts = rest.split()
+        tokens = parts[:-1]
         try:
             if len(parts) < 2:
                 raise ValueError
-            path, amount = tuple(int(v) for v in parts[:-1]), parse_rational(parts[-1])
+            # as in seed files, a minus sign before digits reads as an id out of range
+            path = tuple(parse_unsigned(v.removeprefix("-")) for v in tokens)
+            amount = parse_rational(parts[-1])
         except ValueError:
             raise ParameterError(f"certificate line {lineno}: malformed path line {ln!r}") from None
-        outside = [v for v in path if not 0 <= v < g.n]
+        outside = [tok for tok, v in zip(tokens, path) if tok[0] == "-" or v >= g.n]
         if outside:
             raise ParameterError(
                 f"certificate line {lineno}: vertex {outside[0]} out of range (n={g.n})"
@@ -424,7 +428,7 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
             raise ParameterError(f"certificate header misses {name!r}")
         lineno, text = header[name]
         try:
-            return parse(text)
+            return parse(text.strip())
         except ValueError:
             raise ParameterError(f"certificate line {lineno}: malformed {name} {text!r}") from None
 
@@ -436,7 +440,7 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
 
     alpha = field("alpha", alpha_in_range)
     eps = field("eps-sigma", lambda text: None if text == "inf" else parse_rational(text))
-    vol_a = field("vol-a", int)
+    vol_a = field("vol-a", parse_unsigned)
     flow_value = field("flow-value", parse_rational)
     violations: list[str] = []
     if vol_a != a.volume:

@@ -1,20 +1,30 @@
 """Residual-arc machinery, distance labels, blocking flow, and a Dinic solver.
 
 Arcs are paired directed half-arcs (arc ``i`` and ``i ^ 1`` are reverses),
-so a push updates both residuals in O(1) and antisymmetry is structural.
-All vertex-indexed state lives in dicts keyed by vertex id: a flow over a
-huge graph pays only for the vertices it actually materializes. A vertex is
-*opened* when its full adjacency is turned into arcs; vertices merely
-adjacent to opened ones get just their sink arc. Keeping the open set to
-the seed set plus the saturated set is exactly what makes the localized
-solvers local, while :func:`FlowState.open_all` materializes everything for
-the global reference solver.
+so a push updates both residuals in O(1). All vertex-indexed state lives in
+dicts keyed by vertex id: a flow over a huge graph pays only for the
+vertices it actually materializes. A vertex is *opened* when its full
+adjacency is turned into arcs; vertices merely adjacent to opened ones get
+just their sink arc. Keeping the open set to the seed set plus the
+saturated set is exactly what makes the localized solvers local, while
+:func:`FlowState.open_all` materializes everything for the global
+reference solver.
+
+One Dinic phase is :func:`bfs_distances` then :func:`blocking_flow`. The
+BFS labels every reachable vertex and, while it expands a vertex, keeps
+that vertex's residual arcs into the next layer in target-id order: its
+admissible arcs. The blocking flow walks only those lists, so it never
+re-tests a label. The lists hold the arcs as they were when the labels
+were computed; the solvers drop them once the phase's blocking flow is
+done (:meth:`DistanceLabels.release`), so at most one phase's lists are
+alive at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
+from itertools import islice
+from operator import add
 
 from .augmented import AugmentedGraph
 from .errors import InvariantViolation
@@ -34,7 +44,7 @@ class FlowState:
         "arcs_of",
         "_dirty",
         "opened",
-        "_has_sink_arc",
+        "_sink_done",
         "value",
         "touched_volume",
         "newly_saturated",
@@ -48,13 +58,20 @@ class FlowState:
         self.arcs_of: dict[int, list[int]] = {ag.source_id: [], ag.sink_id: []}
         self._dirty: set[int] = set()
         self.opened: set[int] = set()
-        self._has_sink_arc: set[int] = set()
+        # vertices that have their sink arc, or never get one (the seed)
+        self._sink_done: set[int] = set(ag.seed)
         self.value = 0
         self.touched_volume = 0
         self.newly_saturated: list[int] = []
         s = ag.source_id
-        for u in ag.seed:
-            self._add_pair(s, u, ag.source_cap(u), 0)
+        out_of_s = self.arcs_of[s]
+        for u in ag.seed:  # ascending, so every list starts sorted
+            a = len(self.arc_to)
+            self.arc_to += (u, s)
+            self.arc_cap += (ag.source_cap(u), 0)
+            self.arc_flow += (0, 0)
+            out_of_s.append(a)
+            self.arcs_of[u] = [a + 1]
         for u in ag.seed:
             self.open_vertex(u)
 
@@ -97,50 +114,77 @@ class FlowState:
         fs.arcs_of = {v: arcs[:] for v, arcs in self.arcs_of.items()}
         fs._dirty = set(self._dirty)
         fs.opened = set(self.opened)
-        fs._has_sink_arc = set(self._has_sink_arc)
+        fs._sink_done = set(self._sink_done)
         fs.value = self.value * factor
         fs.touched_volume = self.touched_volume
         fs.newly_saturated = self.newly_saturated[:]
         return fs
 
-    def _add_pair(self, u: int, v: int, cap_uv: int, cap_vu: int) -> int:
-        a = len(self.arc_to)
-        self.arc_to.append(v)
-        self.arc_to.append(u)
-        self.arc_cap.append(cap_uv)
-        self.arc_cap.append(cap_vu)
-        self.arc_flow.append(0)
-        self.arc_flow.append(0)
-        lu = self.arcs_of.get(u)
-        if lu is None:
-            lu = self.arcs_of[u] = []
-        lu.append(a)
-        lv = self.arcs_of.get(v)
-        if lv is None:
-            lv = self.arcs_of[v] = []
-        lv.append(a + 1)
-        self._dirty.add(u)
-        self._dirty.add(v)
-        return a
-
-    def _ensure_sink_arc(self, v: int) -> None:
-        if v in self._has_sink_arc or v in self.ag.seed:
-            return
-        self._has_sink_arc.add(v)
-        self._add_pair(v, self.ag.sink_id, self.ag.sink_cap(v), 0)
-
     def open_vertex(self, v: int) -> None:
-        """Materialize all of ``v``'s edges; count its volume as touched."""
-        if v in self.opened:
+        """Materialize all of ``v``'s edges; count its volume as touched.
+
+        Each distinct neighbor not yet opened gets one edge pair of capacity
+        multiplicity times ``edge_cap_unit`` each way, appended in neighbor
+        order and followed by the neighbor's sink pair when it has none yet;
+        ``v``'s own sink pair comes last.
+        """
+        opened = self.opened
+        if v in opened:
             return
         ag = self.ag
         ce = ag.edge_cap_unit
-        opened = self.opened
-        for w, mult in ag.graph.neighbor_multiplicities(v):
-            if w not in opened:
-                self._add_pair(v, w, mult * ce, mult * ce)
-                self._ensure_sink_arc(w)
-        self._ensure_sink_arc(v)
+        t = ag.sink_id
+        to = self.arc_to
+        cap = self.arc_cap
+        arcs_of = self.arcs_of
+        dirty = self._dirty
+        sink_done = self._sink_done
+        into_t = arcs_of[t]
+        out_of_v = arcs_of.get(v)
+        if out_of_v is None:
+            out_of_v = arcs_of[v] = []
+        first = a = len(to)
+        prev = edge = -1
+        # the adjacency is sorted, so parallel edges are consecutive: each
+        # repeat widens the pair of its first copy, which ends at mult * ce
+        for w in ag.graph.adjacent(v):
+            if w == prev:
+                if edge >= 0:
+                    cap[edge] += ce
+                    cap[edge + 1] += ce
+                continue
+            prev = w
+            if w in opened:
+                edge = -1
+                continue
+            edge = a
+            to += (w, v)
+            cap += (ce, ce)
+            out_of_v.append(a)
+            out_of_w = arcs_of.get(w)
+            if out_of_w is None:
+                out_of_w = arcs_of[w] = []
+            out_of_w.append(a + 1)
+            dirty.add(w)
+            a += 2
+            if w not in sink_done:
+                sink_done.add(w)
+                to += (t, w)
+                cap += (ag.sink_cap(w), 0)
+                out_of_w.append(a)
+                into_t.append(a + 1)
+                a += 2
+        if v not in sink_done:
+            sink_done.add(v)
+            to += (t, v)
+            cap += (ag.sink_cap(v), 0)
+            out_of_v.append(a)
+            into_t.append(a + 1)
+            a += 2
+        if a > first:
+            self.arc_flow += [0] * (a - first)
+            dirty.add(v)
+            dirty.add(t)
         opened.add(v)
         self.touched_volume += ag.graph.degree(v)
 
@@ -148,17 +192,6 @@ class FlowState:
         """Materialize every vertex; used by the global reference solver."""
         for v in range(self.ag.graph.n):
             self.open_vertex(v)
-
-    def sorted_arcs(self, v: int) -> list[int]:
-        """Arc ids out of ``v`` in target-id order (deterministic traversal)."""
-        arcs = self.arcs_of.get(v)
-        if arcs is None:
-            return []
-        if v in self._dirty:
-            to = self.arc_to
-            arcs.sort(key=lambda a: to[a])
-            self._dirty.discard(v)
-        return arcs
 
     def residual(self, a: int) -> int:
         return self.arc_cap[a] - self.arc_flow[a]
@@ -178,6 +211,7 @@ class FlowState:
         return 0
 
     def push(self, a: int, amount: int) -> None:
+        """Push ``amount`` along arc ``a``; :func:`blocking_flow` inlines this."""
         flow = self.arc_flow
         flow[a] += amount
         flow[a ^ 1] -= amount
@@ -195,38 +229,55 @@ class FlowState:
         return Fraction(self.value, self.ag.scale)
 
     def check_conservation(self) -> None:
-        """Assert flow conservation at every materialized vertex."""
-        net: dict[int, int] = {}
-        for a in range(0, len(self.arc_to), 2):
-            f = self.arc_flow[a]
-            if f:
-                u = self.arc_to[a ^ 1]
-                v = self.arc_to[a]
-                net[u] = net.get(u, 0) + f
-                net[v] = net.get(v, 0) - f
+        """Assert antisymmetry of every arc pair and conservation at every materialized vertex.
+
+        With antisymmetry, the flow summed over the arcs out of a vertex is
+        its net outflow: zero inside, the flow value at the source and its
+        negation at the sink.
+        """
+        flow = self.arc_flow
+        if any(map(add, islice(flow, 0, None, 2), islice(flow, 1, None, 2))):
+            a = next(a for a in range(0, len(flow), 2) if flow[a] + flow[a + 1])
+            raise InvariantViolation(
+                f"arc pair {a} is not antisymmetric: {flow[a]} and {flow[a + 1]}"
+            )
         s, t = self.ag.source_id, self.ag.sink_id
-        for v, excess in net.items():
-            if v == s or v == t:
-                continue
-            if excess != 0:
+        flow_of = flow.__getitem__
+        for v, arcs in self.arcs_of.items():
+            excess = sum(map(flow_of, arcs))
+            if excess and v != s and v != t:
                 raise InvariantViolation(f"conservation violated at vertex {v}: {excess}")
-        if net.get(s, 0) != self.value or net.get(t, 0) != -self.value:
+        if (
+            sum(map(flow_of, self.arcs_of[s])) != self.value
+            or sum(map(flow_of, self.arcs_of[t])) != -self.value
+        ):
             raise InvariantViolation("flow value disagrees with source/sink excess")
 
 
 class DistanceLabels:
-    """Unit-length shortest-path labels from the source over residual arcs."""
+    """Unit-length shortest-path labels from the source over residual arcs.
 
-    __slots__ = ("dist",)
+    ``admissible`` maps each vertex the BFS expanded before it dequeued the
+    sink (all vertices below the sink's layer among them) to its residual
+    arcs into the next layer, in target-id order; vertices with none are
+    absent. It is ``None`` once released.
+    """
 
-    def __init__(self, dist: dict[int, int]):
+    __slots__ = ("dist", "admissible")
+
+    def __init__(self, dist: dict[int, int], admissible: dict[int, list[int]]):
         self.dist = dist
+        self.admissible: dict[int, list[int]] | None = admissible
 
     def d(self, v: int) -> int | None:
         return self.dist.get(v)
 
     def sink_distance(self, fs: FlowState) -> int | None:
         return self.dist.get(fs.ag.sink_id)
+
+    def release(self) -> None:
+        """Drop the admissible lists; only ``dist`` is needed after the phase."""
+        self.admissible = None
 
     def layers(self, fs: FlowState) -> dict[int, list[int]]:
         """Base-graph vertices grouped by label, each group sorted."""
@@ -241,49 +292,91 @@ class DistanceLabels:
 
 
 def bfs_distances(fs: FlowState) -> DistanceLabels:
-    """Shortest-path labels from ``s`` over positive-residual arcs.
+    """Shortest-path labels from ``s`` over positive-residual arcs, with admissible arcs.
 
     The lazily built arc structure confines the search to the materialized
-    subgraph; the sink is labeled but never expanded.
+    subgraph; the sink is labeled but never expanded. Each vertex's arcs
+    are scanned in target-id order, and those into the next layer are kept
+    as its admissible list. Vertices dequeued after the sink sit at or
+    beyond its layer and keep no list: no blocking-flow path enters them.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
     dist: dict[int, int] = {s: 0}
-    dq: deque[int] = deque([s])
+    admissible: dict[int, list[int]] = {}
     to = fs.arc_to
     cap = fs.arc_cap
     flow = fs.arc_flow
-    while dq:
-        u = dq.popleft()
+    arcs_of = fs.arcs_of
+    dirty = fs._dirty
+    by_target = to.__getitem__
+    order = [s]  # the BFS queue: the loops read it while it grows
+    queue = iter(order)
+    for u in queue:
         if u == t:
-            continue
-        dv = dist[u] + 1
-        for a in fs.sorted_arcs(u):
+            break
+        du = dist[u] + 1
+        arcs = arcs_of[u]
+        if u in dirty:
+            arcs.sort(key=by_target)
+            dirty.discard(u)
+        out = []
+        for a in arcs:
             if cap[a] > flow[a]:
                 v = to[a]
                 if v not in dist:
-                    dist[v] = dv
-                    dq.append(v)
-    return DistanceLabels(dist)
+                    dist[v] = du
+                    order.append(v)
+                    out.append(a)
+                elif dist[v] == du:
+                    out.append(a)
+        if out:
+            admissible[u] = out
+    # everything queued after the sink sits at or beyond its layer: label only
+    for u in queue:
+        du = dist[u] + 1
+        arcs = arcs_of[u]
+        if u in dirty:
+            arcs.sort(key=by_target)
+            dirty.discard(u)
+        for a in arcs:
+            if cap[a] > flow[a]:
+                v = to[a]
+                if v not in dist:
+                    dist[v] = du
+                    order.append(v)
+    return DistanceLabels(dist, admissible)
 
 
 def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:
     """Saturate the admissible graph of ``labels`` with a current-arc DFS.
 
-    Admissible arcs advance the label by exactly one; the DFS retires each
-    arc at most once per call. Returns ``(pushed, blocked)`` where
-    ``blocked`` means the sink was unreachable on entry and nothing could
-    be pushed.
+    The DFS walks the admissible lists that :func:`bfs_distances` left in
+    ``labels``, re-checking only residual capacity and dead ends; at the
+    sink's last layer only the sink arc advances. It takes the same arcs in
+    the same order as a DFS that scans every arc and tests labels, so it
+    pushes the same flow. Each push is applied in place, with the capacity
+    check of :meth:`FlowState.push`. The lists are left intact: a second
+    call on the same labels finds no admissible path and pushes nothing.
+    Returns ``(pushed, blocked)`` where ``blocked`` means the sink was
+    unreachable on entry and nothing could be pushed.
+
+    Raises:
+        InvariantViolation: if the labels were released, or a push would
+            exceed an arc's capacity.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
-    dist = labels.dist
-    if t not in dist:
+    dt = labels.dist.get(t)
+    if dt is None:
         return 0, True
-    dt = dist[t]
+    admissible = labels.admissible
+    if admissible is None:
+        raise InvariantViolation("blocking flow on released labels")
     to = fs.arc_to
     cap = fs.arc_cap
     flow = fs.arc_flow
+    last = dt - 1  # the depth, and so the label, of the layer below the sink
     ptr: dict[int, int] = {}
     dead: set[int] = set()
     path: list[int] = []
@@ -291,42 +384,50 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:
     v = s
     while True:
         if v == t:
-            bottleneck = min(cap[a] - flow[a] for a in path)
-            for a in path:
-                fs.push(a, bottleneck)
-            total += bottleneck
+            bottleneck = min([cap[a] - flow[a] for a in path])
+            cut = None
             for i, a in enumerate(path):
-                if cap[a] == flow[a]:
-                    del path[i:]
-                    break
+                f = flow[a] + bottleneck
+                c = cap[a]
+                if f > c:
+                    raise InvariantViolation("push exceeded arc capacity")
+                flow[a] = f
+                flow[a ^ 1] -= bottleneck
+                if f == c and cut is None:
+                    cut = i
+            total += bottleneck
+            a = path[-1]  # the sink arc
+            if flow[a] == cap[a]:
+                fs.newly_saturated.append(to[a ^ 1])
+            del path[cut:]
             v = to[path[-1]] if path else s
             continue
-        arcs = fs.sorted_arcs(v)
-        i = ptr.get(v, 0)
-        dv = dist.get(v)
-        advanced = False
-        while i < len(arcs):
-            a = arcs[i]
-            w = to[a]
-            if (
-                cap[a] > flow[a]
-                and w not in dead
-                and dist.get(w) == dv + 1
-                and (w == t or dist[w] < dt)
-            ):
+        arcs = admissible.get(v, ())
+        if len(path) < last:
+            i = ptr.get(v, 0)
+            end = len(arcs)
+            while i < end:
+                a = arcs[i]
+                if cap[a] > flow[a] and to[a] not in dead:
+                    break
+                i += 1
+            if i < end:
                 ptr[v] = i
                 path.append(a)
-                v = w
-                advanced = True
-                break
-            i += 1
-        if not advanced:
-            ptr[v] = i
-            if v == s:
-                break
-            dead.add(v)
-            a = path.pop()
-            v = to[a ^ 1]
+                v = to[a]
+                continue
+        elif arcs:
+            # only the sink arc advances here; it sorts last, as t has the largest id
+            a = arcs[-1]
+            if to[a] == t and cap[a] > flow[a]:
+                path.append(a)
+                v = t
+                continue
+        if v == s:
+            break
+        dead.add(v)
+        v = to[path.pop() ^ 1]
+    fs.value += total
     return total, False
 
 
@@ -375,6 +476,7 @@ def global_max_flow(ag: AugmentedGraph, validate: bool = True) -> tuple[FlowStat
         if t not in labels.dist:
             break
         pushed, _ = blocking_flow(fs, labels)
+        labels.release()
         if pushed == 0:
             raise InvariantViolation("reachable sink but nothing pushed")
         if validate:

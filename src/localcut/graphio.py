@@ -54,6 +54,7 @@ __all__ = [
     "load_metis",
     "load_vertex_set",
     "parse_rational",
+    "parse_unsigned",
     "MAX_IDS_PER_EDGE",
     "MAX_RATIONAL_DIGITS",
 ]
@@ -105,6 +106,23 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text.strip()!r}")
     value = Fraction(int(num), int(den)) * Fraction(10) ** (int(exp) - shift)
     return -value if sign == "-" else value
+
+
+def parse_unsigned(text: str) -> int:
+    """Parse an unsigned decimal integer in the graph and seed file grammar.
+
+    Only ASCII digits: no sign, underscore, surrounding space or other
+    script's digits, all of which ``int`` accepts. At most
+    ``MAX_RATIONAL_DIGITS`` significant digits.
+
+    Raises:
+        ValueError: on anything else; the message says which.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not an unsigned decimal integer: {text!r}")
+    if len(text.lstrip("0")) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"integer {text[:40]!r} has more than {MAX_RATIONAL_DIGITS} digits")
+    return int(text)
 
 
 def _blocks(source: str | os.PathLike | bytes) -> Iterator[bytes]:

@@ -224,12 +224,8 @@ def volume(g: Graph, s: VertexSet | Iterable[int]) -> int:
 
 def boundary_edges(g: Graph, s: VertexSet) -> int:
     """Number of edges with exactly one endpoint in ``s``, with multiplicity."""
-    count = 0
-    for u in s:
-        for v in g.adjacent(u):
-            if v not in s:
-                count += 1
-    return count
+    inside = s._members.__contains__
+    return sum(g.degree(u) - sum(map(inside, g.adjacent(u))) for u in s._ids)
 
 
 def conductance(g: Graph, s: VertexSet) -> Fraction:

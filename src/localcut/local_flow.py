@@ -334,7 +334,8 @@ def _localized_dinic(
     Each phase labels the materialized residual graph, saturates its
     admissible arcs, and opens the vertices whose sink arcs filled. With
     ``validate`` every phase checks layer containment, label monotonicity
-    within the exact zone, sink-distance growth and flow conservation.
+    within the exact zone, sink-distance growth and flow antisymmetry and
+    conservation.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
     result's flow and saturated set, rescaled to ``ag``'s scale, which must
@@ -393,6 +394,7 @@ def _localized_dinic(
             break
         stats.sink_distance_trace.append(labels.dist[t])
         pushed, _ = local_blocking_flow(fs, bs, labels)
+        labels.release()
         if pushed == 0:
             raise InvariantViolation("reachable sink but blocking flow pushed nothing")
         stats.phases += 1

@@ -9,6 +9,7 @@ guarantees belong to the improvement stage.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,7 @@ class ApprConfig:
         if self.r_max is not None:
             return self.r_max
         cap = self.volume_cap if self.volume_cap is not None else max(1, g.m)
-        return 1.0 / (10.0 * cap)
+        return 1 / (10 * cap)
 
 
 def appr_push(
@@ -55,15 +56,23 @@ def appr_push(
     indicator is returned instead so the vector always has support.
     ``return_residual`` additionally exposes the exit residuals for
     diagnostics.
+
+    Raises:
+        ParameterError: on a seed vertex out of range, ``beta`` outside
+            (0, 1), ``volume_cap`` below 1, or an ``r_max`` (given, or
+            resolved from ``volume_cap``) that is not finite and positive.
     """
     cfg = cfg or ApprConfig()
     if not 0 <= seed_vertex < g.n:
         raise ParameterError(f"seed vertex {seed_vertex} out of range")
     if not 0.0 < cfg.beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {cfg.beta}")
+    if cfg.volume_cap is not None and cfg.volume_cap < 1:
+        raise ParameterError(f"volume_cap must be at least 1, got {cfg.volume_cap}")
     r_max = cfg.resolved_r_max(g)
-    if r_max <= 0:
-        raise ParameterError(f"r_max must be positive, got {r_max}")
+    if not 0.0 < r_max < math.inf:
+        source = "" if cfg.r_max is not None else f" (from volume_cap {cfg.volume_cap})"
+        raise ParameterError(f"r_max must be finite and positive, got {r_max}{source}")
     beta = cfg.beta
     scores: dict[int, float] = {}
     residual: dict[int, float] = {seed_vertex: 1.0}

@@ -1,21 +1,29 @@
-"""Brute-force reference implementations for the test suite.
+"""Reference implementations for the test suite.
 
 Exhaustive enumerations over all vertex subsets, hard-capped at 20
 vertices. Subset scans walk a Gray code so each step updates the boundary
 count and volumes in O(1) big-int operations.
+
+:func:`reference_bfs_distances` and :func:`reference_blocking_flow` are
+one Dinic phase written plainly: every arc of a vertex is scanned and its
+label tested, with no admissible lists. The engine in
+:mod:`localcut.flow` must match them phase by phase.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
-from localcut import AugmentedGraph, Graph, ParameterError, VertexSet
+from localcut import AugmentedGraph, FlowState, Graph, ParameterError, VertexSet
 
 __all__ = [
     "brute_min_conductance",
     "brute_min_cut_value",
     "brute_min_quotient",
     "eval_condition_41",
+    "reference_bfs_distances",
+    "reference_blocking_flow",
 ]
 
 _MAX_N = 20
@@ -209,3 +217,88 @@ def eval_condition_41(
             return False
         return Fraction(cross) < Fraction(alpha) * inter
     return Fraction(cross) < Fraction(alpha) * (inter - Fraction(eps) * outside)
+
+
+def _sorted_arcs(fs: FlowState, v: int) -> list[int]:
+    """Arcs out of ``v`` in target-id order, sorted afresh on every call."""
+    return sorted(fs.arcs_of.get(v, ()), key=fs.arc_to.__getitem__)
+
+
+def reference_bfs_distances(fs: FlowState) -> dict[int, int]:
+    """Unit labels from the source over positive-residual arcs, in BFS discovery order.
+
+    Each vertex's arcs are scanned in target-id order; the sink is labeled
+    but never expanded.
+    """
+    s = fs.ag.source_id
+    t = fs.ag.sink_id
+    dist: dict[int, int] = {s: 0}
+    dq: deque[int] = deque([s])
+    while dq:
+        u = dq.popleft()
+        if u == t:
+            continue
+        dv = dist[u] + 1
+        for a in _sorted_arcs(fs, u):
+            if fs.arc_cap[a] > fs.arc_flow[a]:
+                v = fs.arc_to[a]
+                if v not in dist:
+                    dist[v] = dv
+                    dq.append(v)
+    return dist
+
+
+def reference_blocking_flow(fs: FlowState, dist: dict[int, int]) -> int:
+    """Saturate the admissible graph of ``dist`` with a current-arc DFS; return the amount pushed.
+
+    An arc is admissible when it has residual capacity, leads to a vertex
+    that is not a dead end, raises the label by exactly one, and ends at
+    the sink or below its label. Every push goes through
+    :meth:`FlowState.push`.
+    """
+    s = fs.ag.source_id
+    t = fs.ag.sink_id
+    if t not in dist:
+        return 0
+    dt = dist[t]
+    to, cap, flow = fs.arc_to, fs.arc_cap, fs.arc_flow
+    ptr: dict[int, int] = {}
+    dead: set[int] = set()
+    path: list[int] = []
+    total = 0
+    v = s
+    while True:
+        if v == t:
+            bottleneck = min(cap[a] - flow[a] for a in path)
+            for a in path:
+                fs.push(a, bottleneck)
+            total += bottleneck
+            for i, a in enumerate(path):
+                if cap[a] == flow[a]:
+                    del path[i:]
+                    break
+            v = to[path[-1]] if path else s
+            continue
+        arcs = _sorted_arcs(fs, v)
+        i = ptr.get(v, 0)
+        dv = dist.get(v)
+        while i < len(arcs):
+            a = arcs[i]
+            w = to[a]
+            if (
+                cap[a] > flow[a]
+                and w not in dead
+                and dist.get(w) == dv + 1
+                and (w == t or dist[w] < dt)
+            ):
+                break
+            i += 1
+        ptr[v] = i
+        if i < len(arcs):
+            path.append(arcs[i])
+            v = to[arcs[i]]
+            continue
+        if v == s:
+            return total
+        dead.add(v)
+        v = to[path.pop() ^ 1]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gen import ring_of_cliques
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
-from localcut.graphio import parse_rational
+from localcut.graphio import parse_rational, parse_unsigned
 
 
 def run(capsys, *argv):
@@ -197,6 +197,32 @@ def test_seed_multiple_jobs(capsys, fixtures_dir):
     assert json.loads(lines[1])["seed"] == 4
 
 
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--volume-cap", "0", "volume_cap"),
+        ("--volume-cap", "-3", "volume_cap"),
+        ("--volume-cap", "1" + "0" * 400, "volume_cap"),
+        ("--r-max", "nan", "r_max"),
+        ("--r-max", "inf", "r_max"),
+        ("--r-max", "0", "r_max"),
+        ("--r-max", "-1", "r_max"),
+        ("--beta", "nan", "beta"),
+        ("--beta", "inf", "beta"),
+    ],
+)
+def test_seed_bad_parameter_exits_2(capsys, fixtures_dir, option, value, named):
+    code, out, err = run(
+        capsys,
+        "seed",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed", "0",
+        option, value,
+    )
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and named in err
+
+
 def test_metis_input(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -239,6 +265,12 @@ def test_certify_check_reads_back_ring_certificate(capsys, tmp_path):
         ("path 30 99999 1", "certificate line 5: vertex 99999 out of range (n=1000)"),
         ("path 30 -2 1", "certificate line 5: vertex -2 out of range (n=1000)"),
         ("path 30 41 1/0", "certificate line 5: malformed path line 'path 30 41 1/0'"),
+        # vertex ids follow the seed-file grammar, not int()'s
+        ("path +30 41 1", "certificate line 5: malformed path line 'path +30 41 1'"),
+        ("path 30 4_1 1", "certificate line 5: malformed path line 'path 30 4_1 1'"),
+        ("path 30 \u0664\u0661 1", "certificate line 5: malformed path line 'path 30 \u0664\u0661 1'"),
+        ("path 30 --1 1", "certificate line 5: malformed path line 'path 30 --1 1'"),
+        ("path 30 -0 1", "certificate line 5: vertex -0 out of range (n=1000)"),
     ],
 )
 def test_certify_check_malformed_certificate_exits_2(capsys, tmp_path, bad_line, message):
@@ -247,7 +279,7 @@ def test_certify_check_malformed_certificate_exits_2(capsys, tmp_path, bad_line,
     run(capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file))
     lines = cert_file.read_text().splitlines()
     lines.insert(4, bad_line)
-    cert_file.write_text("\n".join(lines) + "\n")
+    cert_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
     assert err.strip() == f"error: {message}"
@@ -260,6 +292,18 @@ def test_certify_check_malformed_header_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
     assert "certificate line 1: malformed alpha 'one'" in err
+
+
+@pytest.mark.parametrize("vol_a", ["+14", "1_4", "\u0661\u0664", "-14", "14.0", "1" * 65])
+def test_certify_check_malformed_vol_a_exits_2(capsys, tmp_path, vol_a):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text(
+        f"alpha 1/64\neps-sigma inf\nvol-a {vol_a}\nflow-value 1\npath 30 41 1\n", encoding="utf-8"
+    )
+    code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert code == EXIT_INPUT_ERROR
+    assert f"certificate line 3: malformed vol-a {vol_a!r}" in err
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1/2", "3/2", "1e99999"])
@@ -335,6 +379,14 @@ def test_parse_rational_grammar():
     for text in ("1e999999999", "1/0", "", ".", "e5", "1/2.", "1_0", "inf", "1 /2", "1e65"):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def test_parse_unsigned_grammar():
+    for text, value in (("0", 0), ("007", 7), ("0" * 80 + "12", 12), ("9" * 64, int("9" * 64))):
+        assert parse_unsigned(text) == value
+    for text in ("", "+1", "-1", "1_0", " 1", "1 ", "\u0661", "\u00b2", "1.0", "9" * 65):
+        with pytest.raises(ValueError):
+            parse_unsigned(text)
 
 
 def test_out_of_bound_argument_is_named(capsys, fixtures_dir):

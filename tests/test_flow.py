@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from localcut import (
     FlowState,
+    InvariantViolation,
     VertexSet,
     bfs_distances,
     blocking_flow,
@@ -161,3 +164,33 @@ def test_blocking_flow_blocks_admissible_graph():
         fresh = bfs_distances(fs)
         dt = fresh.dist.get(ag.sink_id)
         assert dt is None or dt > labels.dist[ag.sink_id]
+
+
+def _edge_arc(fs, u, v):
+    """The forward arc of the edge pair ``u -> v`` (opened from ``u``)."""
+    arc = next(x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
+    assert arc % 2 == 0
+    return arc
+
+
+def test_conservation_catches_a_corrupted_reverse_arc():
+    _, _, _, fs = tri_state()
+    fs.check_conservation()
+    fs.arc_flow[_edge_arc(fs, 0, 1) ^ 1] -= 1
+    with pytest.raises(InvariantViolation, match="not antisymmetric"):
+        fs.check_conservation()
+
+
+def test_conservation_catches_an_interior_imbalance():
+    _, _, _, fs = tri_state()
+    fs.push(_edge_arc(fs, 0, 1), 1)
+    with pytest.raises(InvariantViolation, match="conservation violated at vertex 0: 1"):
+        fs.check_conservation()
+
+
+def test_blocking_flow_refuses_released_labels():
+    _, _, ag, fs = tri_state()
+    labels = bfs_distances(fs)
+    labels.release()
+    with pytest.raises(InvariantViolation, match="released"):
+        blocking_flow(fs, labels)

@@ -1,3 +1,4 @@
+import importlib
 import io
 import math
 import random
@@ -24,8 +25,10 @@ from localcut import (
     local_flow_exact,
     verify_bidemand_routing,
 )
+from localcut import flow as flow_module
 from localcut.augmented import least_scale, sink_factor_for_overlap
 from localcut.certify import BiDemand, validate_certificate, write_certificate
+from localcut.improve import local_improve
 from localcut.local_flow import (
     SaturatedSet,
     local_blocking_flow,
@@ -33,8 +36,18 @@ from localcut.local_flow import (
     update_saturated_set,
 )
 
-from gen import asym_barbell, barbell, random_instance, ring_of_cliques
-from oracle import brute_min_cut_value
+from gen import (
+    asym_barbell,
+    barbell,
+    perturb_to_overlap,
+    random_instance,
+    ring_of_cliques,
+    two_cluster_graph,
+)
+from oracle import brute_min_cut_value, reference_bfs_distances, reference_blocking_flow
+
+# the module; the package attribute of the same name is the re-exported function
+local_flow_module = importlib.import_module("localcut.local_flow")
 
 
 def test_iteration_bound_examples():
@@ -320,3 +333,102 @@ def test_resume_refuses_a_higher_alpha_or_a_foreign_scale():
         local_flow(g, a, Fraction(1, 4), Fraction(1, 5), start=start)
     with pytest.raises(InvariantViolation, match="scale 3 is not a multiple of 15"):
         local_flow_exact(g, a, Fraction(1, 3), Fraction(1, 3), start=start)
+
+
+# the engine against the plain reference, phase by phase ----------------------
+
+
+def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
+    """Check every phase the solvers in ``module`` run against the reference phase.
+
+    Each BFS must give the reference labels in the same discovery order.
+    Each blocking flow is first run by the reference on the same state,
+    which is then restored; the engine's run must push the same amount and
+    leave the same arc flows, flow value and newly saturated vertices, in
+    the same order. ``pushes`` collects the amount of every phase.
+    """
+    real_bfs = module.bfs_distances
+    real_blocking = module.blocking_flow
+
+    def bfs(fs):
+        want = reference_bfs_distances(fs)
+        labels = real_bfs(fs)
+        assert list(labels.dist.items()) == list(want.items())
+        return labels
+
+    def blocking(fs, labels):
+        before = (fs.arc_flow[:], fs.value, fs.newly_saturated[:])
+        want_pushed = reference_blocking_flow(fs, labels.dist)
+        want = (want_pushed, fs.arc_flow[:], fs.value, fs.newly_saturated[:])
+        fs.arc_flow[:], fs.value, fs.newly_saturated[:] = before
+        pushed, blocked = real_blocking(fs, labels)
+        assert (pushed, fs.arc_flow, fs.value, fs.newly_saturated) == want
+        pushes.append(pushed)
+        return pushed, blocked
+
+    mp.setattr(module, "bfs_distances", bfs)
+    mp.setattr(module, "blocking_flow", blocking)
+
+
+def _run_in_lockstep(g, a, alpha, eps) -> int:
+    """Both localized solvers and the global solver in lockstep; returns the phase count."""
+    pushes: list[int] = []
+    with pytest.MonkeyPatch.context() as mp:
+        _lockstep(mp, local_flow_module, pushes)
+        _lockstep(mp, flow_module, pushes)
+        local_flow(g, a, alpha, eps)
+        local_flow_exact(g, a, alpha, eps)
+        global_max_flow(build(g, a, alpha, eps))
+    return len(pushes)
+
+
+def test_engine_matches_reference_phase_by_phase(small_suite):
+    phases = sum(_run_in_lockstep(*instance) for instance in small_suite)
+    assert phases > 1500
+    # improvement searches resume earlier flows; a planted instance has deep layers
+    rng = random.Random(5150)
+    g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
+    a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
+    cases = [(g, a, sink_factor_for_overlap(Fraction(2, 3)))]
+    cases += [(g, a, eps) for g, a, _, eps in small_suite[:60]]
+    pushes: list[int] = []
+    with pytest.MonkeyPatch.context() as mp:
+        _lockstep(mp, local_flow_module, pushes)
+        for g, a, eps in cases:
+            for solver in ("approx", "exact"):
+                local_improve(g, a, eps, solver=solver)
+    assert len(pushes) > 200
+
+
+@given(small_flow_instances())
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_on_generated_instances(instance):
+    _run_in_lockstep(*instance)
+
+
+def test_admissible_lists_released_before_next_bfs(small_suite):
+    """No labels of an earlier phase still hold admissible lists when the next BFS starts."""
+    made = []
+
+    def spy(real):
+        def bfs(fs):
+            assert all(labels.admissible is None for labels in made)
+            made.append(real(fs))
+            return made[-1]
+
+        return bfs
+
+    multi_phase = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_flow_module, "bfs_distances", spy(local_flow_module.bfs_distances))
+        mp.setattr(flow_module, "bfs_distances", spy(flow_module.bfs_distances))
+        for g, a, alpha, eps in small_suite[:100]:
+            for run in (
+                lambda: local_flow(g, a, alpha, eps),
+                lambda: local_flow_exact(g, a, alpha, eps),
+                lambda: global_max_flow(build(g, a, alpha, eps)),
+            ):
+                made.clear()
+                run()
+                multi_phase += len(made) > 2
+    assert multi_phase > 50
