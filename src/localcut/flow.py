@@ -5,9 +5,10 @@ so a push updates both residuals in O(1). All vertex-indexed state lives in
 dicts keyed by vertex id: a flow over a huge graph pays only for the
 vertices it actually materializes. A vertex is *opened* when its full
 adjacency is turned into arcs; vertices merely adjacent to opened ones get
-just their sink arc. Keeping the open set to the seed set plus the
-saturated set is exactly what makes the localized solvers local, while
-:func:`FlowState.open_all` materializes everything for the global
+just their sink arc. The localized solvers open the seed set and then
+each vertex whose sink arc fills, so ``FlowState.opened`` is the seed set
+plus the saturated set; keeping it so is exactly what makes them local,
+while :func:`FlowState.open_all` materializes everything for the global
 reference solver.
 
 One Dinic phase is :func:`bfs_distances` then :func:`blocking_flow`. The
@@ -193,9 +194,6 @@ class FlowState:
         for v in range(self.ag.graph.n):
             self.open_vertex(v)
 
-    def residual(self, a: int) -> int:
-        return self.arc_cap[a] - self.arc_flow[a]
-
     def residual_capacity(self, u: int, v: int) -> int:
         """Residual capacity from ``u`` to ``v``; 0 if no arc pair exists."""
         for a in self.arcs_of.get(u, ()):
@@ -268,12 +266,6 @@ class DistanceLabels:
     def __init__(self, dist: dict[int, int], admissible: dict[int, list[int]]):
         self.dist = dist
         self.admissible: dict[int, list[int]] | None = admissible
-
-    def d(self, v: int) -> int | None:
-        return self.dist.get(v)
-
-    def sink_distance(self, fs: FlowState) -> int | None:
-        return self.dist.get(fs.ag.sink_id)
 
     def release(self) -> None:
         """Drop the admissible lists; only ``dist`` is needed after the phase."""

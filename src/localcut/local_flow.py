@@ -2,11 +2,15 @@
 
 The solver runs blocking-flow phases while materializing only the seed
 set, the saturated set (non-seed vertices whose sink arc filled up), and
-their immediate frontier. If a phase ever fails to augment, the flow is an
-exact maximum flow and the residual reachability is a minimum cut. If the
-phase budget runs out first, the best layer cut of the final residual
-distance labels is returned instead; its conductance is below twice the
-capacity parameter whenever the budget was the configured one.
+their immediate frontier. The flow state's opened set is the seed plus
+the saturated set and the only record of either: a vertex joins the
+saturated set by being opened (:func:`update_saturated_set`).
+
+If a phase ever fails to augment, the flow is an exact maximum flow and
+the residual reachability is a minimum cut. If the phase budget runs out
+first, the best layer cut of the final residual distance labels is
+returned instead; its conductance is below twice the capacity parameter
+whenever the budget was the configured one.
 
 The exact solver (:func:`localcut.exact_flow.local_flow_exact`) is the
 same loop with no budget. It terminates because every phase raises the
@@ -31,10 +35,9 @@ from .flow import DistanceLabels, FlowState, bfs_distances, blocking_flow, check
 from .graphs import Graph, VertexSet
 
 __all__ = [
-    "SaturatedSet",
+    "SaturatedRecord",
     "LayerCutResult",
     "LocalFlowResult",
-    "local_blocking_flow",
     "update_saturated_set",
     "iteration_bound",
     "phase_budget",
@@ -42,96 +45,37 @@ __all__ = [
 ]
 
 
-class SaturatedSet:
-    """Monotone set of opened non-seed vertices whose sink arcs are saturated.
+def update_saturated_set(fs: FlowState) -> list[int]:
+    """Open the frontier vertices whose sink arc just filled; they join the saturated set.
 
-    A sink arc that fills on the push completing a full-value flow stays
-    out: no phase follows, so opening its vertex would be wasted work.
+    The saturated set is ``fs.opened`` minus the seed, so opening a vertex
+    is what adds it, and its edges join the local view. Returns the newly
+    opened vertices (sorted). Once the flow has its full value no phase can
+    follow, so nothing is opened: a sink arc that fills on the push
+    completing the flow stays out of the set.
+
+    Raises:
+        InvariantViolation: if the saturated volume exceeds ``vol(A)/eps``.
+            Each member absorbed ``eps * deg`` units of a flow of at most
+            ``vol(A)``, and a clamped sink (capacity ``vol(A)``) fills only
+            as the flow completes, so this would indicate a flow bug.
     """
-
-    __slots__ = ("ag", "members", "volume")
-
-    def __init__(self, ag: AugmentedGraph):
-        self.ag = ag
-        self.members: set[int] = set()
-        self.volume = 0
-
-    def add(self, v: int) -> None:
-        if v in self.ag.seed:
-            raise InvariantViolation(f"seed vertex {v} cannot enter the saturated set")
-        if v not in self.members:
-            self.members.add(v)
-            self.volume += self.ag.graph.degree(v)
-
-    def resumed(self, ag: AugmentedGraph) -> SaturatedSet:
-        """A copy for the flow resumed on ``ag`` (see :meth:`FlowState.resumed`).
-
-        Resuming keeps every sink arc saturated and leaves the seed set and
-        sink factor alone, so the members and their volume carry over.
-        """
-        out = SaturatedSet(ag)
-        out.members = set(self.members)
-        out.volume = self.volume
-        return out
-
-    def check_volume_bound(self) -> None:
-        """Saturated volume can never exceed vol(A)/eps.
-
-        Each member absorbed ``eps * deg`` units, and the total flow is at
-        most ``vol(A)``. A clamped sink (capacity ``vol(A)``) can only fill
-        as the flow completes, so it never enters the set.
-        """
-        eps = self.ag.eps
-        if eps is None:
-            return
-        if self.volume * eps.numerator > self.ag.seed.volume * eps.denominator:
-            raise InvariantViolation(
-                f"saturated volume {self.volume} exceeds vol(A)/eps "
-                f"= {Fraction(self.ag.seed.volume) / eps}"
-            )
-
-    def __contains__(self, v: int) -> bool:
-        return v in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def local_blocking_flow(
-    fs: FlowState, bs: SaturatedSet, labels: DistanceLabels | None = None
-) -> tuple[int, bool]:
-    """One blocking-flow phase confined to the local view.
-
-    The flow state only materializes arcs incident to opened vertices, and
-    the solvers open exactly the seed plus saturated set, so the shared
-    blocking-flow core already traverses nothing outside the local view of
-    ``bs``. Fresh unit labels are computed when not supplied.
-    """
-    if fs.opened != set(fs.ag.seed) | bs.members:
-        raise InvariantViolation("flow state opened set disagrees with saturated set")
-    if labels is None:
-        labels = bfs_distances(fs)
-    return blocking_flow(fs, labels)
-
-
-def update_saturated_set(fs: FlowState, bs: SaturatedSet) -> list[int]:
-    """Move frontier vertices whose sink arc just filled into the saturated set.
-
-    Opens each new member so its edges join the local view. Returns the
-    newly added vertices (sorted). Once the flow has its full value no
-    phase can follow, so nothing is added or opened. Raises
-    ``InvariantViolation`` if the saturated volume bound breaks, which
-    would indicate a flow bug.
-    """
-    if fs.value == fs.ag.source_total:
+    ag = fs.ag
+    opened = fs.opened
+    if fs.value == ag.source_total:
         fresh = []
     else:
-        fresh = sorted(v for v in set(fs.newly_saturated) if v not in bs.members)
+        fresh = sorted(v for v in set(fs.newly_saturated) if v not in opened)
     fs.newly_saturated.clear()
     for v in fresh:
-        bs.add(v)
         fs.open_vertex(v)
-    bs.check_volume_bound()
+    eps = ag.eps
+    vol_a = ag.seed.volume
+    volume = fs.touched_volume - vol_a
+    if eps is not None and volume * eps.numerator > vol_a * eps.denominator:
+        raise InvariantViolation(
+            f"saturated volume {volume} exceeds vol(A)/eps = {Fraction(vol_a) / eps}"
+        )
     return fresh
 
 
@@ -191,7 +135,6 @@ def iteration_bound(alpha: Fraction, vol_a: int, sigma: Fraction) -> int:
 class LayerCutResult:
     """Best prefix-of-layers cut of the final residual distance labels."""
 
-    layer_index: int
     cut: VertexSet
     phi: Fraction
 
@@ -202,9 +145,18 @@ class LocalFlowStats:
 
     phases: int = 0
     touched_volume: int = 0
-    opened_vertices: int = 0
-    arcs: int = 0
     sink_distance_trace: list[int] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class SaturatedRecord:
+    """The saturated set a run ended with: its opened non-seed vertices.
+
+    Every member's sink arc is saturated. The flow state's opened set is
+    the live record; this copy is taken once, when the run returns.
+    """
+
+    members: frozenset[int]
 
 
 @dataclass
@@ -216,7 +168,7 @@ class LocalFlowResult:
     exact: bool
     full_flow: bool
     stats: LocalFlowStats
-    saturated: SaturatedSet
+    saturated: SaturatedRecord
     layer_cut: LayerCutResult | None = None
 
     @property
@@ -224,9 +176,7 @@ class LocalFlowResult:
         return self.flow.flow_value
 
 
-def _check_layer_containment(
-    fs: FlowState, bs: SaturatedSet, labels: DistanceLabels
-) -> None:
+def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
     """Layers below the sink sit inside the core; the last one may touch the frontier."""
     dist = labels.dist
     ag = fs.ag
@@ -236,13 +186,12 @@ def _check_layer_containment(
     if dt < 3:
         raise InvariantViolation(f"sink distance {dt} below 3")
     n = ag.graph.n
-    seed = ag.seed
     opened = fs.opened
     for v, d in dist.items():
         if v >= n or d >= dt:
             continue
         if d <= dt - 2:
-            if v not in seed and v not in bs.members:
+            if v not in opened:
                 raise InvariantViolation(
                     f"vertex {v} at distance {d} outside seed and saturated set"
                 )
@@ -252,9 +201,7 @@ def _check_layer_containment(
                 raise InvariantViolation(f"frontier vertex {v} has no materialized arcs")
 
 
-def _best_layer_cut(
-    fs: FlowState, bs: SaturatedSet, labels: DistanceLabels, validate: bool
-) -> LayerCutResult:
+def _best_layer_cut(fs: FlowState, labels: DistanceLabels, validate: bool) -> LayerCutResult:
     """Scan prefix unions of layers 1..d(t)-2 for the lowest conductance."""
     ag = fs.ag
     g = ag.graph
@@ -264,12 +211,12 @@ def _best_layer_cut(
     members: set[int] = set()
     vol = 0
     cross = 0
-    best: tuple[Fraction, int] | None = None
+    best: Fraction | None = None
     best_members: list[int] = []
     prefix: list[int] = []
     for j in range(1, dt - 1):
         for v in layers.get(j, ()):
-            if validate and v not in ag.seed and v not in bs.members:
+            if validate and v not in fs.opened:
                 raise InvariantViolation(f"layer-cut vertex {v} escapes the core")
             internal = 0
             for w in g.adjacent(v):
@@ -282,12 +229,12 @@ def _best_layer_cut(
         if not members or vol >= total:
             continue
         phi = Fraction(cross, min(vol, total - vol))
-        if best is None or phi < best[0]:
-            best = (phi, j)
+        if best is None or phi < best:
+            best = phi
             best_members = list(prefix)
     if best is None:
         raise InvariantViolation("no nonempty layer cut available")
-    return LayerCutResult(best[1], VertexSet(g, best_members), best[0])
+    return LayerCutResult(VertexSet(g, best_members), best)
 
 
 def local_flow(
@@ -338,16 +285,16 @@ def _localized_dinic(
     conservation.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
-    result's flow and saturated set, rescaled to ``ag``'s scale, which must
-    be a multiple of the start's (:meth:`FlowState.resumed`).
+    result's flow, opened set included, rescaled to ``ag``'s scale, which
+    must be a multiple of the start's (:meth:`FlowState.resumed`).
     ``stats.phases`` counts only the phases this run made, while
     ``stats.touched_volume`` is the volume of everything its flow has
     opened, the inherited part included.
 
     Why a warm start keeps the guarantees. Lowering alpha only raises edge
     capacities, so the copied flow is feasible, and every copied sink arc
-    stays saturated, so the saturated set is valid and the opened set is
-    still the seed plus the saturated set. The saturated-volume bound
+    stays saturated, so every copied opened vertex outside the seed still
+    belongs to the saturated set. The saturated-volume bound
     ``vol(A)/eps`` holds for any feasible flow, since each member absorbs
     ``eps * deg`` of a total of at most ``vol(A)``, and with it the
     touched-volume cap ``3 vol(A)/sigma``. The layer-cut guarantee
@@ -364,19 +311,14 @@ def _localized_dinic(
     do not depend on the start at all.
     """
     g = ag.graph
-    if start is None:
-        fs = FlowState(ag)
-        bs = SaturatedSet(ag)
-    else:
-        fs = start.flow.resumed(ag)
-        bs = start.saturated.resumed(ag)
+    fs = FlowState(ag) if start is None else start.flow.resumed(ag)
     stats = LocalFlowStats()
     t = ag.sink_id
     prev: DistanceLabels | None = None
     labels = bfs_distances(fs)
     while True:
         if validate:
-            _check_layer_containment(fs, bs, labels)
+            _check_layer_containment(fs, labels)
             if prev is not None:
                 check_label_monotone(prev, labels, t, exact_zone_only=True)
                 dt_prev = prev.dist.get(t)
@@ -393,19 +335,18 @@ def _localized_dinic(
         elif stats.phases >= budget:
             break
         stats.sink_distance_trace.append(labels.dist[t])
-        pushed, _ = local_blocking_flow(fs, bs, labels)
+        pushed, _ = blocking_flow(fs, labels)
         labels.release()
         if pushed == 0:
             raise InvariantViolation("reachable sink but blocking flow pushed nothing")
         stats.phases += 1
-        update_saturated_set(fs, bs)
+        update_saturated_set(fs)
         if validate:
             fs.check_conservation()
         prev = labels
         labels = bfs_distances(fs)
     stats.touched_volume = fs.touched_volume
-    stats.opened_vertices = len(fs.opened)
-    stats.arcs = len(fs.arc_to)
+    saturated = SaturatedRecord(frozenset(fs.opened.difference(ag.seed)))
     if t not in labels.dist:
         if fs.value > ag.source_total:
             raise InvariantViolation("flow value exceeds total source capacity")
@@ -414,6 +355,6 @@ def _localized_dinic(
         cut = VertexSet(g, (v for v in labels.dist if v < n))
         if full and len(cut) != 0:
             raise InvariantViolation("full-value flow must leave the source isolated")
-        return LocalFlowResult(fs, cut, True, full, stats, bs)
-    layer = _best_layer_cut(fs, bs, labels, validate)
-    return LocalFlowResult(fs, layer.cut, False, False, stats, bs, layer_cut=layer)
+        return LocalFlowResult(fs, cut, True, full, stats, saturated)
+    layer = _best_layer_cut(fs, labels, validate)
+    return LocalFlowResult(fs, layer.cut, False, False, stats, saturated, layer_cut=layer)

@@ -28,13 +28,8 @@ from localcut import (
 from localcut import flow as flow_module
 from localcut.augmented import least_scale, sink_factor_for_overlap
 from localcut.certify import BiDemand, validate_certificate, write_certificate
-from localcut.improve import local_improve
-from localcut.local_flow import (
-    SaturatedSet,
-    local_blocking_flow,
-    phase_budget,
-    update_saturated_set,
-)
+from localcut.improve import local_improve, local_improve_overlap
+from localcut.local_flow import phase_budget, update_saturated_set
 
 from gen import (
     asym_barbell,
@@ -46,8 +41,9 @@ from gen import (
 )
 from oracle import brute_min_cut_value, reference_bfs_distances, reference_blocking_flow
 
-# the module; the package attribute of the same name is the re-exported function
+# the modules; the package attributes of the same names are the re-exported functions
 local_flow_module = importlib.import_module("localcut.local_flow")
+improve_module = importlib.import_module("localcut.improve")
 
 
 def test_iteration_bound_examples():
@@ -97,7 +93,6 @@ def test_local_matches_global_blocking_flow(small_suite):
     for g, a, alpha, eps in small_suite[:200]:
         ag = build(g, a, alpha, eps)
         loc = FlowState(ag)
-        bs = SaturatedSet(ag)
         full = FlowState(ag)
         full.open_all()
         t = ag.sink_id
@@ -107,10 +102,10 @@ def test_local_matches_global_blocking_flow(small_suite):
             assert lab_l.dist.get(t) == lab_f.dist.get(t)
             if t not in lab_f.dist:
                 break
-            p_l, _ = local_blocking_flow(loc, bs, lab_l)
+            p_l, _ = blocking_flow(loc, lab_l)
             p_f, _ = blocking_flow(full, lab_f)
             assert p_l == p_f
-            update_saturated_set(loc, bs)
+            update_saturated_set(loc)
             full.newly_saturated.clear()
         else:
             pytest.fail("differential run did not converge")
@@ -125,21 +120,62 @@ def test_local_matches_global_blocking_flow(small_suite):
 def test_update_saturated_set_monotone():
     g = asym_barbell()
     a = VertexSet(g, [0, 1, 2])
-    ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
+    # alpha and eps low enough that the set grows over several phases
+    ag = build(g, a, Fraction(1, 4), Fraction(1, 10))
     fs = FlowState(ag)
-    bs = SaturatedSet(ag)
     seen: set[int] = set()
     for _ in range(60):
         labels = bfs_distances(fs)
         if ag.sink_id not in labels.dist:
             break
-        local_blocking_flow(fs, bs, labels)
-        fresh = update_saturated_set(fs, bs)
+        blocking_flow(fs, labels)
+        fresh = update_saturated_set(fs)
         assert seen.isdisjoint(fresh)
         seen.update(fresh)
-        assert bs.members >= seen
-        if ag.eps is not None:
-            assert bs.volume * ag.eps <= a.volume or bs._unclamped_volume * ag.eps <= a.volume
+        assert fs.opened == set(a) | seen
+        assert (fs.touched_volume - a.volume) * ag.eps <= a.volume
+    assert seen == {3, 4, 5, 6, 7, 8}
+
+
+def _assert_saturated_record(res) -> None:
+    """The run's saturated set is its opened non-seed vertices, each with a full sink arc."""
+    fs = res.flow
+    t = fs.ag.sink_id
+    members = fs.opened - set(fs.ag.seed)
+    assert res.saturated.members == members
+    for v in members:
+        (arc,) = (x for x in fs.arcs_of[v] if fs.arc_to[x] == t)
+        assert 0 < fs.arc_flow[arc] == fs.arc_cap[arc], f"sink arc of {v} is not saturated"
+
+
+def test_saturated_record_matches_opened_set(small_suite):
+    """Cold runs, forced layer cuts and every probe of the improvement searches."""
+    warm = []
+
+    def spy(real):
+        def solve(*args, start=None, **kwargs):
+            res = real(*args, start=start, **kwargs)
+            _assert_saturated_record(res)
+            warm.append(start is not None)
+            return res
+
+        return solve
+
+    for g, a, alpha, eps in small_suite:
+        _assert_saturated_record(local_flow(g, a, alpha, eps))
+        _assert_saturated_record(local_flow(g, a, alpha, eps, max_phases=1))
+        _assert_saturated_record(local_flow_exact(g, a, alpha, eps))
+    rng = random.Random(5150)
+    g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
+    a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(improve_module, "local_flow", spy(improve_module.local_flow))
+        mp.setattr(improve_module, "local_flow_exact", spy(improve_module.local_flow_exact))
+        for solver in ("approx", "exact"):
+            local_improve_overlap(g, a, Fraction(2, 3), solver)
+            for g_, a_, _, eps in small_suite[:200]:
+                local_improve(g_, a_, eps, solver=solver)
+    assert sum(warm) > 100
 
 
 def test_local_flow_barbell_exact():
@@ -250,6 +286,8 @@ def test_solvers_agree_with_oracles(instance):
     # residual reachability is the minimal min cut, whichever flow left it
     assert exact.cut == ref_cut == approx.cut
     assert ag.cut_value(exact.cut) == brute
+    _assert_saturated_record(approx)
+    _assert_saturated_record(exact)
 
 
 @st.composite
@@ -297,6 +335,7 @@ def test_resumed_flow_matches_global_oracle(instance):
     ref, ref_cut = global_max_flow(build(g, a, alpha_lo, eps))
     for solve in (local_flow, local_flow_exact):
         warm = solve(g, a, alpha_lo, eps, start=start)
+        _assert_saturated_record(warm)
         fs = warm.flow
         assert fs.ag.scale == scale and fs.ag.alpha == alpha_lo
         assert all(f <= c for f, c in zip(fs.arc_flow, fs.arc_cap))

@@ -14,7 +14,7 @@ from localcut import (
     local_flow,
     local_improve_overlap,
 )
-from localcut.local_flow import SaturatedSet, update_saturated_set
+from localcut.local_flow import update_saturated_set
 
 from gen import asym_barbell, barbell
 from oracle import brute_min_conductance, brute_min_cut_value
@@ -73,18 +73,17 @@ def test_update_saturated_trivial_cases():
     a = VertexSet(g, [0, 1, 2])
     ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
     fs = FlowState(ag)
-    bs = SaturatedSet(ag)
     # nothing saturated: no change
-    assert update_saturated_set(fs, bs) == []
-    assert len(bs) == 0
+    assert update_saturated_set(fs) == []
+    assert fs.opened == {0, 1, 2}
     # saturate the single frontier vertex's sink arc by hand
     arc = next(
         x for x in fs.arcs_of[3] if fs.arc_to[x] == ag.sink_id
     )
     fs.push(arc, ag.sink_cap(3))
-    fresh = update_saturated_set(fs, bs)
-    assert fresh == [3] and 3 in bs
-    assert 3 in fs.opened
+    fresh = update_saturated_set(fs)
+    assert fresh == [3]
+    assert fs.opened == {0, 1, 2, 3}
 
 
 def test_improve_barbell_confirmed_by_oracle():
