@@ -5,9 +5,11 @@ every seed vertex into sinks absorbing at most ``eps * deg(v)`` each,
 congesting no original edge beyond ``1/alpha`` times its multiplicity.
 That routing is itself a certificate: for any vertex set, ``alpha`` times
 the demand it sends across its boundary lower-bounds the boundary size.
-This module verifies such routings, peels them into explicit paths, and
-adds two floating-point diagnostics (everything certificate-bearing stays
-exact).
+This module peels such a flow into explicit paths, writes them as a
+certificate file, and checks a routing given either way: the flow's arcs or
+the file's paths are tallied into what each vertex emits and absorbs and
+what each edge carries, and one routing check tests those tallies. It adds
+two floating-point diagnostics (everything certificate-bearing stays exact).
 """
 
 from __future__ import annotations
@@ -66,6 +68,42 @@ class RoutingCheck:
         return self.ok
 
 
+def _routing_violations(
+    g: Graph,
+    bd: BiDemand,
+    congestion: Fraction,
+    emits: dict[int, Fraction],
+    absorbs: dict[int, Fraction],
+    loads: dict[tuple[int, int], Fraction],
+) -> list[str]:
+    """The demand, absorption and congestion violations of a tallied routing.
+
+    ``emits`` and ``absorbs`` give, in demand units, what each vertex sends
+    and what it drains; ``loads`` what each edge ``(u, v)``, ``u < v``,
+    carries in either direction. Every vertex of ``bd.source`` must emit
+    exactly ``c1 * deg``, no vertex may absorb more than ``c2 * deg``, and
+    no edge may carry more than ``congestion`` times its multiplicity in
+    ``g``.
+    """
+    violations: list[str] = []
+    for u in bd.source:
+        got = emits.get(u, Fraction(0))
+        if got != bd.c1 * g.degree(u):
+            violations.append(f"seed vertex {u} emits {got}, demand is {bd.c1 * g.degree(u)}")
+    if bd.c2 is not None:
+        for v, got in absorbs.items():
+            if got > bd.c2 * g.degree(v):
+                violations.append(f"sink {v} absorbs {got}, cap is {bd.c2 * g.degree(v)}")
+    multiplicities: dict[int, dict[int, int]] = {}
+    for (u, v), load in loads.items():
+        if u not in multiplicities:
+            multiplicities[u] = dict(g.neighbor_multiplicities(u))
+        cap = congestion * multiplicities[u].get(v, 0)
+        if load > cap:
+            violations.append(f"edge ({u}, {v}) carries {load}, congestion cap is {cap}")
+    return violations
+
+
 def verify_bidemand_routing(
     fs: FlowState, bd: BiDemand, congestion: Fraction
 ) -> RoutingCheck:
@@ -76,49 +114,26 @@ def verify_bidemand_routing(
     and (iii) no original edge carries more than ``congestion`` per unit of
     multiplicity. Returns a falsy report rather than raising.
     """
-    ag = fs.ag
-    g = ag.graph
-    scale = ag.scale
-    violations: list[str] = []
-    s = ag.source_id
-    t = ag.sink_id
-    c1 = Fraction(bd.c1)
-    for a in fs.arcs_of.get(s, ()):
-        u = fs.arc_to[a]
-        want = c1 * g.degree(u) * scale
-        if want.denominator != 1:
-            violations.append(f"demand c1*deg({u})*L = {want} is not integral")
-            continue
-        if fs.arc_flow[a] != want:
-            violations.append(
-                f"source arc to {u} carries {fs.arc_flow[a]}, demand is {want}"
-            )
-    seen_sources = {fs.arc_to[a] for a in fs.arcs_of.get(s, ())}
-    for u in bd.source:
-        if u not in seen_sources:
-            violations.append(f"seed vertex {u} has no materialized source arc")
-    cong = Fraction(congestion)
+    s = fs.ag.source_id
+    t = fs.ag.sink_id
+    scale = fs.ag.scale
+    emits: dict[int, Fraction] = {}
+    absorbs: dict[int, Fraction] = {}
+    loads: dict[tuple[int, int], Fraction] = {}
+    # arc a of an even pair runs from arc_to[a + 1] to arc_to[a]: from s, into t, or along an edge
     for a in range(0, len(fs.arc_to), 2):
         f = fs.arc_flow[a]
         if f == 0:
             continue
         v = fs.arc_to[a]
-        u = fs.arc_to[a ^ 1]
-        if u == s or v == s:
-            continue
-        if v == t:
-            if bd.c2 is not None and f > bd.c2 * g.degree(u) * scale:
-                violations.append(
-                    f"sink absorption at {u} is {Fraction(f, scale)}, "
-                    f"cap is c2*deg = {bd.c2 * g.degree(u)}"
-                )
-            continue
-        mult = fs.arc_cap[a] // ag.edge_cap_unit if ag.edge_cap_unit else 0
-        if abs(f) > cong * mult * scale:
-            violations.append(
-                f"edge ({min(u, v)}, {max(u, v)}) carries {Fraction(abs(f), scale)}, "
-                f"congestion cap is {cong * mult}"
-            )
+        u = fs.arc_to[a + 1]
+        if u == s:
+            emits[v] = Fraction(f, scale)
+        elif v == t:
+            absorbs[u] = Fraction(f, scale)
+        else:
+            loads[min(u, v), max(u, v)] = Fraction(abs(f), scale)
+    violations = _routing_violations(fs.ag.graph, bd, Fraction(congestion), emits, absorbs, loads)
     return RoutingCheck(not violations, violations)
 
 
@@ -127,40 +142,34 @@ class PathDecomposition:
     """Source-to-sink paths (interior vertices only) with scaled integer amounts.
 
     ``amounts[i]`` is the scaled flow on ``paths[i]``; ``scale`` converts
-    back to demand units. ``cancelled`` is the total amount of circulation
-    removed before peeling (cycles carry no demand).
+    back to demand units.
     """
 
     paths: list[tuple[int, ...]]
     amounts: list[int]
     scale: int
-    cancelled: int = 0
 
     @property
     def total(self) -> int:
         return sum(self.amounts)
 
-    def unscaled_amounts(self) -> list[Fraction]:
-        return [Fraction(a, self.scale) for a in self.amounts]
-
 
 def decompose_paths(fs: FlowState) -> PathDecomposition:
     """Peel the flow into source-to-sink paths, shortest first.
 
-    Cycles of positive flow are cancelled first; then shortest positive
-    paths are peeled until the flow is exhausted. Conserves value exactly,
-    and every interior step is an original edge.
+    The arcs of positive flow form a flow of the same value (the flow is
+    antisymmetric), so while value remains a source-to-sink path of them
+    exists, and peeling its bottleneck keeps that so. Circulation the
+    peeling leaves behind carries no demand and appears in no path.
+    Conserves value exactly, and every interior step is an original edge.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
+    # one arc pair per vertex pair, so each positive arc is its pair's only entry
     pos: dict[int, dict[int, int]] = {}
-    for a in range(len(fs.arc_to)):
-        f = fs.arc_flow[a]
+    for a, f in enumerate(fs.arc_flow):
         if f > 0:
-            u = fs.arc_to[a ^ 1]
-            v = fs.arc_to[a]
-            pos.setdefault(u, {})[v] = pos.get(u, {}).get(v, 0) + f
-    cancelled = _cancel_cycles(pos, s, t)
+            pos.setdefault(fs.arc_to[a ^ 1], {})[fs.arc_to[a]] = f
     paths: list[tuple[int, ...]] = []
     amounts: list[int] = []
     remaining = fs.value
@@ -168,79 +177,26 @@ def decompose_paths(fs: FlowState) -> PathDecomposition:
         path = _shortest_positive_path(pos, s, t)
         if path is None:
             raise InvariantViolation("flow value positive but no source-sink path remains")
-        amount = min(pos[path[i]][path[i + 1]] for i in range(len(path) - 1))
-        amount = min(amount, remaining)
-        for i in range(len(path) - 1):
-            u, v = path[i], path[i + 1]
+        steps = list(zip(path, path[1:]))
+        amount = min(remaining, *(pos[u][v] for u, v in steps))
+        for u, v in steps:
             pos[u][v] -= amount
             if pos[u][v] == 0:
                 del pos[u][v]
         paths.append(tuple(path[1:-1]))
         amounts.append(amount)
         remaining -= amount
-    return PathDecomposition(paths, amounts, fs.ag.scale, cancelled)
+    return PathDecomposition(paths, amounts, fs.ag.scale)
 
 
-def _cancel_cycles(pos: dict[int, dict[int, int]], s: int, t: int) -> int:
-    """Remove circulation from the positive-flow graph; returns total removed."""
-    cancelled = 0
-    color: dict[int, int] = {}
-    while True:
-        cycle = None
-        color.clear()
-        for root in sorted(pos):
-            if color.get(root):
-                continue
-            stack = [(root, iter(sorted(pos.get(root, ()))))]
-            color[root] = 1
-            trail = [root]
-            while stack and cycle is None:
-                v, it = stack[-1]
-                found = False
-                for w in it:
-                    if pos[v].get(w, 0) <= 0:
-                        continue
-                    c = color.get(w, 0)
-                    if c == 0:
-                        color[w] = 1
-                        stack.append((w, iter(sorted(pos.get(w, ())))))
-                        trail.append(w)
-                        found = True
-                        break
-                    if c == 1:
-                        cycle = trail[trail.index(w) :] + [w]
-                        found = True
-                        break
-                if not found:
-                    color[v] = 2
-                    stack.pop()
-                    trail.pop()
-            if cycle:
-                break
-        if not cycle:
-            return cancelled
-        amount = min(pos[cycle[i]][cycle[i + 1]] for i in range(len(cycle) - 1))
-        for i in range(len(cycle) - 1):
-            u, v = cycle[i], cycle[i + 1]
-            pos[u][v] -= amount
-            if pos[u][v] == 0:
-                del pos[u][v]
-        cancelled += amount
-
-
-def _shortest_positive_path(
-    pos: dict[int, dict[int, int]], s: int, t: int
-) -> list[int] | None:
-    parent: dict[int, int] = {}
-    seen = {s}
+def _shortest_positive_path(pos: dict[int, dict[int, int]], s: int, t: int) -> list[int] | None:
+    """Breadth-first path from ``s`` to ``t`` over ``pos``, neighbors in id order, or ``None``."""
+    parent = {s: s}
     dq = deque([s])
-    while dq:
+    while dq and t not in parent:
         u = dq.popleft()
-        if u == t:
-            break
         for v in sorted(pos.get(u, ())):
-            if pos[u][v] > 0 and v not in seen:
-                seen.add(v)
+            if v not in parent:
                 parent[v] = u
                 dq.append(v)
     if t not in parent:
@@ -372,6 +328,7 @@ def conn_proxy(g: Graph, b: VertexSet, tol: float = 1e-9) -> float:
 
 
 # certificate text format: four header lines, then one path per line
+_HEADER_KEYS = ("alpha", "eps-sigma", "vol-a", "flow-value")
 
 
 def write_certificate(fh: IO[str], ag: AugmentedGraph, pd: PathDecomposition) -> None:
@@ -393,7 +350,8 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     seed vertex to a non-seed vertex, that amounts add to the declared
     full flow value, and the demand/congestion constraints. Returns a
     report; raises :class:`ParameterError`, naming the line, on unparseable
-    input or a vertex outside the graph. Vertex ids and ``vol-a`` follow the
+    input, a line that is neither a header nor a path, a repeated header,
+    or a vertex outside the graph. Vertex ids and ``vol-a`` follow the
     unsigned-decimal grammar of graph and seed files (:func:`parse_unsigned`).
     """
     header: dict[str, tuple[int, str]] = {}
@@ -403,9 +361,15 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         if not ln:
             continue
         key, _, rest = ln.partition(" ")
-        if key != "path":
+        if key in _HEADER_KEYS:
+            if key in header:
+                raise ParameterError(
+                    f"certificate line {lineno}: repeated {key} (first on line {header[key][0]})"
+                )
             header[key] = (lineno, rest)
             continue
+        if key != "path":
+            raise ParameterError(f"certificate line {lineno}: unknown line {ln!r}")
         parts = rest.split()
         tokens = parts[:-1]
         try:
@@ -447,45 +411,28 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         violations.append(f"header vol-a {vol_a} != vol(A) {a.volume}")
     if flow_value != a.volume:
         violations.append(f"flow value {flow_value} is not vol(A) = {a.volume}")
-    out_of: dict[int, Fraction] = {}
-    into: dict[int, Fraction] = {}
-    edge_load: dict[tuple[int, int], Fraction] = {}
-    mult_cache: dict[int, dict[int, int]] = {}
-
-    def multiplicities(u: int) -> dict[int, int]:
-        if u not in mult_cache:
-            mult_cache[u] = dict(g.neighbor_multiplicities(u))
-        return mult_cache[u]
-
+    emits: dict[int, Fraction] = {}
+    absorbs: dict[int, Fraction] = {}
+    loads: dict[tuple[int, int], Fraction] = {}
+    neighbors: dict[int, set[int]] = {}
     for path, amount in paths:
         if path[0] not in a:
             violations.append(f"path starts outside the seed set: {path[0]}")
         if path[-1] in a:
             violations.append(f"path ends inside the seed set: {path[-1]}")
-        out_of[path[0]] = out_of.get(path[0], Fraction(0)) + amount
-        into[path[-1]] = into.get(path[-1], Fraction(0)) + amount
+        emits[path[0]] = emits.get(path[0], Fraction(0)) + amount
+        absorbs[path[-1]] = absorbs.get(path[-1], Fraction(0)) + amount
         for u, v in zip(path, path[1:]):
-            if v not in multiplicities(u):
+            if u not in neighbors:
+                neighbors[u] = set(g.adjacent(u))
+            if v not in neighbors[u]:
                 violations.append(f"path step ({u}, {v}) is not an edge")
                 continue
             key = (min(u, v), max(u, v))
-            edge_load[key] = edge_load.get(key, Fraction(0)) + amount
+            loads[key] = loads.get(key, Fraction(0)) + amount
     total = sum((amt for _, amt in paths), Fraction(0))
     if total != flow_value:
         violations.append(f"path amounts add to {total}, header says {flow_value}")
-    for u in a:
-        if out_of.get(u, Fraction(0)) != g.degree(u):
-            violations.append(
-                f"seed vertex {u} emits {out_of.get(u, Fraction(0))}, demand is {g.degree(u)}"
-            )
-    if eps is not None:
-        for v, got in into.items():
-            if got > eps * g.degree(v):
-                violations.append(f"sink {v} absorbs {got} > eps*deg = {eps * g.degree(v)}")
-    for (u, v), load in edge_load.items():
-        mult = multiplicities(u).get(v, 0)
-        if load > mult / alpha:
-            violations.append(
-                f"edge ({u}, {v}) carries {load} > multiplicity/alpha = {Fraction(mult) / alpha}"
-            )
+    bd = BiDemand(a, Fraction(1), eps)
+    violations += _routing_violations(g, bd, 1 / alpha, emits, absorbs, loads)
     return RoutingCheck(not violations, violations)

@@ -18,7 +18,7 @@ from . import certify as cert
 from .augmented import build, epsilon_sigma
 from .errors import LocalCutError, NotACertificateError, ParameterError
 from .exact_flow import local_flow_exact
-from .graphio import load_graph, load_vertex_set, parse_rational
+from .graphio import load_graph, load_vertex_set, parse_rational, parse_unsigned
 from .graphs import conductance
 from .improve import local_improve_overlap
 from .local_flow import local_flow
@@ -217,10 +217,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_seed(args) -> int:
     g = load_graph(args.graph, args.format)
-    try:
-        seeds = [int(tok) for tok in args.seed.split(",") if tok.strip()]
-    except ValueError:
-        raise ParameterError(f"bad seed list {args.seed!r}") from None
+    seeds = []
+    for tok in filter(None, (tok.strip() for tok in args.seed.split(","))):
+        try:
+            seeds.append(parse_unsigned(tok))
+        except ValueError:
+            raise ParameterError(f"bad seed vertex {tok!r} in --seed {args.seed!r}") from None
     if not seeds:
         raise ParameterError("no seed vertices given")
     cfg = ApprConfig(beta=args.beta, r_max=args.r_max, volume_cap=args.volume_cap)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .augmented import AugmentedGraph, build
+from .augmented import build
 from .graphs import Graph, VertexSet
 from .local_flow import LocalFlowResult, _localized_dinic
 
@@ -28,7 +28,6 @@ def local_flow_exact(
     eps: Fraction | None,
     *,
     validate: bool = True,
-    ag: AugmentedGraph | None = None,
     start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
     """Exact localized max flow and min cut on the augmented graph.
@@ -38,6 +37,4 @@ def local_flow_exact(
     ``start`` resumes from an earlier result's flow, as in
     :func:`localcut.local_flow.local_flow`.
     """
-    if ag is None:
-        ag = build(g, a, alpha, eps)
-    return _localized_dinic(ag, None, validate, start)
+    return _localized_dinic(build(g, a, alpha, eps), None, validate, start)

@@ -177,7 +177,10 @@ class LocalFlowResult:
 
 
 def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
-    """Layers below the sink sit inside the core; the last one may touch the frontier."""
+    """Layers up to ``d(t) - 2`` sit inside the core; the last one may touch the frontier.
+
+    The last needs no check: each labelled vertex heads an arc, so it is opened or adjacent to one.
+    """
     dist = labels.dist
     ag = fs.ag
     dt = dist.get(ag.sink_id)
@@ -188,17 +191,8 @@ def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
     n = ag.graph.n
     opened = fs.opened
     for v, d in dist.items():
-        if v >= n or d >= dt:
-            continue
-        if d <= dt - 2:
-            if v not in opened:
-                raise InvariantViolation(
-                    f"vertex {v} at distance {d} outside seed and saturated set"
-                )
-        else:
-            # frontier membership: adjacent to an opened vertex
-            if v not in opened and v not in fs.arcs_of:
-                raise InvariantViolation(f"frontier vertex {v} has no materialized arcs")
+        if v < n and d <= dt - 2 and v not in opened:
+            raise InvariantViolation(f"vertex {v} at distance {d} outside seed and saturated set")
 
 
 def _best_layer_cut(fs: FlowState, labels: DistanceLabels, validate: bool) -> LayerCutResult:
@@ -245,7 +239,6 @@ def local_flow(
     *,
     validate: bool = True,
     max_phases: int | None = None,
-    ag: AugmentedGraph | None = None,
     start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
     """Localized phase-capped Dinic on the augmented graph of ``(a, alpha, eps)``.
@@ -262,8 +255,7 @@ def local_flow(
     run on the same instance at an alpha at least this one (see
     :func:`_localized_dinic`); that run's result is not modified.
     """
-    if ag is None:
-        ag = build(g, a, alpha, eps)
+    ag = build(g, a, alpha, eps)
     if max_phases is None:
         sigma = overlap_for_sink_factor(ag.eps)
         max_phases = iteration_bound(ag.alpha, a.volume, sigma)

@@ -206,3 +206,100 @@ def test_certificate_detects_tampering():
     text = buf.getvalue().replace("flow-value 32", "flow-value 31")
     report = validate_certificate(io.StringIO(text), g, a)
     assert not report.ok
+
+
+# one case per violation kind ------------------------------------------------
+
+
+def bipartite_certificate(alpha: str = "1", eps: str = "1") -> str:
+    """A valid certificate for the full flow on K_{4,8}: one unit per edge, seed side first."""
+    paths = "".join(f"path {u} {v} 1\n" for u in range(4) for v in range(4, 12))
+    return f"alpha {alpha}\neps-sigma {eps}\nvol-a 32\nflow-value 32\n" + paths
+
+
+@pytest.mark.parametrize("alpha, eps", [("1", "1"), ("1/2", "2")])
+def test_bipartite_certificate_is_valid(alpha, eps):
+    g, a, _ = bipartite_instance()
+    report = validate_certificate(io.StringIO(bipartite_certificate(alpha, eps)), g, a)
+    assert report.ok, report.violations
+
+
+@pytest.mark.parametrize(
+    "alpha, eps, edits, violations",
+    [
+        # header alpha 1/2 and eps 2 leave every edge and sink room, so only the tampering shows
+        ("1/2", "2", {"path 0 4 1": "path 0 5 4 1"}, ["path step (5, 4) is not an edge"]),
+        (
+            "1/2", "2", {"path 0 4 1": "path 5 1 4 1"},
+            ["path starts outside the seed set: 5", "seed vertex 0 emits 7, demand is 8"],
+        ),
+        ("1/2", "2", {"path 0 4 1": "path 0 4 1 1"}, ["path ends inside the seed set: 1"]),
+        ("1/2", "1", {"path 0 4 1": "path 0 5 1"}, ["sink 5 absorbs 5, cap is 4"]),
+        (
+            "1/2", "2", {"path 0 4 1": "path 0 4 1/2", "path 1 4 1": "path 1 4 3/2"},
+            ["seed vertex 0 emits 15/2, demand is 8", "seed vertex 1 emits 17/2, demand is 8"],
+        ),
+        ("1", "2", {"path 0 4 1": "path 0 5 1"}, ["edge (0, 5) carries 2, congestion cap is 1"]),
+        (
+            "1/2", "2", {"path 0 4 1": ""},
+            ["path amounts add to 31, header says 32", "seed vertex 0 emits 7, demand is 8"],
+        ),
+    ],
+    ids=["non-edge", "starts-outside", "ends-inside", "sink", "demand", "congestion", "total"],
+)
+def test_certificate_reports_each_violation_kind(alpha, eps, edits, violations):
+    g, a, _ = bipartite_instance()
+    lines = bipartite_certificate(alpha, eps).splitlines()
+    text = "\n".join(edits.get(line, line) for line in lines) + "\n"
+    report = validate_certificate(io.StringIO(text), g, a)
+    assert (report.ok, report.violations) == (False, violations)
+
+
+def arc_between(fs: FlowState, u: int, v: int) -> int:
+    return next(x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
+
+
+def add_flow(fs: FlowState, u: int, v: int, units: int) -> None:
+    """Corrupt the flow: ``units`` demand units more from ``u`` to ``v``, capacities ignored."""
+    x = arc_between(fs, u, v)
+    fs.arc_flow[x] += units * fs.ag.scale
+    fs.arc_flow[x ^ 1] -= units * fs.ag.scale
+
+
+@pytest.mark.parametrize(
+    "tail, head, units, violation",
+    [
+        ("s", 0, -1, "seed vertex 0 emits 7, demand is 8"),
+        (4, "t", 1, "sink 4 absorbs 5, cap is 4"),
+        (0, 4, 1, "edge (0, 4) carries 2, congestion cap is 1"),
+    ],
+    ids=["demand", "sink", "congestion"],
+)
+def test_flow_routing_reports_each_violation_kind(tail, head, units, violation):
+    g, a, eps, fs = full_flow_state()
+    ends = {"s": fs.ag.source_id, "t": fs.ag.sink_id}
+    add_flow(fs, ends.get(tail, tail), ends.get(head, head), units)
+    check = verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), Fraction(1))
+    assert (check.ok, check.violations) == (False, [violation])
+
+
+def test_decompose_leaves_circulation_out():
+    # a triangle seed, each vertex with its own pendant neighbor, which routes its demand
+    g = Graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 6), (5, 6)])
+    a = VertexSet(g, [0, 1, 2])
+    alpha, eps = Fraction(1, 4), Fraction(2)
+    res = local_flow(g, a, alpha, eps)
+    assert res.full_flow
+    fs = res.flow
+    for u, v in ((0, 1), (1, 2), (2, 0)):
+        fs.push(arc_between(fs, u, v), fs.ag.scale)
+    fs.check_conservation()
+    assert fs.flow_between(0, 1) == fs.flow_between(1, 2) == fs.flow_between(2, 0) == fs.ag.scale
+    assert verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), 1 / alpha).ok
+    pd = decompose_paths(fs)
+    assert pd.total == fs.value
+    assert pd.paths == [(0, 3), (1, 4), (2, 5)]
+    buf = io.StringIO()
+    write_certificate(buf, fs.ag, pd)
+    report = validate_certificate(io.StringIO(buf.getvalue()), g, a)
+    assert report.ok, report.violations

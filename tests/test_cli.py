@@ -223,6 +223,35 @@ def test_seed_bad_parameter_exits_2(capsys, fixtures_dir, option, value, named):
     assert err.startswith("error: ") and named in err
 
 
+@pytest.mark.parametrize(
+    "seeds, bad",
+    [
+        ("+1", "+1"), ("\u0663", "\u0663"), ("1_0", "1_0"),
+        ("0, 4x", "4x"), ("-1", "-1"), ("1.0", "1.0"),
+    ],
+)
+def test_seed_ids_follow_the_vertex_grammar(capsys, fixtures_dir, seeds, bad):
+    code, out, err = run(
+        capsys,
+        "seed",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed", seeds,
+    )
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith(f"error: bad seed vertex {bad!r}")
+
+
+def test_seed_ids_may_carry_blanks(capsys, fixtures_dir):
+    code, out, _ = run(
+        capsys,
+        "seed",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed", " 0 , ,4 ",
+    )
+    assert code == EXIT_OK
+    assert [json.loads(line)["seed"] for line in out.splitlines()] == [0, 4]
+
+
 def test_metis_input(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -282,6 +311,27 @@ def test_certify_check_malformed_certificate_exits_2(capsys, tmp_path, bad_line,
     cert_file.write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
+    assert err.strip() == f"error: {message}"
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("bogus line here", "certificate line 41: unknown line 'bogus line here'"),
+        ("paht 0 1 2", "certificate line 41: unknown line 'paht 0 1 2'"),
+        ("alpha 1/2", "certificate line 41: repeated alpha (first on line 1)"),
+        ("vol-a 14", "certificate line 41: repeated vol-a (first on line 3)"),
+    ],
+)
+def test_certify_check_unknown_or_repeated_line_exits_2(capsys, tmp_path, extra, message):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file))
+    lines = cert_file.read_text().splitlines()
+    assert len(lines) == 40
+    cert_file.write_text("\n".join(lines + [extra]) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err.strip() == f"error: {message}"
 
 
