@@ -104,9 +104,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--format", default="edgelist", choices=("edgelist", "metis"))
     p_seed.add_argument("--seed", required=True,
                         help="seed vertex id, or comma-separated ids")
-    p_seed.add_argument("--beta", type=float, default=0.1)
-    p_seed.add_argument("--r-max", type=float)
-    p_seed.add_argument("--volume-cap", type=int)
+    # read by _cmd_seed in the rational and vertex-id grammars
+    p_seed.add_argument("--beta", default="0.1")
+    p_seed.add_argument("--r-max")
+    p_seed.add_argument("--volume-cap")
     return parser
 
 
@@ -187,7 +188,9 @@ def _cmd_certify(args) -> int:
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
     if args.check:
-        with open(args.check, "r", encoding="utf-8") as fh:
+        # an undecodable byte is kept as a lone surrogate, which no field's
+        # grammar accepts, so the reader rejects its line by number
+        with open(args.check, "r", encoding="utf-8", errors="surrogateescape") as fh:
             report = cert.validate_certificate(fh, g, a)
         if report.ok:
             print("certificate valid")
@@ -225,7 +228,24 @@ def _cmd_seed(args) -> int:
             raise ParameterError(f"bad seed vertex {tok!r} in --seed {args.seed!r}") from None
     if not seeds:
         raise ParameterError("no seed vertices given")
-    cfg = ApprConfig(beta=args.beta, r_max=args.r_max, volume_cap=args.volume_cap)
+
+    def option(name: str, parse):
+        text = getattr(args, name)
+        if text is None:
+            return None
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise ParameterError(f"bad {name} in --{name.replace('_', '-')}: {exc}") from None
+
+    def real(text: str) -> float:
+        return float(parse_rational(text))
+
+    cfg = ApprConfig(
+        beta=option("beta", real),
+        r_max=option("r_max", real),
+        volume_cap=option("volume_cap", parse_unsigned),
+    )
 
     def expand(v: int) -> dict:
         scores = appr_push(g, v, cfg)

@@ -415,15 +415,21 @@ def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     v = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
     del tails, heads
     # the sorted keys of a symmetric file are already the graph's CSR
-    arcs = u * n + v
+    arcs = np.multiply(u, n)
+    arcs += v
     arcs.sort()
-    if not np.array_equal(arcs, np.sort(v * n + u)):
+    reverse = np.multiply(v, n)
+    reverse += u
+    reverse.sort()
+    if not np.array_equal(arcs, reverse):
         raise GraphFormatError(_asymmetry(u, v, n))
+    del reverse
     lower = int(np.count_nonzero(u < v))
     if lower != m:
         raise GraphFormatError(f"header declares {m} edges but file encodes {lower}")
+    degrees = np.bincount(u, minlength=n)
     del u, v
-    return Graph.from_sorted_arcs(n, arcs)
+    return Graph.from_sorted_arcs(n, arcs, degrees)
 
 
 def _asymmetry(u: np.ndarray, v: np.ndarray, n: int) -> str:

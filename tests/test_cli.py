@@ -224,6 +224,33 @@ def test_seed_bad_parameter_exits_2(capsys, fixtures_dir, option, value, named):
 
 
 @pytest.mark.parametrize(
+    "option, value",
+    [
+        ("--volume-cap", "1_0"), ("--volume-cap", "+10"), ("--volume-cap", "\u0661\u0660"),
+        ("--volume-cap", "10.0"), ("--beta", "0.1_0"), ("--beta", "\u0660.1"),
+        ("--r-max", "0.00_1"), ("--r-max", "1e999999999"),
+    ],
+)
+def test_seed_options_follow_the_number_grammar(capsys, fixtures_dir, option, value):
+    code, out, err = run(
+        capsys,
+        "seed",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed", "0",
+        option, value,
+    )
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith("error: ") and f"in {option}: " in err
+
+
+def test_seed_options_read_rationals_exactly(capsys, fixtures_dir):
+    graph = ["--graph", str(fixtures_dir / "barbell.edgelist"), "--seed", "0,4"]
+    _, decimal, _ = run(capsys, "seed", *graph, "--beta", "0.1", "--volume-cap", "10")
+    code, out, _ = run(capsys, "seed", *graph, "--beta", "1/10", "--volume-cap", "010")
+    assert code == EXIT_OK and out == decimal
+
+
+@pytest.mark.parametrize(
     "seeds, bad",
     [
         ("+1", "+1"), ("\u0663", "\u0663"), ("1_0", "1_0"),
@@ -364,6 +391,19 @@ def test_certify_check_alpha_out_of_range_exits_2(capsys, tmp_path, alpha):
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
     assert f"certificate line 1: malformed alpha '{alpha}'" in err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [(b"alpha 1\xff\n", 1), (b"alpha 1\neps-sigma inf\n\xfe\xff\n", 3)],
+)
+def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_bytes(text)
+    code, out, err = run(capsys, "certify", *common, "--check", str(cert_file))
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith(f"error: certificate line {line}: ")
 
 
 # rational inputs -------------------------------------------------------------

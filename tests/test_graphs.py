@@ -1,5 +1,8 @@
+import copy
 import itertools
+import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,7 @@ from localcut import (
     volume,
 )
 
-from gen import barbell, cycle_graph, path_graph, random_multigraph
+from gen import barbell, cycle_graph, path_graph, random_multigraph, ring_of_cliques
 
 
 def test_degree_sum_is_twice_edges():
@@ -160,16 +163,48 @@ def test_induced_subgraph_degrees_internal(gs):
             ),
         )
     ),
-    st.booleans(),
+    st.sampled_from(["list", "int32", "strided"]),
 )
 @settings(max_examples=150, deadline=None)
-def test_csr_matches_sorted_adjacency(n_edges, as_array):
+def test_csr_matches_sorted_adjacency(n_edges, given_as):
     n, edges = n_edges
     adj = [[] for _ in range(n)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    g = Graph(n, np.array(edges, dtype=np.int32).reshape(-1, 2) if as_array else edges)
+    if given_as == "int32":
+        edges = np.array(edges, dtype=np.int32).reshape(-1, 2)
+    elif given_as == "strided":
+        # a non-contiguous int64 view into a wider array
+        wide = np.ones((len(edges), 3), dtype=np.int64)
+        wide[:, :2] = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        edges = wide[:, :2]
+    g = Graph(n, edges)
     assert g.m == len(edges)
     assert list(g._off) == [0, *itertools.accumulate(len(a) for a in adj)]
     assert [list(g.adjacent(u)) for u in range(n)] == [sorted(a) for a in adj]
+
+
+def test_csr_build_peak_memory():
+    # the build's only arrays are the sorted keys (16 bytes per edge), the
+    # degree count and the offsets; a temporary per endpoint array would
+    # push the peak past the bound
+    ring = ring_of_cliques(2000, 10)
+    edges = np.array(list(ring.edges()), dtype=np.int64)
+    csr_bytes = 16 * ring.m + 8 * (ring.n + 1)
+    tracemalloc.start()
+    try:
+        g = Graph(ring.n, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(g._flat) == list(ring._flat)
+    assert peak < 1.5 * csr_bytes, f"peak {peak} bytes is {peak / csr_bytes:.2f} x the CSR"
+
+
+def test_graph_pickles_and_deep_copies():
+    g = Graph(6, [(0, 1), (1, 2), (0, 1), (4, 5), (2, 0)])
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert (h.n, h.m) == (g.n, g.m)
+        assert list(h._off) == list(g._off) and list(h._flat) == list(g._flat)
+        assert all(list(h.adjacent(u)) == list(g.adjacent(u)) for u in range(g.n))
