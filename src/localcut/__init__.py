@@ -5,9 +5,9 @@ provably low conductance by solving localized maximum-flow problems on a
 source/sink-augmented graph, touching only a volume proportional to the
 seed's. One localized Dinic engine serves both solvers: phase-capped for
 the approximate solver, run to a maximum flow for the exact one. Also
-ships cut-quotient improvement drivers, whose probes resume each
-other's flows, routing certificates, a push/sweep seed expander, and a
-CLI.
+ships cut-quotient improvement drivers, whose later probes all resume
+the first probe's flow, routing certificates, a push/sweep seed
+expander, and a CLI.
 """
 
 from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma

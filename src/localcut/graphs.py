@@ -50,7 +50,8 @@ class Graph:
             keys fit in int64.
         edges: Iterable of ``(u, v)`` endpoint pairs, or an integer array
             of shape ``(m, 2)`` (any strides). Repeated pairs are kept as
-            parallel edges. Self-loops raise ``ValueError``.
+            parallel edges. Self-loops and non-integer endpoints (float,
+            bool, str) raise ``ValueError``.
     """
 
     __slots__ = ("_n", "_m", "_off", "_flat")
@@ -59,10 +60,13 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         if isinstance(edges, np.ndarray):
-            pairs = edges.reshape(-1, 2).astype(np.int64, copy=False)
+            pairs = edges.reshape(-1, 2)
         else:
             seq = edges if isinstance(edges, (list, tuple)) else list(edges)
-            pairs = np.array(seq, dtype=np.int64).reshape(-1, 2) if seq else np.empty((0, 2), np.int64)
+            pairs = np.array(seq).reshape(-1, 2) if seq else np.empty((0, 2), np.int64)
+        if pairs.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         m = len(pairs)
         if m:
             if pairs.min() < 0 or pairs.max() >= n:

@@ -10,13 +10,14 @@ only for the approximate solver's budget-limited layer cuts) makes the
 search bisect its bracket instead. The search keeps the best cut seen by
 conductance.
 
-A probe resumes the flow of an earlier probe at a higher alpha, in the
+Every probe after the first resumes the first probe's flow, in the
 manner of parametric max flow: the lower alpha only raises edge
 capacities, so that flow stays feasible and its saturated set stays
-valid, and the probe routes only what is left. It resumes the closest
-such probe whose integer scale divides its own least scale, so every
-probe's flow stays at the least scale of its alpha, as a cold run's
-would. The probes' own results are never modified.
+valid, and the probe routes only what is left. The first probe is at
+``alpha = 1``, so its integer scale (the denominator of ``eps``) divides
+every later probe's least scale, and every probe's flow stays at the
+least scale of its alpha, as a cold run's would. The first result is
+never modified.
 
 When ``alpha = 1`` routes a full-value flow there is no improvement to
 report; that outcome is returned as a distinct non-error result whose
@@ -31,7 +32,6 @@ from fractions import Fraction
 from .augmented import (
     build,
     epsilon_sigma,
-    least_scale,
     min_feasible_sigma,
     overlap_for_sink_factor,
     relative_quotient,
@@ -56,7 +56,7 @@ class ImproveResult:
     full-value flow state is kept as the routing certificate.
 
     ``phases`` is the number of Dinic phases the search actually ran: a
-    probe that resumed an earlier probe's flow adds only its own phases.
+    probe that resumed the first probe's flow adds only its own phases.
     ``touched_volume`` is the largest volume any probe's flow had opened,
     inherited vertices included, so it is the region the search touched.
     """
@@ -76,21 +76,6 @@ class ImproveResult:
     @property
     def volume(self) -> int:
         return self.cut.volume
-
-
-def _resume_point(
-    results: dict[Fraction, LocalFlowResult], alpha: Fraction, eps: Fraction | None
-) -> LocalFlowResult | None:
-    """The result closest above ``alpha`` whose scale divides ``alpha``'s least scale.
-
-    Every result above the current probe found a cut, and its flow is
-    feasible at ``alpha``. ``None`` (nothing to resume) means a cold start.
-    """
-    least = least_scale(alpha, eps)
-    for above in sorted(x for x in results if x > alpha):
-        if least % results[above].flow.ag.scale == 0:
-            return results[above]
-    return None
 
 
 def _solve(g, a, alpha, eps, solver, validate, budget, start):
@@ -132,33 +117,28 @@ def local_improve(
     alpha_min = Fraction(0)
     alpha = alpha_max = Fraction(1)
     trace: list[tuple[Fraction, str]] = []
-    results: dict[Fraction, LocalFlowResult] = {}
+    first: LocalFlowResult | None = None
     best: tuple[Fraction, int, tuple[int, ...], Fraction] | None = None
+    winner: LocalFlowResult | None = None
     touched = 0
     phases = 0
-
-    def record(alpha: Fraction, res: LocalFlowResult) -> None:
-        nonlocal best, touched, phases
-        results[alpha] = res
-        touched = max(touched, res.stats.touched_volume)
-        phases += res.stats.phases
-        if not res.full_flow:
-            phi = conductance(g, res.cut)
-            key = (phi, res.cut.volume, res.cut.ids, alpha)
-            if best is None or key < best:
-                best = key
 
     # A full flow at alpha_min proves no set has a quotient below it, so every
     # cut's quotient is at least alpha_min and the bracket never inverts.
     for _ in range(_MAX_PROBES):
-        start = _resume_point(results, alpha, eps_sigma)
-        res = _solve(g, a, alpha, eps_sigma, solver, validate, budget, start)
-        record(alpha, res)
+        res = _solve(g, a, alpha, eps_sigma, solver, validate, budget, first)
+        if first is None:
+            first = res
+        touched = max(touched, res.stats.touched_volume)
+        phases += res.stats.phases
         if res.full_flow:
             trace.append((alpha, "full-flow"))
             alpha_min = alpha
         else:
             trace.append((alpha, "cut-found"))
+            key = (conductance(g, res.cut), res.cut.volume, res.cut.ids, alpha)
+            if best is None or key < best:
+                best, winner = key, res
             alpha_max = alpha
             if best[0] == 0:
                 break  # a disconnection cut cannot be beaten
@@ -191,7 +171,6 @@ def local_improve(
         )
 
     phi, _vol, ids, at_alpha = best
-    winner = results[at_alpha]
     kind = "min-cut" if winner.exact else "layer-cut"
     return ImproveResult(
         cut=VertexSet(g, ids),

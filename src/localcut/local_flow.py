@@ -10,7 +10,14 @@ If a phase ever fails to augment, the flow is an exact maximum flow and
 the residual reachability is a minimum cut. If the phase budget runs out
 first, the best layer cut of the final residual distance labels is
 returned instead; its conductance is below twice the capacity parameter
-whenever the budget was the configured one.
+whenever the budget was the configured one. Either way the run returns
+one flat :class:`LocalFlowResult`: its ``cut``, ``exact`` (false for a
+layer cut) and the flow state, whose opened set is the saturated set's
+only copy.
+
+A run may resume the flow of an earlier run of the same instance at a
+higher alpha (``start=``). The improvement search resumes every probe
+from its first one, at ``alpha = 1``.
 
 The exact solver (:func:`localcut.exact_flow.local_flow_exact`) is the
 same loop with no budget. It terminates because every phase raises the
@@ -24,7 +31,7 @@ produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Callable
@@ -35,8 +42,6 @@ from .flow import DistanceLabels, FlowState, bfs_distances, blocking_flow, check
 from .graphs import Graph, VertexSet
 
 __all__ = [
-    "SaturatedRecord",
-    "LayerCutResult",
     "LocalFlowResult",
     "update_saturated_set",
     "iteration_bound",
@@ -131,45 +136,28 @@ def iteration_bound(alpha: Fraction, vol_a: int, sigma: Fraction) -> int:
     return phase_budget(vol_a, sigma)(alpha)
 
 
-@dataclass(frozen=True)
-class LayerCutResult:
-    """Best prefix-of-layers cut of the final residual distance labels."""
-
-    cut: VertexSet
-    phi: Fraction
-
-
 @dataclass
 class LocalFlowStats:
     """Instrumentation counters exposed for the locality contract."""
 
     phases: int = 0
     touched_volume: int = 0
-    sink_distance_trace: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class SaturatedRecord:
-    """The saturated set a run ended with: its opened non-seed vertices.
-
-    Every member's sink arc is saturated. The flow state's opened set is
-    the live record; this copy is taken once, when the run returns.
-    """
-
-    members: frozenset[int]
 
 
 @dataclass
 class LocalFlowResult:
-    """Outcome of one localized flow run at fixed ``(alpha, eps)``."""
+    """Outcome of one localized flow run at fixed ``(alpha, eps)``.
+
+    ``exact`` marks a maximum flow whose ``cut`` is the minimal minimum
+    cut; otherwise the budget ran out and ``cut`` is the best layer cut.
+    The saturated set is ``flow.opened`` minus the seed.
+    """
 
     flow: FlowState
     cut: VertexSet
     exact: bool
     full_flow: bool
     stats: LocalFlowStats
-    saturated: SaturatedRecord
-    layer_cut: LayerCutResult | None = None
 
     @property
     def value(self) -> Fraction:
@@ -195,8 +183,12 @@ def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
             raise InvariantViolation(f"vertex {v} at distance {d} outside seed and saturated set")
 
 
-def _best_layer_cut(fs: FlowState, labels: DistanceLabels, validate: bool) -> LayerCutResult:
-    """Scan prefix unions of layers 1..d(t)-2 for the lowest conductance."""
+def _best_layer_cut(fs: FlowState, labels: DistanceLabels) -> VertexSet:
+    """Scan prefix unions of layers 1..d(t)-2 for the lowest conductance.
+
+    With validation on, :func:`_check_layer_containment` has already checked
+    these layers against the same labels.
+    """
     ag = fs.ag
     g = ag.graph
     dt = labels.dist[ag.sink_id]
@@ -210,8 +202,6 @@ def _best_layer_cut(fs: FlowState, labels: DistanceLabels, validate: bool) -> La
     prefix: list[int] = []
     for j in range(1, dt - 1):
         for v in layers.get(j, ()):
-            if validate and v not in fs.opened:
-                raise InvariantViolation(f"layer-cut vertex {v} escapes the core")
             internal = 0
             for w in g.adjacent(v):
                 if w in members:
@@ -228,7 +218,7 @@ def _best_layer_cut(fs: FlowState, labels: DistanceLabels, validate: bool) -> La
             best_members = list(prefix)
     if best is None:
         raise InvariantViolation("no nonempty layer cut available")
-    return LayerCutResult(VertexSet(g, best_members), best)
+    return VertexSet(g, best_members)
 
 
 def local_flow(
@@ -252,8 +242,9 @@ def local_flow(
     ``max_phases`` is the phase budget, by default :func:`iteration_bound`.
     A smaller one, which tests use to force the approximate branch, voids
     the layer-cut guarantee. ``start`` resumes from the flow of an earlier
-    run on the same instance at an alpha at least this one (see
-    :func:`_localized_dinic`); that run's result is not modified.
+    run on the same instance at an alpha at least this one, whose scale
+    divides this run's (see :func:`_localized_dinic`); that run's result
+    is not modified.
     """
     ag = build(g, a, alpha, eps)
     if max_phases is None:
@@ -326,7 +317,6 @@ def _localized_dinic(
                 raise InvariantViolation("uncapped run exceeded the materialized vertex count")
         elif stats.phases >= budget:
             break
-        stats.sink_distance_trace.append(labels.dist[t])
         pushed, _ = blocking_flow(fs, labels)
         labels.release()
         if pushed == 0:
@@ -338,7 +328,6 @@ def _localized_dinic(
         prev = labels
         labels = bfs_distances(fs)
     stats.touched_volume = fs.touched_volume
-    saturated = SaturatedRecord(frozenset(fs.opened.difference(ag.seed)))
     if t not in labels.dist:
         if fs.value > ag.source_total:
             raise InvariantViolation("flow value exceeds total source capacity")
@@ -347,6 +336,5 @@ def _localized_dinic(
         cut = VertexSet(g, (v for v in labels.dist if v < n))
         if full and len(cut) != 0:
             raise InvariantViolation("full-value flow must leave the source isolated")
-        return LocalFlowResult(fs, cut, True, full, stats, saturated)
-    layer = _best_layer_cut(fs, labels, validate)
-    return LocalFlowResult(fs, layer.cut, False, False, stats, saturated, layer_cut=layer)
+        return LocalFlowResult(fs, cut, True, full, stats)
+    return LocalFlowResult(fs, _best_layer_cut(fs, labels), False, False, stats)

@@ -39,6 +39,21 @@ def test_out_of_range_edge_rejected():
         Graph(2, [(0, 5)])
 
 
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0.5, 1.7)],
+        np.array([[0.5, 1.7], [1.9, 2.2]]),
+        np.array([[True, False]]),
+        [("0", "1")],
+    ],
+    ids=["float-list", "float-array", "bool-array", "str-list"],
+)
+def test_non_integer_endpoints_rejected(edges):
+    with pytest.raises(ValueError, match="must be integers, got dtype"):
+        Graph(3, edges)
+
+
 def test_parallel_edges_counted():
     g = Graph(2, [(0, 1), (0, 1), (1, 0)])
     assert g.degree(0) == 3

@@ -255,7 +255,7 @@ def test_validate_flag_changes_no_result(small_suite, solver):
 
 @pytest.mark.parametrize("solver", ["approx", "exact"])
 def test_warm_probes_match_cold_runs(small_suite, solver, monkeypatch):
-    """Every probe that resumed an earlier probe's flow equals a cold run at its alpha.
+    """Every probe after the first resumes the first probe and equals a cold run at its alpha.
 
     Every probe, warm or cold, keeps the locality cap ``3 vol(A)/sigma``.
     """
@@ -264,7 +264,7 @@ def test_warm_probes_match_cold_runs(small_suite, solver, monkeypatch):
 
     def spy(g, a, alpha, eps, **kwargs):
         res = cold(g, a, alpha, eps, **kwargs)
-        probes.append((alpha, kwargs.get("start") is not None, res))
+        probes.append((alpha, kwargs.get("start"), res))
         return res
 
     monkeypatch.setattr(improve_module, cold.__name__, spy)
@@ -281,12 +281,14 @@ def test_warm_probes_match_cold_runs(small_suite, solver, monkeypatch):
         probes.clear()
         res = local_improve_overlap(g, a, sigma, solver)
         assert [alpha for alpha, _, _ in probes] == [alpha for alpha, _ in res.alpha_trace]
-        assert not probes[0][1], "the first probe has nothing to resume"
+        assert probes[0][1] is None, "the first probe has nothing to resume"
+        first = probes[0][2]
         cap = 3 * a.volume / sigma
-        for alpha, warm, got in probes:
+        for i, (alpha, start, got) in enumerate(probes):
             assert got.stats.touched_volume <= cap
-            if not warm:
+            if i == 0:
                 continue
+            assert start is first and start.flow.ag.alpha == 1
             resumed += 1
             ref = cold(g, a, alpha, res.eps)
             assert got.cut == ref.cut and got.value == ref.value

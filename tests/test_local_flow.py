@@ -138,12 +138,10 @@ def test_update_saturated_set_monotone():
 
 
 def _assert_saturated_record(res) -> None:
-    """The run's saturated set is its opened non-seed vertices, each with a full sink arc."""
+    """Every opened non-seed vertex, the run's saturated set, has a full sink arc."""
     fs = res.flow
     t = fs.ag.sink_id
-    members = fs.opened - set(fs.ag.seed)
-    assert res.saturated.members == members
-    for v in members:
+    for v in fs.opened - set(fs.ag.seed):
         (arc,) = (x for x in fs.arcs_of[v] if fs.arc_to[x] == t)
         assert 0 < fs.arc_flow[arc] == fs.arc_cap[arc], f"sink arc of {v} is not saturated"
 
@@ -220,28 +218,92 @@ def test_local_flow_differential_up_to_fifty_vertices():
         assert res.flow.value == ref.value
 
 
+def _spy_bfs(mp: pytest.MonkeyPatch, mutate=None) -> list[int]:
+    """Collect the sink distance of every BFS the engine runs, after ``mutate(fs, labels)``."""
+    real = local_flow_module.bfs_distances
+    trace: list[int] = []
+
+    def bfs(fs):
+        labels = real(fs)
+        if mutate is not None:
+            mutate(fs, labels)
+        if fs.ag.sink_id in labels.dist:
+            trace.append(labels.dist[fs.ag.sink_id])
+        return labels
+
+    mp.setattr(local_flow_module, "bfs_distances", bfs)
+    return trace
+
+
 def test_sink_distance_trace_grows(small_suite):
+    multi_phase = 0
     for g, a, alpha, eps in small_suite[:80]:
-        res = local_flow(g, a, alpha, eps)
-        trace = res.stats.sink_distance_trace
-        assert all(b >= a_ + 1 for a_, b in zip(trace, trace[1:]))
-        if trace:
-            assert trace[0] >= 3
+        for solve in (local_flow, local_flow_exact):
+            with pytest.MonkeyPatch.context() as mp:
+                trace = _spy_bfs(mp)
+                res = solve(g, a, alpha, eps)
+            assert len(trace) == res.stats.phases, "every phase reached the sink"
             # sink distance after i phases is at least i+3
             assert all(d >= i + 3 for i, d in enumerate(trace))
+            assert all(b >= a_ + 1 for a_, b in zip(trace, trace[1:]))
+            multi_phase += len(trace) > 1
+    assert multi_phase > 20
+
+
+def test_stalled_sink_distance_is_caught():
+    """Labels whose sink distance does not grow across a phase raise during the run."""
+    g = asym_barbell()
+    a = VertexSet(g, [0, 1, 2])
+    alpha, eps = Fraction(1, 4), Fraction(1, 10)
+    assert local_flow(g, a, alpha, eps).stats.phases >= 2
+    for solve in (local_flow, local_flow_exact):
+        seen: list[int] = []
+
+        def stall(fs, labels):
+            t = fs.ag.sink_id
+            if seen and t in labels.dist:
+                labels.dist[t] = seen[0]
+            seen.append(labels.dist.get(t))
+
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_bfs(mp, stall)
+            with pytest.raises(InvariantViolation, match="sink distance failed to grow"):
+                solve(g, a, alpha, eps)
+        assert len(seen) == 2
+
+
+def test_unopened_vertex_in_a_low_layer_is_caught():
+    """An unopened vertex labelled below ``d(t) - 2`` raises before the run returns."""
+    g = asym_barbell()
+    a = VertexSet(g, [0, 1, 2])
+    for solve in (local_flow, local_flow_exact):
+
+        def misplace(fs, labels):
+            outside = min(v for v in range(g.n) if v not in fs.opened)
+            assert labels.dist[fs.ag.sink_id] >= 3
+            labels.dist[outside] = 1
+
+        with pytest.MonkeyPatch.context() as mp:
+            _spy_bfs(mp, misplace)
+            with pytest.raises(InvariantViolation, match="outside seed and saturated set"):
+                solve(g, a, Fraction(1, 2), Fraction(1, 3))
 
 
 def test_forced_early_stop_returns_layer_cut():
+    """A run out of budget returns a prefix of its final labels' layers, inside the core."""
     g = asym_barbell()
     a = VertexSet(g, [0, 1, 2])
-    full = local_flow(g, a, Fraction(1, 2), Fraction(1, 3))
+    alpha, eps = Fraction(1, 4), Fraction(1, 10)
+    full = local_flow(g, a, alpha, eps)
     assert full.exact
-    phases = full.stats.phases
-    if phases >= 2:
-        res = local_flow(g, a, Fraction(1, 2), Fraction(1, 3), max_phases=phases - 1)
-        if not res.exact:
-            assert res.layer_cut is not None
-            assert set(res.cut) <= set(a) | res.saturated.members
+    res = local_flow(g, a, alpha, eps, max_phases=full.stats.phases - 1)
+    assert not res.exact and not res.full_flow
+    assert set(res.cut) <= res.flow.opened
+    dist = bfs_distances(res.flow).dist
+    dt = dist[res.flow.ag.sink_id]
+    top = max(dist[v] for v in res.cut)
+    assert top <= dt - 2
+    assert set(res.cut) == {v for v, d in dist.items() if v < g.n and 1 <= d <= top}
 
 
 def test_locality_on_ring_of_cliques():
