@@ -27,7 +27,6 @@ def local_flow_exact(
     alpha: Fraction,
     eps: Fraction | None,
     *,
-    validate: bool = True,
     start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
     """Exact localized max flow and min cut on the augmented graph.
@@ -37,4 +36,4 @@ def local_flow_exact(
     ``start`` resumes from an earlier result's flow, as in
     :func:`localcut.local_flow.local_flow`.
     """
-    return _localized_dinic(build(g, a, alpha, eps), None, validate, start)
+    return _localized_dinic(build(g, a, alpha, eps), None, start)

@@ -45,7 +45,6 @@ class FlowState:
         "arcs_of",
         "_dirty",
         "opened",
-        "_sink_done",
         "value",
         "touched_volume",
         "newly_saturated",
@@ -59,8 +58,6 @@ class FlowState:
         self.arcs_of: dict[int, list[int]] = {ag.source_id: [], ag.sink_id: []}
         self._dirty: set[int] = set()
         self.opened: set[int] = set()
-        # vertices that have their sink arc, or never get one (the seed)
-        self._sink_done: set[int] = set(ag.seed)
         self.value = 0
         self.touched_volume = 0
         self.newly_saturated: list[int] = []
@@ -115,7 +112,6 @@ class FlowState:
         fs.arcs_of = {v: arcs[:] for v, arcs in self.arcs_of.items()}
         fs._dirty = set(self._dirty)
         fs.opened = set(self.opened)
-        fs._sink_done = set(self._sink_done)
         fs.value = self.value * factor
         fs.touched_volume = self.touched_volume
         fs.newly_saturated = self.newly_saturated[:]
@@ -127,7 +123,9 @@ class FlowState:
         Each distinct neighbor not yet opened gets one edge pair of capacity
         multiplicity times ``edge_cap_unit`` each way, appended in neighbor
         order and followed by the neighbor's sink pair when it has none yet;
-        ``v``'s own sink pair comes last.
+        ``v``'s own sink pair comes last. A base vertex has its sink pair
+        exactly when it has an arc list and is not a seed: seeds get their
+        lists in ``__init__``, every other vertex together with its sink pair.
         """
         opened = self.opened
         if v in opened:
@@ -139,10 +137,10 @@ class FlowState:
         cap = self.arc_cap
         arcs_of = self.arcs_of
         dirty = self._dirty
-        sink_done = self._sink_done
         into_t = arcs_of[t]
         out_of_v = arcs_of.get(v)
-        if out_of_v is None:
+        fresh = out_of_v is None
+        if fresh:
             out_of_v = arcs_of[v] = []
         first = a = len(to)
         prev = edge = -1
@@ -159,24 +157,21 @@ class FlowState:
                 edge = -1
                 continue
             edge = a
-            to += (w, v)
-            cap += (ce, ce)
             out_of_v.append(a)
             out_of_w = arcs_of.get(w)
             if out_of_w is None:
-                out_of_w = arcs_of[w] = []
-            out_of_w.append(a + 1)
-            dirty.add(w)
-            a += 2
-            if w not in sink_done:
-                sink_done.add(w)
-                to += (t, w)
-                cap += (ag.sink_cap(w), 0)
-                out_of_w.append(a)
-                into_t.append(a + 1)
+                to += (w, v, t, w)
+                cap += (ce, ce, ag.sink_cap(w), 0)
+                arcs_of[w] = [a + 1, a + 2]
+                into_t.append(a + 3)
+                a += 4
+            else:
+                to += (w, v)
+                cap += (ce, ce)
+                out_of_w.append(a + 1)
                 a += 2
-        if v not in sink_done:
-            sink_done.add(v)
+            dirty.add(w)
+        if fresh:
             to += (t, v)
             cap += (ag.sink_cap(v), 0)
             out_of_v.append(a)
@@ -340,7 +335,7 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
     return DistanceLabels(dist, admissible)
 
 
-def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:
+def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
     """Saturate the admissible graph of ``labels`` with a current-arc DFS.
 
     The DFS walks the admissible lists that :func:`bfs_distances` left in
@@ -350,8 +345,7 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:
     pushes the same flow. Each push is applied in place, with the capacity
     check of :meth:`FlowState.push`. The lists are left intact: a second
     call on the same labels finds no admissible path and pushes nothing.
-    Returns ``(pushed, blocked)`` where ``blocked`` means the sink was
-    unreachable on entry and nothing could be pushed.
+    Returns the amount pushed, 0 when the sink is unlabelled.
 
     Raises:
         InvariantViolation: if the labels were released, or a push would
@@ -361,7 +355,7 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:
     t = fs.ag.sink_id
     dt = labels.dist.get(t)
     if dt is None:
-        return 0, True
+        return 0
     admissible = labels.admissible
     if admissible is None:
         raise InvariantViolation("blocking flow on released labels")
@@ -420,15 +414,17 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> tuple[int, bool]:
         dead.add(v)
         v = to[path.pop() ^ 1]
     fs.value += total
-    return total, False
+    return total
 
 
 def check_label_monotone(
     prev: DistanceLabels, cur: DistanceLabels, t: int, exact_zone_only: bool = False
 ) -> None:
-    """Assert labels never decreased between phases.
+    """Assert labels never decreased between phases, and the sink distance grew.
 
-    With ``exact_zone_only`` the check covers the region where lazily
+    A Dinic phase raises the sink distance by at least one, so a sink
+    labelled in both ``prev`` and ``cur`` must be strictly farther in
+    ``cur``. With ``exact_zone_only`` the check covers the region where lazily
     materialized labels agree with the full graph's: vertices strictly
     below the previous sink distance, plus the sink. A vertex beyond that
     horizon may legitimately gain a shorter label once more of the graph is
@@ -445,14 +441,19 @@ def check_label_monotone(
             raise InvariantViolation(
                 f"distance label decreased at vertex {v}: {d_old} -> {d_new}"
             )
+    dt = cd.get(t)
+    if horizon is not None and dt is not None and dt <= horizon:
+        raise InvariantViolation("sink distance failed to grow across a phase")
 
 
-def global_max_flow(ag: AugmentedGraph, validate: bool = True) -> tuple[FlowState, VertexSet]:
+def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
     """Exact max flow and min cut by Dinic's algorithm over the full graph.
 
     The min cut is the source side of the final residual reachability,
     intersected with the base vertices. Used as the global reference
-    oracle; materializes every vertex, so keep instances moderate.
+    oracle; materializes every vertex, so keep instances moderate. Every
+    phase checks label monotonicity, sink-distance growth and flow
+    conservation.
     """
     fs = FlowState(ag)
     fs.open_all()
@@ -460,19 +461,14 @@ def global_max_flow(ag: AugmentedGraph, validate: bool = True) -> tuple[FlowStat
     prev: DistanceLabels | None = None
     while True:
         labels = bfs_distances(fs)
-        if validate and prev is not None:
+        if prev is not None:
             check_label_monotone(prev, labels, t)
-            dt_prev, dt_cur = prev.dist.get(t), labels.dist.get(t)
-            if dt_cur is not None and dt_prev is not None and dt_cur < dt_prev + 1:
-                raise InvariantViolation("sink distance failed to grow across a phase")
         if t not in labels.dist:
             break
-        pushed, _ = blocking_flow(fs, labels)
-        labels.release()
-        if pushed == 0:
+        if not blocking_flow(fs, labels):
             raise InvariantViolation("reachable sink but nothing pushed")
-        if validate:
-            fs.check_conservation()
+        labels.release()
+        fs.check_conservation()
         prev = labels
     if fs.value > ag.source_total:
         raise InvariantViolation("flow value exceeds total source capacity")

@@ -30,6 +30,7 @@ __all__ = [
     "volume",
     "boundary_edges",
     "conductance",
+    "best_prefix",
     "neighbors",
     "induced_subgraph",
 ]
@@ -66,7 +67,6 @@ class Graph:
             pairs = np.array(seq).reshape(-1, 2) if seq else np.empty((0, 2), np.int64)
         if pairs.dtype.kind not in "iu":
             raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
-        pairs = pairs.astype(np.int64, copy=False)
         m = len(pairs)
         if m:
             if pairs.min() < 0 or pairs.max() >= n:
@@ -75,6 +75,8 @@ class Graph:
             loops = pairs[:, 0] == pairs[:, 1]
             if loops.any():
                 raise ValueError(f"self-loop at vertex {pairs[loops.argmax(), 0]}")
+        # only after the range check: the cast wraps unsigned endpoints of 2**63 and up
+        pairs = pairs.astype(np.int64, copy=False)
         if n > _MAX_N:
             raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
         # CSR with each adjacency run sorted: one in-place sort of the arc keys
@@ -262,6 +264,39 @@ def conductance(g: Graph, s: VertexSet) -> Fraction:
     vol_s = s.volume
     vol_rest = g.total_volume - vol_s
     return Fraction(boundary_edges(g, s), min(vol_s, vol_rest))
+
+
+def best_prefix(g: Graph, groups: Iterable[Iterable[int]], max_volume: int) -> list[int] | None:
+    """The lowest-conductance nonempty prefix union of ``groups``, or ``None``.
+
+    Prefixes grow one whole group at a time, with the boundary and volume
+    kept incrementally; the scan stops at the first prefix whose volume
+    exceeds ``max_volume``. Ties go to the earliest prefix. The groups must
+    be disjoint, and every nonempty prefix within ``max_volume`` must have
+    positive volume below ``vol(V)``.
+    """
+    total = g.total_volume
+    members: set[int] = set()
+    inside = members.__contains__
+    prefix: list[int] = []
+    vol = cross = 0
+    best: Fraction | None = None
+    size = 0
+    for group in groups:
+        for u in group:
+            deg = g.degree(u)
+            cross += deg - 2 * sum(map(inside, g.adjacent(u)))
+            vol += deg
+            members.add(u)
+            prefix.append(u)
+        if vol > max_volume:
+            break
+        if not prefix:
+            continue
+        phi = Fraction(cross, min(vol, total - vol))
+        if best is None or phi < best:
+            best, size = phi, len(prefix)
+    return None if best is None else prefix[:size]
 
 
 def neighbors(g: Graph, s: VertexSet) -> VertexSet:

@@ -78,12 +78,10 @@ class ImproveResult:
         return self.cut.volume
 
 
-def _solve(g, a, alpha, eps, solver, validate, budget, start):
+def _solve(g, a, alpha, eps, solver, budget, start):
     if solver == "approx":
-        return local_flow(
-            g, a, alpha, eps, validate=validate, max_phases=budget(alpha), start=start
-        )
-    return local_flow_exact(g, a, alpha, eps, validate=validate, start=start)
+        return local_flow(g, a, alpha, eps, max_phases=budget(alpha), start=start)
+    return local_flow_exact(g, a, alpha, eps, start=start)
 
 
 def local_improve(
@@ -92,8 +90,6 @@ def local_improve(
     eps_sigma: Fraction | None,
     eps: Fraction = Fraction(1, 5),
     solver: str = "approx",
-    *,
-    validate: bool = True,
 ) -> ImproveResult:
     """Minimize the capacity parameter by cut-quotient search and return the best cut.
 
@@ -126,7 +122,7 @@ def local_improve(
     # A full flow at alpha_min proves no set has a quotient below it, so every
     # cut's quotient is at least alpha_min and the bracket never inverts.
     for _ in range(_MAX_PROBES):
-        res = _solve(g, a, alpha, eps_sigma, solver, validate, budget, first)
+        res = _solve(g, a, alpha, eps_sigma, solver, budget, first)
         if first is None:
             first = res
         touched = max(touched, res.stats.touched_volume)
@@ -194,7 +190,6 @@ def local_improve_overlap(
     solver: str = "approx",
     *,
     eps: Fraction = Fraction(1, 5),
-    validate: bool = True,
 ) -> ImproveResult:
     """Improvement run parameterized by the overlap guarantee ``sigma``.
 
@@ -204,7 +199,7 @@ def local_improve_overlap(
     ``(3/sigma) vol(A)``.
     """
     eps_s = epsilon_sigma(Fraction(sigma), g, a)
-    return local_improve(g, a, eps_s, eps=eps, solver=solver, validate=validate)
+    return local_improve(g, a, eps_s, eps=eps, solver=solver)
 
 
 def pipeline_nibble_improve(
@@ -215,7 +210,6 @@ def pipeline_nibble_improve(
     *,
     cfg: ApprConfig | None = None,
     eps: Fraction = Fraction(1, 5),
-    validate: bool = True,
 ) -> ImproveResult:
     """Grow a seed set from one vertex, then improve it.
 
@@ -233,4 +227,4 @@ def pipeline_nibble_improve(
             f"sigma={sigma} infeasible for the expanded seed set; "
             f"sigma must be at least {min_feasible_sigma(g, a)}"
         )
-    return local_improve_overlap(g, a, sigma, solver, eps=eps, validate=validate)
+    return local_improve_overlap(g, a, sigma, solver, eps=eps)

@@ -23,10 +23,10 @@ The exact solver (:func:`localcut.exact_flow.local_flow_exact`) is the
 same loop with no budget. It terminates because every phase raises the
 sink's distance by at least one, and that distance is at most the number
 of materialized vertices minus one, so an uncapped run ends within that
-many phases; the loop raises ``InvariantViolation`` rather than spin past
-it. The minimum cut it returns is the source side of residual
-reachability: the unique minimal minimum cut, whichever maximum flow
-produced it.
+many phases: a phase that failed to raise it would make the growth check
+raise ``InvariantViolation`` first. The minimum cut it returns is the
+source side of residual reachability: the unique minimal minimum cut,
+whichever maximum flow produced it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
 from .errors import InvariantViolation
 from .flow import DistanceLabels, FlowState, bfs_distances, blocking_flow, check_label_monotone
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, best_prefix
 
 __all__ = [
     "LocalFlowResult",
@@ -184,41 +184,18 @@ def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
 
 
 def _best_layer_cut(fs: FlowState, labels: DistanceLabels) -> VertexSet:
-    """Scan prefix unions of layers 1..d(t)-2 for the lowest conductance.
+    """The lowest-conductance prefix union of layers 1..d(t)-2 (:func:`best_prefix`).
 
-    With validation on, :func:`_check_layer_containment` has already checked
-    these layers against the same labels.
+    :func:`_check_layer_containment` has already checked these layers
+    against the same labels.
     """
-    ag = fs.ag
-    g = ag.graph
-    dt = labels.dist[ag.sink_id]
+    g = fs.ag.graph
     layers = labels.layers(fs)
-    total = g.total_volume
-    members: set[int] = set()
-    vol = 0
-    cross = 0
-    best: Fraction | None = None
-    best_members: list[int] = []
-    prefix: list[int] = []
-    for j in range(1, dt - 1):
-        for v in layers.get(j, ()):
-            internal = 0
-            for w in g.adjacent(v):
-                if w in members:
-                    internal += 1
-            cross += g.degree(v) - 2 * internal
-            vol += g.degree(v)
-            members.add(v)
-            prefix.append(v)
-        if not members or vol >= total:
-            continue
-        phi = Fraction(cross, min(vol, total - vol))
-        if best is None or phi < best:
-            best = phi
-            best_members = list(prefix)
+    groups = (layers.get(j, ()) for j in range(1, labels.dist[fs.ag.sink_id] - 1))
+    best = best_prefix(g, groups, g.total_volume - 1)
     if best is None:
         raise InvariantViolation("no nonempty layer cut available")
-    return VertexSet(g, best_members)
+    return VertexSet(g, best)
 
 
 def local_flow(
@@ -227,7 +204,6 @@ def local_flow(
     alpha: Fraction,
     eps: Fraction | None,
     *,
-    validate: bool = True,
     max_phases: int | None = None,
     start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
@@ -250,22 +226,22 @@ def local_flow(
     if max_phases is None:
         sigma = overlap_for_sink_factor(ag.eps)
         max_phases = iteration_bound(ag.alpha, a.volume, sigma)
-    return _localized_dinic(ag, max_phases, validate, start)
+    return _localized_dinic(ag, max_phases, start)
 
 
 def _localized_dinic(
     ag: AugmentedGraph,
     budget: int | None,
-    validate: bool,
     start: LocalFlowResult | None,
 ) -> LocalFlowResult:
     """Run at most ``budget`` localized Dinic phases; ``None`` runs to a max flow.
 
     Each phase labels the materialized residual graph, saturates its
-    admissible arcs, and opens the vertices whose sink arcs filled. With
-    ``validate`` every phase checks layer containment, label monotonicity
-    within the exact zone, sink-distance growth and flow antisymmetry and
-    conservation.
+    admissible arcs, and opens the vertices whose sink arcs filled. Every
+    phase checks layer containment, label monotonicity within the exact
+    zone, sink-distance growth and flow antisymmetry and conservation. The
+    growth check also bounds an uncapped run: the sink distance would
+    outgrow the materialized vertex count before the phases could.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
     result's flow, opened set included, rescaled to ``ag``'s scale, which
@@ -288,7 +264,7 @@ def _localized_dinic(
     to the sink. For the second, the sink distance is at least 3 on any
     flow (seed vertices have no sink arcs), and each Dinic phase raises it
     by at least one whatever feasible flow it starts from. Neither fact
-    uses a zero start, and the validation checks both every phase. A run
+    uses a zero start, and the checks cover both every phase. A run
     that ends with the sink unreachable returns the minimal minimum cut,
     which is the same whichever maximum flow it reached, so exact results
     do not depend on the start at all.
@@ -300,31 +276,17 @@ def _localized_dinic(
     prev: DistanceLabels | None = None
     labels = bfs_distances(fs)
     while True:
-        if validate:
-            _check_layer_containment(fs, labels)
-            if prev is not None:
-                check_label_monotone(prev, labels, t, exact_zone_only=True)
-                dt_prev = prev.dist.get(t)
-                dt_cur = labels.dist.get(t)
-                if dt_cur is not None and dt_prev is not None and dt_cur < dt_prev + 1:
-                    raise InvariantViolation("sink distance failed to grow across a phase")
-        if t not in labels.dist:
+        _check_layer_containment(fs, labels)
+        if prev is not None:
+            check_label_monotone(prev, labels, t, exact_zone_only=True)
+        if t not in labels.dist or (budget is not None and stats.phases >= budget):
             break
-        if budget is None:
-            if stats.phases > len(fs.arcs_of) + 2:
-                # the sink distance grows every phase and stays below the
-                # number of materialized vertices
-                raise InvariantViolation("uncapped run exceeded the materialized vertex count")
-        elif stats.phases >= budget:
-            break
-        pushed, _ = blocking_flow(fs, labels)
-        labels.release()
-        if pushed == 0:
+        if not blocking_flow(fs, labels):
             raise InvariantViolation("reachable sink but blocking flow pushed nothing")
+        labels.release()
         stats.phases += 1
         update_saturated_set(fs)
-        if validate:
-            fs.check_conservation()
+        fs.check_conservation()
         prev = labels
         labels = bfs_distances(fs)
     stats.touched_volume = fs.touched_volume

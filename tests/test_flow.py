@@ -62,8 +62,7 @@ def test_saturated_source_disconnects():
         fs.arc_flow[arc ^ 1] = -fs.arc_cap[arc]
     labels = bfs_distances(fs)
     assert ag.sink_id not in labels.dist
-    pushed, blocked = blocking_flow(fs, labels)
-    assert pushed == 0 and blocked
+    assert blocking_flow(fs, labels) == 0
 
 
 def test_blocking_flow_single_path():
@@ -76,9 +75,8 @@ def test_blocking_flow_single_path():
     fs = FlowState(ag)
     fs.open_all()
     labels = bfs_distances(fs)
-    pushed, blocked = blocking_flow(fs, labels)
+    pushed = blocking_flow(fs, labels)
     assert pushed == min(ag.source_cap(0), ag.edge_cap_unit, ag.sink_cap(1)) == 1
-    assert not blocked
 
 
 def test_dinic_barbell_min_cut():
@@ -141,8 +139,7 @@ def test_phase_labels_monotone_and_growing():
                     assert labels.dist[t] >= prev.dist[t] + 1
             if t not in labels.dist:
                 break
-            pushed, _ = blocking_flow(fs, labels)
-            assert pushed > 0
+            assert blocking_flow(fs, labels) > 0
             fs.check_conservation()
             prev = labels
 
@@ -159,11 +156,19 @@ def test_blocking_flow_blocks_admissible_graph():
         if ag.sink_id not in labels.dist:
             continue
         blocking_flow(fs, labels)
-        again, _ = blocking_flow(fs, labels)
-        assert again == 0
+        assert blocking_flow(fs, labels) == 0
         fresh = bfs_distances(fs)
         dt = fresh.dist.get(ag.sink_id)
         assert dt is None or dt > labels.dist[ag.sink_id]
+
+
+@pytest.mark.parametrize("exact_zone_only", [False, True])
+def test_label_monotone_rejects_a_stalled_sink(exact_zone_only):
+    """Equal labels decrease nowhere, but the sink distance did not grow."""
+    _, _, ag, fs = tri_state()
+    prev = bfs_distances(fs)
+    with pytest.raises(InvariantViolation, match="failed to grow"):
+        check_label_monotone(prev, bfs_distances(fs), ag.sink_id, exact_zone_only)
 
 
 def _edge_arc(fs, u, v):

@@ -20,6 +20,7 @@ from localcut import (
     neighbors,
     volume,
 )
+from localcut.graphs import best_prefix
 
 from gen import barbell, cycle_graph, path_graph, random_multigraph, ring_of_cliques
 
@@ -37,6 +38,9 @@ def test_self_loop_rejected():
 def test_out_of_range_edge_rejected():
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, [(0, 5)])
+    # an unsigned endpoint of 2**63 is named as given, not wrapped negative
+    with pytest.raises(ValueError, match=r"edge \(9223372036854775808, 1\) out of range"):
+        Graph(3, np.array([[2**63, 1]], dtype=np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -94,6 +98,15 @@ def test_conductance_rejects_trivial_sets():
         conductance(g, VertexSet(g, []))
     with pytest.raises(ParameterError):
         conductance(g, VertexSet(g, range(3)))
+
+
+def test_best_prefix_takes_whole_groups_within_the_volume_cap():
+    g = barbell()
+    groups = [[], [0], [1], [2], [3]]
+    assert best_prefix(g, groups, 7) == [0, 1, 2]  # the triangle: volume 7, one cut edge
+    assert best_prefix(g, groups, 6) == [0, 1]
+    assert best_prefix(g, [[0, 1, 2], [3]], g.total_volume - 1) == [0, 1, 2]
+    assert best_prefix(g, [[], [2, 3, 4, 5]], 7) is None
 
 
 def test_neighbors_are_external():

@@ -236,24 +236,6 @@ def test_cut_certificates_verify():
 
 
 @pytest.mark.parametrize("solver", ["approx", "exact"])
-def test_validate_flag_changes_no_result(small_suite, solver):
-    """Skipping the runtime checks leaves every output and counter alone."""
-    rng = random.Random(5150)
-    g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
-    a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
-    cases = [(g, a, Fraction(2, 3))]
-    cases += [(g, a, overlap_for_sink_factor(eps)) for g, a, _, eps in small_suite[:100]]
-    for g, a, sigma in cases:
-        on, off = (
-            local_improve_overlap(g, a, sigma, solver, validate=flag) for flag in (True, False)
-        )
-        assert on.cut == off.cut and on.phi == off.phi
-        assert on.alpha_trace == off.alpha_trace and on.cut_alpha == off.cut_alpha
-        assert on.certificate_flow.value == off.certificate_flow.value
-        assert (on.touched_volume, on.phases) == (off.touched_volume, off.phases)
-
-
-@pytest.mark.parametrize("solver", ["approx", "exact"])
 def test_warm_probes_match_cold_runs(small_suite, solver, monkeypatch):
     """Every probe after the first resumes the first probe and equals a cold run at its alpha.
 

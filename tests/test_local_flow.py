@@ -102,9 +102,7 @@ def test_local_matches_global_blocking_flow(small_suite):
             assert lab_l.dist.get(t) == lab_f.dist.get(t)
             if t not in lab_f.dist:
                 break
-            p_l, _ = blocking_flow(loc, lab_l)
-            p_f, _ = blocking_flow(full, lab_f)
-            assert p_l == p_f
+            assert blocking_flow(loc, lab_l) == blocking_flow(full, lab_f)
             update_saturated_set(loc)
             full.newly_saturated.clear()
         else:
@@ -218,9 +216,9 @@ def test_local_flow_differential_up_to_fifty_vertices():
         assert res.flow.value == ref.value
 
 
-def _spy_bfs(mp: pytest.MonkeyPatch, mutate=None) -> list[int]:
-    """Collect the sink distance of every BFS the engine runs, after ``mutate(fs, labels)``."""
-    real = local_flow_module.bfs_distances
+def _spy_bfs(mp: pytest.MonkeyPatch, mutate=None, module=local_flow_module) -> list[int]:
+    """Collect the sink distance of every BFS ``module`` runs, after ``mutate(fs, labels)``."""
+    real = module.bfs_distances
     trace: list[int] = []
 
     def bfs(fs):
@@ -231,7 +229,7 @@ def _spy_bfs(mp: pytest.MonkeyPatch, mutate=None) -> list[int]:
             trace.append(labels.dist[fs.ag.sink_id])
         return labels
 
-    mp.setattr(local_flow_module, "bfs_distances", bfs)
+    mp.setattr(module, "bfs_distances", bfs)
     return trace
 
 
@@ -256,7 +254,15 @@ def test_stalled_sink_distance_is_caught():
     a = VertexSet(g, [0, 1, 2])
     alpha, eps = Fraction(1, 4), Fraction(1, 10)
     assert local_flow(g, a, alpha, eps).stats.phases >= 2
-    for solve in (local_flow, local_flow_exact):
+
+    def global_solve(g, a, alpha, eps):
+        return global_max_flow(build(g, a, alpha, eps))
+
+    for module, solve in (
+        (local_flow_module, local_flow),
+        (local_flow_module, local_flow_exact),
+        (flow_module, global_solve),
+    ):
         seen: list[int] = []
 
         def stall(fs, labels):
@@ -266,7 +272,7 @@ def test_stalled_sink_distance_is_caught():
             seen.append(labels.dist.get(t))
 
         with pytest.MonkeyPatch.context() as mp:
-            _spy_bfs(mp, stall)
+            _spy_bfs(mp, stall, module)
             with pytest.raises(InvariantViolation, match="sink distance failed to grow"):
                 solve(g, a, alpha, eps)
         assert len(seen) == 2
@@ -462,10 +468,10 @@ def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
         want_pushed = reference_blocking_flow(fs, labels.dist)
         want = (want_pushed, fs.arc_flow[:], fs.value, fs.newly_saturated[:])
         fs.arc_flow[:], fs.value, fs.newly_saturated[:] = before
-        pushed, blocked = real_blocking(fs, labels)
+        pushed = real_blocking(fs, labels)
         assert (pushed, fs.arc_flow, fs.value, fs.newly_saturated) == want
         pushes.append(pushed)
-        return pushed, blocked
+        return pushed
 
     mp.setattr(module, "bfs_distances", bfs)
     mp.setattr(module, "blocking_flow", blocking)

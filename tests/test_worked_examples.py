@@ -63,9 +63,7 @@ def test_first_phase_blocking_flow_matches_dag_oracle():
                 if w == t or labels.dist[w] < dt:
                     admissible[(u, w)] = fs.arc_cap[arc]
     expected = _dag_min_cut(admissible, s, t)
-    pushed, blocked = blocking_flow(fs, labels)
-    assert not blocked
-    assert pushed == expected == 3  # only s->2->3->t is admissible, sink cap 3
+    assert blocking_flow(fs, labels) == expected == 3  # only s->2->3->t is admissible, sink cap 3
 
 
 def test_update_saturated_trivial_cases():
