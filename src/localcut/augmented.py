@@ -211,10 +211,13 @@ class AugmentedGraph:
         nonpositive (vacuous) for sets with little seed overlap. With an
         unbounded sink factor the bound is ``alpha`` for sets inside the
         seed volume and ``None`` (vacuous, minus infinity) otherwise.
+
+        Raises:
+            ParameterError: if ``s`` has volume 0, as the empty set does.
         """
-        if len(s) == 0:
-            raise ParameterError("bound is undefined for the empty set")
         vol_s = Fraction(s.volume)
+        if vol_s == 0:
+            raise ParameterError("bound is undefined for a set of volume 0")
         overlap = Fraction(s.intersection(self.seed).volume) / vol_s
         if self.eps is None:
             return self.alpha if overlap == 1 else None

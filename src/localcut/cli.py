@@ -62,8 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed-set", required=True, help="path to the seed vertex file")
 
     p_stats = sub.add_parser("stats", help="graph and seed-set statistics")
-    p_stats.add_argument("--graph", required=True)
-    p_stats.add_argument("--format", default="edgelist", choices=("edgelist", "metis"))
+    add_graph_args(p_stats, seed_set=False)
     p_stats.add_argument("--seed-set", help="optional seed set for vol(A), phi(A)")
     p_stats.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -100,8 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--check", help="validate the certificate at this path")
 
     p_seed = sub.add_parser("seed", help="expand seed vertices by push + sweep")
-    p_seed.add_argument("--graph", required=True)
-    p_seed.add_argument("--format", default="edgelist", choices=("edgelist", "metis"))
+    add_graph_args(p_seed, seed_set=False)
     p_seed.add_argument("--seed", required=True,
                         help="seed vertex id, or comma-separated ids")
     # read by _cmd_seed in the rational and vertex-id grammars
@@ -178,7 +176,7 @@ def _cmd_flow(args) -> int:
         "touched_volume": res.stats.touched_volume,
         "phases": res.stats.phases,
     }
-    if not res.full_flow and len(res.cut):
+    if 0 < res.cut.volume < g.total_volume:
         payload["phi"] = _frac_json(conductance(g, res.cut))
     print(json.dumps(payload))
     return EXIT_OK

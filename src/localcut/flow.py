@@ -11,9 +11,16 @@ plus the saturated set; keeping it so is exactly what makes them local,
 while :func:`FlowState.open_all` materializes everything for the global
 reference solver.
 
+Arc lists are ordered in one place, :meth:`FlowState.open_vertex`. An
+opened vertex's list is sorted by target id as it opens and never changes
+again, since a neighbor opened later skips it. An unopened vertex's list
+holds its edge arcs in the order their other ends opened, then its sink
+arc, which stays last. The source's list is built in ascending seed order,
+and the sink's is never scanned.
+
 One Dinic phase is :func:`bfs_distances` then :func:`blocking_flow`. The
 BFS labels every reachable vertex and, while it expands a vertex, keeps
-that vertex's residual arcs into the next layer in target-id order: its
+that vertex's residual arcs into the next layer, in list order: its
 admissible arcs. The blocking flow walks only those lists, so it never
 re-tests a label. The lists hold the arcs as they were when the labels
 were computed; the solvers drop them once the phase's blocking flow is
@@ -43,7 +50,6 @@ class FlowState:
         "arc_cap",
         "arc_flow",
         "arcs_of",
-        "_dirty",
         "opened",
         "value",
         "touched_volume",
@@ -56,7 +62,6 @@ class FlowState:
         self.arc_cap: list[int] = []
         self.arc_flow: list[int] = []
         self.arcs_of: dict[int, list[int]] = {ag.source_id: [], ag.sink_id: []}
-        self._dirty: set[int] = set()
         self.opened: set[int] = set()
         self.value = 0
         self.touched_volume = 0
@@ -110,7 +115,6 @@ class FlowState:
         fs.arc_cap = cap
         fs.arc_flow = [f * factor for f in self.arc_flow] if factor > 1 else self.arc_flow[:]
         fs.arcs_of = {v: arcs[:] for v, arcs in self.arcs_of.items()}
-        fs._dirty = set(self._dirty)
         fs.opened = set(self.opened)
         fs.value = self.value * factor
         fs.touched_volume = self.touched_volume
@@ -126,6 +130,12 @@ class FlowState:
         ``v``'s own sink pair comes last. A base vertex has its sink pair
         exactly when it has an arc list and is not a seed: seeds get their
         lists in ``__init__``, every other vertex together with its sink pair.
+
+        This is the only code that orders arc lists. The new arc into a
+        neighbor that already has a list goes just before that list's last
+        arc, so a non-seed's sink arc stays last. ``v``'s own list is then
+        sorted by target id, on every open, including one that adds no arcs,
+        and it never changes again.
         """
         opened = self.opened
         if v in opened:
@@ -136,7 +146,6 @@ class FlowState:
         to = self.arc_to
         cap = self.arc_cap
         arcs_of = self.arcs_of
-        dirty = self._dirty
         into_t = arcs_of[t]
         out_of_v = arcs_of.get(v)
         fresh = out_of_v is None
@@ -168,9 +177,8 @@ class FlowState:
             else:
                 to += (w, v)
                 cap += (ce, ce)
-                out_of_w.append(a + 1)
+                out_of_w.insert(-1, a + 1)  # the sink arc stays last
                 a += 2
-            dirty.add(w)
         if fresh:
             to += (t, v)
             cap += (ag.sink_cap(v), 0)
@@ -179,8 +187,7 @@ class FlowState:
             a += 2
         if a > first:
             self.arc_flow += [0] * (a - first)
-            dirty.add(v)
-            dirty.add(t)
+        out_of_v.sort(key=to.__getitem__)
         opened.add(v)
         self.touched_volume += ag.graph.degree(v)
 
@@ -188,33 +195,6 @@ class FlowState:
         """Materialize every vertex; used by the global reference solver."""
         for v in range(self.ag.graph.n):
             self.open_vertex(v)
-
-    def residual_capacity(self, u: int, v: int) -> int:
-        """Residual capacity from ``u`` to ``v``; 0 if no arc pair exists."""
-        for a in self.arcs_of.get(u, ()):
-            if self.arc_to[a] == v:
-                return self.arc_cap[a] - self.arc_flow[a]
-        return 0
-
-    def flow_between(self, u: int, v: int) -> int:
-        """Net flow from ``u`` to ``v`` (negative if it runs the other way)."""
-        for a in self.arcs_of.get(u, ()):
-            if self.arc_to[a] == v:
-                return self.arc_flow[a]
-        return 0
-
-    def push(self, a: int, amount: int) -> None:
-        """Push ``amount`` along arc ``a``; :func:`blocking_flow` inlines this."""
-        flow = self.arc_flow
-        flow[a] += amount
-        flow[a ^ 1] -= amount
-        if flow[a] > self.arc_cap[a]:
-            raise InvariantViolation("push exceeded arc capacity")
-        to = self.arc_to[a]
-        if to == self.ag.sink_id:
-            self.value += amount
-            if flow[a] == self.arc_cap[a]:
-                self.newly_saturated.append(self.arc_to[a ^ 1])
 
     @property
     def flow_value(self) -> Fraction:
@@ -252,8 +232,8 @@ class DistanceLabels:
 
     ``admissible`` maps each vertex the BFS expanded before it dequeued the
     sink (all vertices below the sink's layer among them) to its residual
-    arcs into the next layer, in target-id order; vertices with none are
-    absent. It is ``None`` once released.
+    arcs into the next layer, in the order of its arc list; vertices with
+    none are absent. It is ``None`` once released.
     """
 
     __slots__ = ("dist", "admissible")
@@ -283,9 +263,11 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
 
     The lazily built arc structure confines the search to the materialized
     subgraph; the sink is labeled but never expanded. Each vertex's arcs
-    are scanned in target-id order, and those into the next layer are kept
-    as its admissible list. Vertices dequeued after the sink sit at or
-    beyond its layer and keep no list: no blocking-flow path enters them.
+    are scanned in list order, which :meth:`FlowState.open_vertex` fixed:
+    target-id order for the source and every opened vertex. Those into the
+    next layer are kept as the vertex's admissible list. Vertices dequeued
+    after the sink sit at or beyond its layer and keep no list: no
+    blocking-flow path enters them.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
@@ -295,20 +277,14 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
     cap = fs.arc_cap
     flow = fs.arc_flow
     arcs_of = fs.arcs_of
-    dirty = fs._dirty
-    by_target = to.__getitem__
     order = [s]  # the BFS queue: the loops read it while it grows
     queue = iter(order)
     for u in queue:
         if u == t:
             break
         du = dist[u] + 1
-        arcs = arcs_of[u]
-        if u in dirty:
-            arcs.sort(key=by_target)
-            dirty.discard(u)
         out = []
-        for a in arcs:
+        for a in arcs_of[u]:
             if cap[a] > flow[a]:
                 v = to[a]
                 if v not in dist:
@@ -322,11 +298,7 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
     # everything queued after the sink sits at or beyond its layer: label only
     for u in queue:
         du = dist[u] + 1
-        arcs = arcs_of[u]
-        if u in dirty:
-            arcs.sort(key=by_target)
-            dirty.discard(u)
-        for a in arcs:
+        for a in arcs_of[u]:
             if cap[a] > flow[a]:
                 v = to[a]
                 if v not in dist:
@@ -340,12 +312,15 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
 
     The DFS walks the admissible lists that :func:`bfs_distances` left in
     ``labels``, re-checking only residual capacity and dead ends; at the
-    sink's last layer only the sink arc advances. It takes the same arcs in
-    the same order as a DFS that scans every arc and tests labels, so it
-    pushes the same flow. Each push is applied in place, with the capacity
-    check of :meth:`FlowState.push`. The lists are left intact: a second
-    call on the same labels finds no admissible path and pushes nothing.
-    Returns the amount pushed, 0 when the sink is unlabelled.
+    sink's last layer only the sink arc advances. Below that layer every
+    vertex is opened, so its list is in target-id order: the localized
+    solvers check this before each call (``_check_layer_containment``) and
+    :func:`global_max_flow` opens everything. So the DFS takes the same arcs
+    in the same order as one that scans every arc in target-id order and
+    tests labels, and pushes the same flow. Each push is applied in place
+    and checked against the arc's capacity. The lists are left intact: a
+    second call on the same labels finds no admissible path and pushes
+    nothing. Returns the amount pushed, 0 when the sink is unlabelled.
 
     Raises:
         InvariantViolation: if the labels were released, or a push would
@@ -403,7 +378,7 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
                 v = to[a]
                 continue
         elif arcs:
-            # only the sink arc advances here; it sorts last, as t has the largest id
+            # only the sink arc advances here; open_vertex builds every list with it last
             a = arcs[-1]
             if to[a] == t and cap[a] > flow[a]:
                 path.append(a)

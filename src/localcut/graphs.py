@@ -257,12 +257,13 @@ def conductance(g: Graph, s: VertexSet) -> Fraction:
     """Boundary edge count over the smaller side's volume, exactly.
 
     Raises:
-        ParameterError: if ``s`` is empty or the whole vertex set.
+        ParameterError: if ``s`` or its complement has volume 0, as the
+            empty and the full set do.
     """
-    if len(s) == 0 or len(s) == g.n:
-        raise ParameterError("conductance is undefined for the empty or full set")
     vol_s = s.volume
     vol_rest = g.total_volume - vol_s
+    if vol_s == 0 or vol_rest == 0:
+        raise ParameterError("conductance is undefined for a set or complement of volume 0")
     return Fraction(boundary_edges(g, s), min(vol_s, vol_rest))
 
 

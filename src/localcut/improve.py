@@ -32,7 +32,6 @@ from fractions import Fraction
 from .augmented import (
     build,
     epsilon_sigma,
-    min_feasible_sigma,
     overlap_for_sink_factor,
     relative_quotient,
 )
@@ -152,26 +151,14 @@ def local_improve(
 
     if best is None:
         # alpha = 1 routed a full flow, and that closed the bracket
-        return ImproveResult(
-            cut=VertexSet(g, ()),
-            phi=None,
-            improved=False,
-            solver=solver,
-            alpha_trace=trace,
-            cut_alpha=None,
-            cut_kind=None,
-            certificate_flow=res,
-            eps=eps_sigma,
-            touched_volume=touched,
-            phases=phases,
-        )
-
-    phi, _vol, ids, at_alpha = best
-    kind = "min-cut" if winner.exact else "layer-cut"
+        phi, ids, at_alpha, kind, winner = None, (), None, None, res
+    else:
+        phi, _vol, ids, at_alpha = best
+        kind = "min-cut" if winner.exact else "layer-cut"
     return ImproveResult(
         cut=VertexSet(g, ids),
         phi=phi,
-        improved=True,
+        improved=best is not None,
         solver=solver,
         alpha_trace=trace,
         cut_alpha=at_alpha,
@@ -222,9 +209,4 @@ def pipeline_nibble_improve(
     a = sweep_cut(g, scores)
     if len(a) == 0 or len(a) == g.n:
         raise ParameterError("seed expansion produced an empty or full set")
-    if sigma < min_feasible_sigma(g, a):
-        raise ParameterError(
-            f"sigma={sigma} infeasible for the expanded seed set; "
-            f"sigma must be at least {min_feasible_sigma(g, a)}"
-        )
     return local_improve_overlap(g, a, sigma, solver, eps=eps)

@@ -168,6 +168,8 @@ def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
     """Layers up to ``d(t) - 2`` sit inside the core; the last one may touch the frontier.
 
     The last needs no check: each labelled vertex heads an arc, so it is opened or adjacent to one.
+    :func:`blocking_flow` relies on this check: it walks the lists below the last layer as
+    target-id ordered, which only an opened vertex's list is.
     """
     dist = labels.dist
     ag = fs.ag

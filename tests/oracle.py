@@ -15,13 +15,14 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from localcut import AugmentedGraph, FlowState, Graph, ParameterError, VertexSet
+from localcut import AugmentedGraph, FlowState, Graph, InvariantViolation, ParameterError, VertexSet
 
 __all__ = [
     "brute_min_conductance",
     "brute_min_cut_value",
     "brute_min_quotient",
     "eval_condition_41",
+    "push",
     "reference_bfs_distances",
     "reference_blocking_flow",
 ]
@@ -219,6 +220,19 @@ def eval_condition_41(
     return Fraction(cross) < Fraction(alpha) * (inter - Fraction(eps) * outside)
 
 
+def push(fs: FlowState, a: int, amount: int) -> None:
+    """Push ``amount`` along arc ``a``, checking its capacity; a full sink arc is recorded."""
+    flow = fs.arc_flow
+    flow[a] += amount
+    flow[a ^ 1] -= amount
+    if flow[a] > fs.arc_cap[a]:
+        raise InvariantViolation("push exceeded arc capacity")
+    if fs.arc_to[a] == fs.ag.sink_id:
+        fs.value += amount
+        if flow[a] == fs.arc_cap[a]:
+            fs.newly_saturated.append(fs.arc_to[a ^ 1])
+
+
 def _sorted_arcs(fs: FlowState, v: int) -> list[int]:
     """Arcs out of ``v`` in target-id order, sorted afresh on every call."""
     return sorted(fs.arcs_of.get(v, ()), key=fs.arc_to.__getitem__)
@@ -253,8 +267,7 @@ def reference_blocking_flow(fs: FlowState, dist: dict[int, int]) -> int:
 
     An arc is admissible when it has residual capacity, leads to a vertex
     that is not a dead end, raises the label by exactly one, and ends at
-    the sink or below its label. Every push goes through
-    :meth:`FlowState.push`.
+    the sink or below its label. Every push goes through :func:`push`.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
@@ -271,7 +284,7 @@ def reference_blocking_flow(fs: FlowState, dist: dict[int, int]) -> int:
         if v == t:
             bottleneck = min(cap[a] - flow[a] for a in path)
             for a in path:
-                fs.push(a, bottleneck)
+                push(fs, a, bottleneck)
             total += bottleneck
             for i, a in enumerate(path):
                 if cap[a] == flow[a]:

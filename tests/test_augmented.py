@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from localcut import (
+    Graph,
     InvariantViolation,
     NotACertificateError,
     ParameterError,
@@ -155,6 +156,11 @@ def test_flow_certificate_bound():
     assert ag.flow_certificate_bound(disjoint) == -Fraction(1, 2) * Fraction(1, 3)
     with pytest.raises(ParameterError):
         ag.flow_certificate_bound(VertexSet(g, []))
+    # an isolated vertex is a nonempty set of volume 0
+    g = Graph(4, [(0, 1), (1, 3), (3, 0)])
+    ag = build(g, VertexSet(g, [0]), Fraction(1), Fraction(1, 100))
+    with pytest.raises(ParameterError, match="volume 0"):
+        ag.flow_certificate_bound(VertexSet(g, [2]))
 
 
 def test_flow_certificate_bound_dominates_overlap_rate():

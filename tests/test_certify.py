@@ -28,6 +28,7 @@ from localcut.certify import (
 )
 
 from gen import asym_barbell, barbell, complete_graph, random_instance
+from oracle import push
 
 
 def bipartite_instance():
@@ -291,10 +292,11 @@ def test_decompose_leaves_circulation_out():
     res = local_flow(g, a, alpha, eps)
     assert res.full_flow
     fs = res.flow
-    for u, v in ((0, 1), (1, 2), (2, 0)):
-        fs.push(arc_between(fs, u, v), fs.ag.scale)
+    cycle = ((0, 1), (1, 2), (2, 0))
+    for u, v in cycle:
+        push(fs, arc_between(fs, u, v), fs.ag.scale)
     fs.check_conservation()
-    assert fs.flow_between(0, 1) == fs.flow_between(1, 2) == fs.flow_between(2, 0) == fs.ag.scale
+    assert all(fs.arc_flow[arc_between(fs, u, v)] == fs.ag.scale for u, v in cycle)
     assert verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), 1 / alpha).ok
     pd = decompose_paths(fs)
     assert pd.total == fs.value

@@ -127,6 +127,41 @@ def test_flow_command(capsys, fixtures_dir):
     assert payload["flow_value"] == {"num": 2, "den": 1}
 
 
+def _isolated_vertex_graph(tmp_path, seed: str):
+    """A triangle on 0, 1, 3 with vertex 2 isolated, and a seed-set file."""
+    graph_file = tmp_path / "iso.edgelist"
+    graph_file.write_text("0 1\n1 3\n3 0\n")
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text(seed + "\n")
+    return str(graph_file), str(seed_file)
+
+
+def test_stats_of_a_zero_volume_seed_exits_2(capsys, tmp_path):
+    graph_file, seed_file = _isolated_vertex_graph(tmp_path, "2")
+    code, out, err = run(capsys, "stats", "--graph", graph_file, "--seed-set", seed_file)
+    assert code == EXIT_INPUT_ERROR
+    assert out == ""
+    assert err.startswith("error:") and "volume 0" in err
+
+
+@pytest.mark.parametrize("solver", ["approx", "exact"])
+def test_flow_cut_of_full_volume_has_no_phi(capsys, tmp_path, solver):
+    graph_file, seed_file = _isolated_vertex_graph(tmp_path, "0")
+    code, out, _ = run(
+        capsys,
+        "flow",
+        "--graph", graph_file,
+        "--seed-set", seed_file,
+        "--alpha", "1",
+        "--eps-sigma", "1/100",
+        "--solver", solver,
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["cut"] == [0, 1, 3]  # every vertex of positive degree
+    assert "phi" not in payload
+
+
 def test_certify_round_trip(capsys, tmp_path):
     edges = "\n".join(f"{i} {4 + j}" for i in range(4) for j in range(8))
     graph_file = tmp_path / "bip.edgelist"

@@ -15,7 +15,7 @@ from localcut import (
 from localcut.flow import check_label_monotone
 
 from gen import barbell, random_instance
-from oracle import brute_min_cut_value
+from oracle import brute_min_cut_value, push
 
 
 def tri_state():
@@ -27,24 +27,34 @@ def tri_state():
     return g, a, ag, fs
 
 
+def _arc(fs, u, v):
+    """The one arc from ``u`` to ``v``."""
+    (arc,) = (x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
+    return arc
+
+
+def _residual(fs, u, v):
+    arc = _arc(fs, u, v)
+    return fs.arc_cap[arc] - fs.arc_flow[arc]
+
+
 def test_residual_capacity_fresh():
     g, a, ag, fs = tri_state()
-    assert fs.residual_capacity(0, 1) == ag.edge_cap_unit == 6
-    assert fs.residual_capacity(1, 0) == 6
+    assert _residual(fs, 0, 1) == ag.edge_cap_unit == 6
+    assert _residual(fs, 1, 0) == 6
     s = ag.source_id
-    assert fs.residual_capacity(s, 0) == ag.source_cap(0)
-    assert fs.residual_capacity(0, s) == 0
+    assert _residual(fs, s, 0) == ag.source_cap(0)
+    assert _residual(fs, 0, s) == 0
 
 
 def test_residual_capacity_after_push():
     g, a, ag, fs = tri_state()
     s = ag.source_id
-    arc = next(x for x in fs.arcs_of[s] if fs.arc_to[x] == 0)
-    fs.push(arc, 4)
-    assert fs.residual_capacity(s, 0) == ag.source_cap(0) - 4
-    assert fs.residual_capacity(0, s) == 4
-    assert fs.flow_between(s, 0) == 4
-    assert fs.flow_between(0, s) == -4
+    push(fs, _arc(fs, s, 0), 4)
+    assert _residual(fs, s, 0) == ag.source_cap(0) - 4
+    assert _residual(fs, 0, s) == 4
+    assert fs.arc_flow[_arc(fs, s, 0)] == 4
+    assert fs.arc_flow[_arc(fs, 0, s)] == -4
 
 
 def test_zero_flow_sink_distance_is_three():
@@ -173,7 +183,7 @@ def test_label_monotone_rejects_a_stalled_sink(exact_zone_only):
 
 def _edge_arc(fs, u, v):
     """The forward arc of the edge pair ``u -> v`` (opened from ``u``)."""
-    arc = next(x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
+    arc = _arc(fs, u, v)
     assert arc % 2 == 0
     return arc
 
@@ -188,7 +198,7 @@ def test_conservation_catches_a_corrupted_reverse_arc():
 
 def test_conservation_catches_an_interior_imbalance():
     _, _, _, fs = tri_state()
-    fs.push(_edge_arc(fs, 0, 1), 1)
+    push(fs, _edge_arc(fs, 0, 1), 1)
     with pytest.raises(InvariantViolation, match="conservation violated at vertex 0: 1"):
         fs.check_conservation()
 

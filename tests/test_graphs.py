@@ -98,6 +98,11 @@ def test_conductance_rejects_trivial_sets():
         conductance(g, VertexSet(g, []))
     with pytest.raises(ParameterError):
         conductance(g, VertexSet(g, range(3)))
+    # a triangle on 0, 1, 3 and an isolated vertex 2: either side may have volume 0
+    g = Graph(4, [(0, 1), (1, 3), (3, 0)])
+    for members in ([2], [0, 1, 3]):
+        with pytest.raises(ParameterError, match="volume 0"):
+            conductance(g, VertexSet(g, members))
 
 
 def test_best_prefix_takes_whole_groups_within_the_volume_cap():

@@ -298,6 +298,13 @@ def test_pipeline_expander_no_improvement():
     assert not res.improved
 
 
+def test_pipeline_infeasible_sigma_raises():
+    rng = random.Random(77)
+    g, _ = two_cluster_graph(rng, 20, 28, 0.5, 2)
+    with pytest.raises(ParameterError, match="infeasible"):
+        pipeline_nibble_improve(g, 3, Fraction(1, 100))
+
+
 def test_pipeline_deterministic():
     rng = random.Random(5)
     g, _ = two_cluster_graph(rng, 12, 16, 0.5, 2)

@@ -108,11 +108,12 @@ def test_local_matches_global_blocking_flow(small_suite):
         else:
             pytest.fail("differential run did not converge")
         assert loc.value == full.value
+        loc_flow = {(loc.arc_to[x ^ 1], loc.arc_to[x]): f for x, f in enumerate(loc.arc_flow)}
         for arc in range(0, len(full.arc_to), 2):
             f = full.arc_flow[arc]
             if f:
                 u, v = full.arc_to[arc ^ 1], full.arc_to[arc]
-                assert loc.flow_between(u, v) == f
+                assert loc_flow.get((u, v), 0) == f
 
 
 def test_update_saturated_set_monotone():
@@ -448,7 +449,10 @@ def test_resume_refuses_a_higher_alpha_or_a_foreign_scale():
 def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
     """Check every phase the solvers in ``module`` run against the reference phase.
 
-    Each BFS must give the reference labels in the same discovery order.
+    Each BFS must give the reference labels, discovered in the same order
+    below the sink's label, or everywhere when the sink is unlabelled.
+    Beyond the sink's layer the order comes from the lists of unopened
+    vertices, which are not sorted, and no flow, cut or label depends on it.
     Each blocking flow is first run by the reference on the same state,
     which is then restored; the engine's run must push the same amount and
     leave the same arc flows, flow value and newly saturated vertices, in
@@ -460,7 +464,11 @@ def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
     def bfs(fs):
         want = reference_bfs_distances(fs)
         labels = real_bfs(fs)
-        assert list(labels.dist.items()) == list(want.items())
+        assert labels.dist == want
+        dt = want.get(fs.ag.sink_id)
+        assert [v for v, d in labels.dist.items() if dt is None or d < dt] == [
+            v for v, d in want.items() if dt is None or d < dt
+        ]
         return labels
 
     def blocking(fs, labels):
@@ -511,6 +519,50 @@ def test_engine_matches_reference_phase_by_phase(small_suite):
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_reference_on_generated_instances(instance):
     _run_in_lockstep(*instance)
+
+
+def _assert_arc_order(fs: FlowState) -> None:
+    """The source's and every opened vertex's list strictly increase in target;
+    every unopened non-seed's list ends with its sink arc."""
+    to = fs.arc_to
+    t = fs.ag.sink_id
+    for v in (fs.ag.source_id, *fs.opened):
+        targets = [to[a] for a in fs.arcs_of[v]]
+        assert all(x < y for x, y in zip(targets, targets[1:])), (v, targets)
+    for v, arcs in fs.arcs_of.items():
+        if v < fs.ag.graph.n and v not in fs.opened and v not in fs.ag.seed:
+            assert to[arcs[-1]] == t, v
+
+
+def test_open_vertex_keeps_every_list_in_order(small_suite):
+    """Checked after every open and on every resumed copy, across both solvers,
+    the improvement searches (which resume) and the global solver (``open_all``)."""
+    real_open = FlowState.open_vertex
+    real_resumed = FlowState.resumed
+    counts = {"open": 0, "resumed": 0}
+
+    def open_vertex(fs, v):
+        real_open(fs, v)
+        _assert_arc_order(fs)
+        counts["open"] += 1
+
+    def resumed(fs, ag):
+        copy = real_resumed(fs, ag)
+        _assert_arc_order(copy)
+        counts["resumed"] += 1
+        return copy
+
+    rng = random.Random(14)
+    instances = small_suite + [random_instance(rng, nmax=40) for _ in range(60)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FlowState, "open_vertex", open_vertex)
+        mp.setattr(FlowState, "resumed", resumed)
+        for g, a, alpha, eps in instances:
+            local_flow(g, a, alpha, eps)
+            local_flow_exact(g, a, alpha, eps)
+            global_max_flow(build(g, a, alpha, eps))
+            local_improve(g, a, eps)
+    assert counts["open"] > 10000 and counts["resumed"] > 200
 
 
 def test_admissible_lists_released_before_next_bfs(small_suite):

@@ -17,7 +17,7 @@ from localcut import (
 from localcut.local_flow import update_saturated_set
 
 from gen import asym_barbell, barbell
-from oracle import brute_min_conductance, brute_min_cut_value
+from oracle import brute_min_conductance, brute_min_cut_value, push
 
 
 def _dag_min_cut(arcs: dict[tuple[int, int], int], s, t) -> int:
@@ -78,7 +78,7 @@ def test_update_saturated_trivial_cases():
     arc = next(
         x for x in fs.arcs_of[3] if fs.arc_to[x] == ag.sink_id
     )
-    fs.push(arc, ag.sink_cap(3))
+    push(fs, arc, ag.sink_cap(3))
     fresh = update_saturated_set(fs)
     assert fresh == [3]
     assert fs.opened == {0, 1, 2, 3}
