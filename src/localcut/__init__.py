@@ -14,11 +14,7 @@ from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma
 from .certify import (
     BiDemand,
     PathDecomposition,
-    conn_proxy,
     decompose_paths,
-    expansion_lower_bound,
-    path_length_certificate,
-    quotient_score,
     verify_bidemand_routing,
 )
 from .errors import (
@@ -31,16 +27,8 @@ from .errors import (
 from .exact_flow import local_flow_exact
 from .flow import FlowState, bfs_distances, blocking_flow, global_max_flow
 from .graphio import load_graph, load_vertex_set
-from .graphs import (
-    Graph,
-    VertexSet,
-    boundary_edges,
-    conductance,
-    induced_subgraph,
-    neighbors,
-    volume,
-)
-from .improve import ImproveResult, local_improve, local_improve_overlap, pipeline_nibble_improve
+from .graphs import Graph, VertexSet, boundary_edges, conductance
+from .improve import ImproveResult, local_improve, local_improve_overlap
 from .local_flow import iteration_bound, local_flow
 from .seeding import ApprConfig, appr_push, sweep_cut
 
@@ -66,12 +54,9 @@ __all__ = [
     "boundary_edges",
     "build",
     "conductance",
-    "conn_proxy",
     "decompose_paths",
     "epsilon_sigma",
-    "expansion_lower_bound",
     "global_max_flow",
-    "induced_subgraph",
     "iteration_bound",
     "load_graph",
     "load_vertex_set",
@@ -80,11 +65,6 @@ __all__ = [
     "local_improve",
     "local_improve_overlap",
     "min_feasible_sigma",
-    "neighbors",
-    "path_length_certificate",
-    "pipeline_nibble_improve",
-    "quotient_score",
     "sweep_cut",
     "verify_bidemand_routing",
-    "volume",
 ]

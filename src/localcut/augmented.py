@@ -20,10 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
-from .errors import InvariantViolation, NotACertificateError, ParameterError
-from .graphs import Graph, VertexSet, boundary_edges, conductance
+from .errors import ParameterError
+from .graphs import Graph, VertexSet, boundary_edges
 
 __all__ = [
     "AugmentedGraph",
@@ -152,76 +151,6 @@ class AugmentedGraph:
             return self.source_total
         raw = self.scale * self.eps.numerator * self.graph.degree(v) // self.eps.denominator
         return min(raw, self.source_total)
-
-    def cut_value(self, s: VertexSet | Iterable[int]) -> Fraction:
-        """Unscaled value of the cut ``({s} U S, {t} U (V - S))``.
-
-        Accepts any subset of the base vertices, including the empty set
-        (value ``vol(A)``) and the full set. Evaluates the actual stored
-        capacities, so sink clamping is reflected.
-        """
-        g = self.graph
-        members = s if isinstance(s, VertexSet) else set(s)
-        scaled = 0
-        cross = 0
-        for u in members:
-            for v in g.adjacent(u):
-                if v not in members:
-                    cross += 1
-            if u not in self.seed:
-                scaled += self.sink_cap(u)
-        scaled += cross * self.edge_cap_unit
-        for u in self.seed:
-            if u not in members:
-                scaled += self.source_cap(u)
-        return Fraction(scaled, self.scale)
-
-    def cut_certificate_check(self, s: VertexSet) -> tuple[bool, Fraction]:
-        """Accept ``s`` as a conductance certificate if its cut value allows it.
-
-        Returns ``(True, conductance(s))`` after independently re-verifying
-        that the conductance is below ``alpha`` on the base graph.
-
-        Raises:
-            NotACertificateError: if ``cut_value(s) >= vol(A)``.
-            InvariantViolation: if the cut value is small but the
-                conductance bound fails; possible only when ``eps`` was
-                chosen below ``vol(A)/vol(V-A)``.
-        """
-        value = self.cut_value(s)
-        vol_a = Fraction(self.seed.volume)
-        if value >= vol_a:
-            raise NotACertificateError(
-                f"cut value {value} is not below vol(A) = {vol_a}"
-            )
-        phi = conductance(self.graph, s)
-        if phi >= self.alpha:
-            raise InvariantViolation(
-                f"cut value {value} < vol(A) but conductance {phi} >= alpha "
-                f"{self.alpha}; eps={self.eps} is below vol(A)/vol(V-A)"
-            )
-        return True, phi
-
-    def flow_certificate_bound(self, s: VertexSet) -> Fraction | None:
-        """Lower bound on ``|E(S, V-S)| / vol(S)`` implied by a full-value flow.
-
-        The caller is responsible for having checked that a flow of value
-        ``vol(A)`` exists (see the flow engine). Returns
-        ``alpha * ((1 + eps) * vol(A & S) / vol(S) - eps)``, which may be
-        nonpositive (vacuous) for sets with little seed overlap. With an
-        unbounded sink factor the bound is ``alpha`` for sets inside the
-        seed volume and ``None`` (vacuous, minus infinity) otherwise.
-
-        Raises:
-            ParameterError: if ``s`` has volume 0, as the empty set does.
-        """
-        vol_s = Fraction(s.volume)
-        if vol_s == 0:
-            raise ParameterError("bound is undefined for a set of volume 0")
-        overlap = Fraction(s.intersection(self.seed).volume) / vol_s
-        if self.eps is None:
-            return self.alpha if overlap == 1 else None
-        return self.alpha * ((1 + self.eps) * overlap - self.eps)
 
     def __repr__(self) -> str:
         return (

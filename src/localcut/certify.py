@@ -1,4 +1,4 @@
-"""Expansion certificates: demand-routing checks, path decomposition, diagnostics.
+"""Expansion certificates: demand-routing checks, path decomposition, the certificate file.
 
 A full-value flow on the augmented graph routes ``deg(u)`` units out of
 every seed vertex into sinks absorbing at most ``eps * deg(v)`` each,
@@ -8,8 +8,8 @@ the demand it sends across its boundary lower-bounds the boundary size.
 This module peels such a flow into explicit paths, writes them as a
 certificate file, and checks a routing given either way: the flow's arcs or
 the file's paths are tallied into what each vertex emits and absorbs and
-what each edge carries, and one routing check tests those tallies. It adds
-two floating-point diagnostics (everything certificate-bearing stays exact).
+what each edge carries, and one routing check tests those tallies. All
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -19,25 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
 
-import numpy as np
-
-from .augmented import AugmentedGraph, relative_quotient
-from .errors import InvariantViolation, NotACertificateError, ParameterError
+from .augmented import AugmentedGraph
+from .errors import InvariantViolation, ParameterError
 from .flow import FlowState
 from .graphio import parse_rational, parse_unsigned
-from .graphs import Graph, VertexSet, boundary_edges, induced_subgraph
-from .local_flow import iteration_bound
+from .graphs import Graph, VertexSet
 
 __all__ = [
     "BiDemand",
     "PathDecomposition",
     "RoutingCheck",
     "verify_bidemand_routing",
-    "expansion_lower_bound",
     "decompose_paths",
-    "path_length_certificate",
-    "quotient_score",
-    "conn_proxy",
     "write_certificate",
     "validate_certificate",
 ]
@@ -206,125 +199,6 @@ def _shortest_positive_path(pos: dict[int, dict[int, int]], s: int, t: int) -> l
         path.append(parent[path[-1]])
     path.reverse()
     return path
-
-
-def expansion_lower_bound(
-    g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
-) -> Fraction:
-    """``alpha`` times the demand routed from inside ``s`` to outside it.
-
-    Requires a verified full-demand routing (raises otherwise). The bound
-    is certified: it never exceeds the actual boundary size, and it is at
-    least ``alpha * (vol(A & S) - eps * vol(S - A))``.
-    """
-    ag = fs.ag
-    check = verify_bidemand_routing(
-        fs, BiDemand(ag.seed, Fraction(1), ag.eps), 1 / ag.alpha
-    )
-    if not check:
-        raise NotACertificateError(
-            "flow does not route the full demand: " + "; ".join(check.violations[:3])
-        )
-    pd = decompose_paths(fs)
-    crossing = 0
-    for path, amount in zip(pd.paths, pd.amounts):
-        if path[0] in s and path[-1] not in s:
-            crossing += amount
-    routed = Fraction(crossing, pd.scale)
-    bound = Fraction(alpha) * routed
-    if bound > boundary_edges(g, s):
-        raise InvariantViolation("certified bound exceeds the actual boundary size")
-    inter = s.intersection(ag.seed).volume
-    outside = s.volume - inter
-    if ag.eps is not None and routed < inter - ag.eps * outside:
-        raise InvariantViolation("routed demand fell below its guaranteed minimum")
-    return bound
-
-
-def path_length_certificate(
-    pd: PathDecomposition, alpha: Fraction, vol_a: int, sigma: Fraction
-) -> bool:
-    """Do all decomposed paths respect the phase-budget length bound?
-
-    A flow assembled from at most ``I`` blocking-flow phases routes along
-    paths of at most ``I + 2`` arcs (the source and sink arcs included).
-    """
-    bound = iteration_bound(alpha, vol_a, sigma) + 2
-    return all(len(path) + 1 <= bound for path in pd.paths)
-
-
-def quotient_score(g: Graph, a: VertexSet, s: VertexSet) -> Fraction | None:
-    """:func:`relative_quotient` at the least sound sink factor ``vol(A)/vol(V-A)``.
-
-    Diagnostic only; ``None`` when the quotient is undefined.
-    """
-    vol_rest = g.total_volume - a.volume
-    if vol_rest == 0:
-        return None
-    return relative_quotient(g, a, s, Fraction(a.volume, vol_rest))
-
-
-def conn_proxy(g: Graph, b: VertexSet, tol: float = 1e-9) -> float:
-    """Spectral-gap connectivity proxy of the induced subgraph, per unit log-volume.
-
-    Power iteration with deflation of the known top eigenvector of the
-    lazy walk; returns 0.0 for a disconnected induced subgraph. Diagnostic
-    precision only; nothing downstream depends on it.
-    """
-    if len(b) == 0:
-        raise ParameterError("connectivity proxy needs a nonempty set")
-    sub = induced_subgraph(g, b)
-    k = sub.n
-    if k == 1:
-        return 0.0
-    # connectivity check
-    seen = {0}
-    dq = deque([0])
-    while dq:
-        u = dq.popleft()
-        for v in sub.adjacent(u):
-            if v not in seen:
-                seen.add(v)
-                dq.append(v)
-    if len(seen) < k:
-        return 0.0
-    deg = np.array([sub.degree(u) for u in range(k)], dtype=float)
-    heads = np.fromiter((v for u in range(k) for v in sub.adjacent(u)), dtype=np.int64)
-    tails = np.repeat(np.arange(k), [sub.degree(u) for u in range(k)])
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    top = np.sqrt(deg)
-    top /= np.linalg.norm(top)
-
-    def lazy_matvec(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(k)
-        np.add.at(y, tails, inv_sqrt[tails] * inv_sqrt[heads] * x[heads])
-        return 0.5 * (x + y)
-
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal(k)
-    x -= top * (top @ x)
-    norm = np.linalg.norm(x)
-    if norm == 0:
-        x = np.ones(k)
-        x -= top * (top @ x)
-        norm = np.linalg.norm(x)
-    x /= norm
-    mu = 0.0
-    for _ in range(200000):
-        y = lazy_matvec(x)
-        y -= top * (top @ y)
-        mu = x @ y
-        res = np.linalg.norm(y - mu * x)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            mu = 0.0
-            break
-        x = y / norm
-        if res <= tol:
-            break
-    gap = 1.0 - mu
-    vol_b = sub.total_volume
-    return gap / float(np.log(vol_b))
 
 
 # certificate text format: four header lines, then one path per line

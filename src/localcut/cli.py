@@ -203,9 +203,11 @@ def _cmd_certify(args) -> int:
     eps = _resolve_eps(args, g, a)
     res = local_flow_exact(g, a, args.alpha, eps)
     if not res.full_flow:
+        # name the min cut by its value, the max flow's: the cut may be all
+        # of V, which has no conductance
         raise NotACertificateError(
-            f"no full-value flow at alpha={args.alpha}: a cut of conductance "
-            f"{conductance(g, res.cut)} exists; certificates exist only when "
+            f"no full-value flow at alpha={args.alpha}: the minimum cut has value "
+            f"{res.value} < vol(A) = {a.volume}; certificates exist only when "
             "the demand routes fully"
         )
     ag = build(g, a, args.alpha, eps)

@@ -27,12 +27,9 @@ from .errors import ParameterError
 __all__ = [
     "Graph",
     "VertexSet",
-    "volume",
     "boundary_edges",
     "conductance",
     "best_prefix",
-    "neighbors",
-    "induced_subgraph",
 ]
 
 # the largest vertex count whose arc keys tail*n+head fit in int64
@@ -176,8 +173,8 @@ class Graph:
 class VertexSet:
     """Sorted, deduplicated set of vertex ids with cached volume.
 
-    Bound to the graph it was built from so that volume, complement and
-    membership queries need no further context.
+    Bound to the graph it was built from so that volume and membership
+    queries need no further context.
     """
 
     __slots__ = ("_graph", "_ids", "_members", "_volume")
@@ -221,30 +218,13 @@ class VertexSet:
     def __hash__(self) -> int:
         return hash((id(self._graph), self._ids))
 
-    def union(self, other: Iterable[int]) -> "VertexSet":
-        return VertexSet(self._graph, self._members.union(other))
-
     def intersection(self, other: Iterable[int]) -> "VertexSet":
         return VertexSet(self._graph, self._members.intersection(other))
-
-    def difference(self, other: Iterable[int]) -> "VertexSet":
-        return VertexSet(self._graph, self._members.difference(other))
-
-    def complement(self) -> "VertexSet":
-        g = self._graph
-        return VertexSet(g, (u for u in range(g.n) if u not in self._members))
 
     def __repr__(self) -> str:
         ids = list(self._ids)
         shown = ids if len(ids) <= 8 else ids[:8] + ["..."]
         return f"VertexSet({shown}, vol={self._volume})"
-
-
-def volume(g: Graph, s: VertexSet | Iterable[int]) -> int:
-    """Sum of degrees over the members of ``s``."""
-    if isinstance(s, VertexSet):
-        return s.volume
-    return sum(g.degree(u) for u in set(s))
 
 
 def boundary_edges(g: Graph, s: VertexSet) -> int:
@@ -299,29 +279,3 @@ def best_prefix(g: Graph, groups: Iterable[Iterable[int]], max_volume: int) -> l
             best, size = phi, len(prefix)
     return None if best is None else prefix[:size]
 
-
-def neighbors(g: Graph, s: VertexSet) -> VertexSet:
-    """Vertices outside ``s`` adjacent to at least one member of ``s``."""
-    found: set[int] = set()
-    for u in s:
-        for v in g.adjacent(u):
-            if v not in s:
-                found.add(v)
-    return VertexSet(g, found)
-
-
-def induced_subgraph(g: Graph, s: VertexSet) -> Graph:
-    """Subgraph on ``s`` with outgoing edges removed.
-
-    Vertex ``i`` of the result corresponds to ``sorted(s)[i]``. Raises
-    ``ParameterError`` on an empty set.
-    """
-    if len(s) == 0:
-        raise ParameterError("cannot induce a subgraph on the empty set")
-    relabel = {u: i for i, u in enumerate(s.ids)}
-    edges = []
-    for u in s:
-        for v in g.adjacent(u):
-            if v > u and v in s:
-                edges.append((relabel[u], relabel[v]))
-    return Graph(len(s), edges)

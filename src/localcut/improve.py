@@ -39,9 +39,8 @@ from .errors import InvariantViolation, ParameterError
 from .exact_flow import local_flow_exact
 from .graphs import Graph, VertexSet, conductance
 from .local_flow import LocalFlowResult, local_flow, phase_budget
-from .seeding import ApprConfig, appr_push, sweep_cut
 
-__all__ = ["ImproveResult", "local_improve", "local_improve_overlap", "pipeline_nibble_improve"]
+__all__ = ["ImproveResult", "local_improve", "local_improve_overlap"]
 
 _MAX_PROBES = 300
 
@@ -71,10 +70,6 @@ class ImproveResult:
     eps: Fraction | None
     touched_volume: int = 0
     phases: int = 0
-
-    @property
-    def volume(self) -> int:
-        return self.cut.volume
 
 
 def _solve(g, a, alpha, eps, solver, budget, start):
@@ -188,25 +183,3 @@ def local_improve_overlap(
     eps_s = epsilon_sigma(Fraction(sigma), g, a)
     return local_improve(g, a, eps_s, eps=eps, solver=solver)
 
-
-def pipeline_nibble_improve(
-    g: Graph,
-    seed_vertex: int,
-    sigma: Fraction,
-    solver: str = "approx",
-    *,
-    cfg: ApprConfig | None = None,
-    eps: Fraction = Fraction(1, 5),
-) -> ImproveResult:
-    """Grow a seed set from one vertex, then improve it.
-
-    The seed expansion is a deterministic push/sweep pass; all conductance
-    guarantees come from the improvement stage.
-    """
-    if not 0 <= seed_vertex < g.n:
-        raise ParameterError(f"seed vertex {seed_vertex} out of range")
-    scores = appr_push(g, seed_vertex, cfg or ApprConfig())
-    a = sweep_cut(g, scores)
-    if len(a) == 0 or len(a) == g.n:
-        raise ParameterError("seed expansion produced an empty or full set")
-    return local_improve_overlap(g, a, sigma, solver, eps=eps)

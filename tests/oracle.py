@@ -1,4 +1,4 @@
-"""Reference implementations for the test suite.
+"""Reference implementations and executable paper lemmas for the test suite.
 
 Exhaustive enumerations over all vertex subsets, hard-capped at 20
 vertices. Subset scans walk a Gray code so each step updates the boundary
@@ -8,20 +8,50 @@ count and volumes in O(1) big-int operations.
 one Dinic phase written plainly: every arc of a vertex is scanned and its
 label tested, with no admissible lists. The engine in
 :mod:`localcut.flow` must match them phase by phase.
+
+The lemmas state, on one set at a time, what the augmented graph's cuts
+and flows certify: :func:`cut_value` of a set's augmented cut,
+:func:`cut_certificate_check` (a cut below ``vol(A)`` has conductance
+below ``alpha``), :func:`flow_certificate_bound` and
+:func:`expansion_lower_bound` (a full-value flow lower-bounds every set's
+boundary), and :func:`path_length_certificate` (a phase-capped flow routes
+along short paths). No search needs them; the tests check the engine's
+outputs against them.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from typing import Iterable
 
-from localcut import AugmentedGraph, FlowState, Graph, InvariantViolation, ParameterError, VertexSet
+from localcut import (
+    AugmentedGraph,
+    BiDemand,
+    FlowState,
+    Graph,
+    InvariantViolation,
+    NotACertificateError,
+    ParameterError,
+    PathDecomposition,
+    VertexSet,
+    boundary_edges,
+    conductance,
+    decompose_paths,
+    iteration_bound,
+    verify_bidemand_routing,
+)
 
 __all__ = [
     "brute_min_conductance",
     "brute_min_cut_value",
     "brute_min_quotient",
+    "cut_certificate_check",
+    "cut_value",
     "eval_condition_41",
+    "expansion_lower_bound",
+    "flow_certificate_bound",
+    "path_length_certificate",
     "push",
     "reference_bfs_distances",
     "reference_blocking_flow",
@@ -218,6 +248,118 @@ def eval_condition_41(
             return False
         return Fraction(cross) < Fraction(alpha) * inter
     return Fraction(cross) < Fraction(alpha) * (inter - Fraction(eps) * outside)
+
+
+def cut_value(ag: AugmentedGraph, s: VertexSet | Iterable[int]) -> Fraction:
+    """Unscaled value of the cut ``({s} U S, {t} U (V - S))``.
+
+    Accepts any subset of the base vertices, including the empty set
+    (value ``vol(A)``) and the full set. Evaluates the actual stored
+    capacities, so sink clamping is reflected.
+    """
+    g = ag.graph
+    members = s if isinstance(s, VertexSet) else set(s)
+    scaled = 0
+    cross = 0
+    for u in members:
+        for v in g.adjacent(u):
+            if v not in members:
+                cross += 1
+        if u not in ag.seed:
+            scaled += ag.sink_cap(u)
+    scaled += cross * ag.edge_cap_unit
+    for u in ag.seed:
+        if u not in members:
+            scaled += ag.source_cap(u)
+    return Fraction(scaled, ag.scale)
+
+
+def cut_certificate_check(ag: AugmentedGraph, s: VertexSet) -> tuple[bool, Fraction]:
+    """Accept ``s`` as a conductance certificate if its cut value allows it.
+
+    Returns ``(True, conductance(s))`` after independently re-verifying
+    that the conductance is below ``alpha`` on the base graph.
+
+    Raises:
+        NotACertificateError: if ``cut_value(ag, s) >= vol(A)``.
+        InvariantViolation: if the cut value is small but the
+            conductance bound fails; possible only when ``eps`` was
+            chosen below ``vol(A)/vol(V-A)``.
+    """
+    value = cut_value(ag, s)
+    vol_a = Fraction(ag.seed.volume)
+    if value >= vol_a:
+        raise NotACertificateError(f"cut value {value} is not below vol(A) = {vol_a}")
+    phi = conductance(ag.graph, s)
+    if phi >= ag.alpha:
+        raise InvariantViolation(
+            f"cut value {value} < vol(A) but conductance {phi} >= alpha "
+            f"{ag.alpha}; eps={ag.eps} is below vol(A)/vol(V-A)"
+        )
+    return True, phi
+
+
+def flow_certificate_bound(ag: AugmentedGraph, s: VertexSet) -> Fraction | None:
+    """Lower bound on ``|E(S, V-S)| / vol(S)`` implied by a full-value flow.
+
+    The caller is responsible for having checked that a flow of value
+    ``vol(A)`` exists. Returns
+    ``alpha * ((1 + eps) * vol(A & S) / vol(S) - eps)``, which may be
+    nonpositive (vacuous) for sets with little seed overlap. With an
+    unbounded sink factor the bound is ``alpha`` for sets inside the
+    seed volume and ``None`` (vacuous, minus infinity) otherwise.
+
+    Raises:
+        ParameterError: if ``s`` has volume 0, as the empty set does.
+    """
+    vol_s = Fraction(s.volume)
+    if vol_s == 0:
+        raise ParameterError("bound is undefined for a set of volume 0")
+    overlap = Fraction(s.intersection(ag.seed).volume) / vol_s
+    if ag.eps is None:
+        return ag.alpha if overlap == 1 else None
+    return ag.alpha * ((1 + ag.eps) * overlap - ag.eps)
+
+
+def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction) -> Fraction:
+    """``alpha`` times the demand routed from inside ``s`` to outside it.
+
+    Requires a verified full-demand routing (raises otherwise). The bound
+    is certified: it never exceeds the actual boundary size, and it is at
+    least ``alpha * (vol(A & S) - eps * vol(S - A))``.
+    """
+    ag = fs.ag
+    check = verify_bidemand_routing(fs, BiDemand(ag.seed, Fraction(1), ag.eps), 1 / ag.alpha)
+    if not check:
+        raise NotACertificateError(
+            "flow does not route the full demand: " + "; ".join(check.violations[:3])
+        )
+    pd = decompose_paths(fs)
+    crossing = 0
+    for path, amount in zip(pd.paths, pd.amounts):
+        if path[0] in s and path[-1] not in s:
+            crossing += amount
+    routed = Fraction(crossing, pd.scale)
+    bound = Fraction(alpha) * routed
+    if bound > boundary_edges(g, s):
+        raise InvariantViolation("certified bound exceeds the actual boundary size")
+    inter = s.intersection(ag.seed).volume
+    outside = s.volume - inter
+    if ag.eps is not None and routed < inter - ag.eps * outside:
+        raise InvariantViolation("routed demand fell below its guaranteed minimum")
+    return bound
+
+
+def path_length_certificate(
+    pd: PathDecomposition, alpha: Fraction, vol_a: int, sigma: Fraction
+) -> bool:
+    """Do all decomposed paths respect the phase-budget length bound?
+
+    A flow assembled from at most ``I`` blocking-flow phases routes along
+    paths of at most ``I + 2`` arcs (the source and sink arcs included).
+    """
+    bound = iteration_bound(alpha, vol_a, sigma) + 2
+    return all(len(path) + 1 <= bound for path in pd.paths)
 
 
 def push(fs: FlowState, a: int, amount: int) -> None:

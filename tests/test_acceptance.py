@@ -26,7 +26,6 @@ from localcut import (
     local_flow,
     local_flow_exact,
     local_improve_overlap,
-    path_length_certificate,
     verify_bidemand_routing,
 )
 from localcut.certify import BiDemand
@@ -39,7 +38,7 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
-from oracle import brute_min_cut_value, eval_condition_41
+from oracle import brute_min_cut_value, eval_condition_41, path_length_certificate
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:

@@ -191,18 +191,29 @@ def test_certify_round_trip(capsys, tmp_path):
     assert "valid" in out
 
 
-def test_certify_refuses_when_cut_exists(capsys, fixtures_dir, tmp_path):
+@pytest.mark.parametrize(
+    "alpha, sink",
+    [
+        ("1/2", ["--sigma", "1/2"]),
+        # the minimum cut is all of V, a set with no conductance
+        ("1/20", ["--eps-sigma", "1/100"]),
+    ],
+    ids=["proper-cut", "cut-is-all-of-V"],
+)
+def test_certify_refuses_when_cut_exists(capsys, fixtures_dir, tmp_path, alpha, sink):
     code, _, err = run(
         capsys,
         "certify",
         "--graph", str(fixtures_dir / "barbell.edgelist"),
         "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
-        "--alpha", "1/2",
-        "--sigma", "1/2",
+        "--alpha", alpha,
+        *sink,
         "--out", str(tmp_path / "cert.txt"),
     )
     assert code == EXIT_INPUT_ERROR
-    assert "cut" in err
+    assert "no full-value flow" in err and "minimum cut" in err
+    assert "undefined" not in err
+    assert not (tmp_path / "cert.txt").exists()
 
 
 def test_seed_command(capsys, fixtures_dir):

@@ -39,7 +39,7 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
-from oracle import brute_min_cut_value, reference_bfs_distances, reference_blocking_flow
+from oracle import brute_min_cut_value, cut_value, reference_bfs_distances, reference_blocking_flow
 
 # the modules; the package attributes of the same names are the re-exported functions
 local_flow_module = importlib.import_module("localcut.local_flow")
@@ -354,7 +354,7 @@ def test_solvers_agree_with_oracles(instance):
     assert approx.value == exact.value == ref.flow_value == brute
     # residual reachability is the minimal min cut, whichever flow left it
     assert exact.cut == ref_cut == approx.cut
-    assert ag.cut_value(exact.cut) == brute
+    assert cut_value(ag, exact.cut) == brute
     _assert_saturated_record(approx)
     _assert_saturated_record(exact)
 
