@@ -4,11 +4,14 @@ Vertices are integers ``0..n-1``. Parallel edges are allowed and counted
 with multiplicity everywhere (degrees, volumes, boundary sizes); self-loops
 are rejected at construction. Adjacency is stored in CSR form so a graph
 with millions of edges stays compact and cheap to share between runs: an
-int64 offsets array and an int64 array of heads, each adjacency run sorted,
-served as read-only memoryviews with no copy. The build sorts the arc
-keys ``tail*n+head`` once, in place, in the array that then becomes the
-heads, so its peak memory is that array, the offsets and one degree count
-(about 1.2 times the finished CSR on a ring of cliques).
+int64 offsets array and an int32 array of heads, each adjacency run sorted,
+served as read-only memoryviews with no copy. The build sorts the int64 arc
+keys ``tail*n+head`` once, in place, then reduces them block by block to
+int32 heads in the front half of the same buffer and shrinks it to that
+half. Its peak memory is the larger of the sorted keys (16 bytes per edge)
+and the heads plus the offsets and one degree count; the finished CSR
+takes 8 bytes per edge plus 8 per vertex, 0.55 times an int64 CSR on a
+ring of cliques.
 
 All conductance and volume arithmetic is exact (integers and
 :class:`fractions.Fraction`); nothing in this module touches floating
@@ -32,8 +35,10 @@ __all__ = [
     "best_prefix",
 ]
 
-# the largest vertex count whose arc keys tail*n+head fit in int64
-_MAX_N = 3_037_000_499
+# the largest vertex count whose heads fit in int32 (its arc keys fit in int64)
+_MAX_N = 2**31
+# keys reduced to heads per step: the int64 scratch stays at 64 KiB
+_BLOCK = 8192
 
 
 class Graph:
@@ -44,8 +49,8 @@ class Graph:
     deep-copies through its two arrays.
 
     Args:
-        n: Number of vertices, at most ``3_037_000_499`` so that the arc
-            keys fit in int64.
+        n: Number of vertices, at most ``2**31`` so that the heads fit in
+            int32.
         edges: Iterable of ``(u, v)`` endpoint pairs, or an integer array
             of shape ``(m, 2)`` (any strides). Repeated pairs are kept as
             parallel edges. Self-loops and non-integer endpoints (float,
@@ -74,10 +79,8 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {pairs[loops.argmax(), 0]}")
         # only after the range check: the cast wraps unsigned endpoints of 2**63 and up
         pairs = pairs.astype(np.int64, copy=False)
-        if n > _MAX_N:
-            raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
         # CSR with each adjacency run sorted: one in-place sort of the arc keys
-        # tail*n+head, written straight into the one array that becomes the heads
+        # tail*n+head, written straight into the one buffer that becomes the heads
         u, v = pairs[:, 0], pairs[:, 1]
         key = np.empty(2 * m, dtype=np.int64)
         np.multiply(u, n, out=key[:m])
@@ -85,7 +88,8 @@ class Graph:
         np.multiply(v, n, out=key[m:])
         key[m:] += u
         key.sort()
-        self._set_csr(n, m, key, np.bincount(pairs.ravel(), minlength=n))
+        heads = _reduce_to_heads(n, key)
+        self._set_csr(n, heads, np.bincount(pairs.ravel(), minlength=n))
 
     @classmethod
     def from_sorted_arcs(cls, n: int, keys: np.ndarray, degrees: np.ndarray) -> Graph:
@@ -94,19 +98,24 @@ class Graph:
         Every edge appears once from each end, and ``degrees[u]`` counts the
         keys with tail ``u``. Nothing is validated, so the caller vouches for
         a symmetric key set within ``0..n*n-1`` with no self-loops and for
-        ``degrees``; ``keys`` is overwritten and kept.
+        ``degrees``.
+
+        ``keys`` is consumed: its buffer is overwritten with the heads and
+        shrunk to half, so it must own its data (a view raises
+        ``ValueError`` before anything is written) and the caller may keep
+        no view of it.
         """
+        if not keys.flags.owndata:
+            raise ValueError("arc keys must own their buffer, which the graph takes over")
         g = cls.__new__(cls)
-        g._set_csr(n, len(keys) // 2, keys, degrees)
+        g._set_csr(n, _reduce_to_heads(n, keys), degrees)
         return g
 
-    def _set_csr(self, n: int, m: int, key: np.ndarray, degrees: np.ndarray) -> None:
-        """Reduce the sorted arc keys ``key`` to heads in place and store the CSR."""
+    def _set_csr(self, n: int, heads: np.ndarray, degrees: np.ndarray) -> None:
+        """Store the CSR of the int32 ``heads`` and the per-vertex arc counts."""
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=off[1:])
-        if n:
-            np.remainder(key, n, out=key)
-        self.__setstate__((n, m, off, key))
+        self.__setstate__((n, len(heads) // 2, off, heads))
 
     # a memoryview cannot be pickled or copied, so pickle and deepcopy go
     # through the numpy arrays it views
@@ -117,7 +126,7 @@ class Graph:
         n, m, off, flat = state
         self._n = n
         self._m = m
-        # read-only views of the int64 arrays: no copy, and ints on indexing
+        # read-only views of the arrays: no copy, and ints on indexing
         self._off = memoryview(off).toreadonly()
         self._flat = memoryview(flat).toreadonly()
 
@@ -170,6 +179,34 @@ class Graph:
         return f"Graph(n={self._n}, m={self._m})"
 
 
+def _reduce_to_heads(n: int, key: np.ndarray) -> np.ndarray:
+    """The heads ``key % n`` of the sorted int64 arc keys, as int32, in ``key``'s buffer.
+
+    Raises ``ValueError`` for more than ``_MAX_N`` vertices, before the
+    caller allocates anything whose size depends on ``n``. Each block of
+    keys is reduced through a small int64 scratch and written to the int32
+    slots at the same indices, which end at or before the block's first
+    key, so no key is overwritten before it is read. The buffer, which
+    ``key`` must own, then shrinks in place to the heads' half (arcs come
+    in pairs, so the key count is even); a view of ``key`` taken before
+    the call would dangle.
+    """
+    if n > _MAX_N:
+        raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
+    heads = key.view(np.int32)
+    scratch = np.empty(min(len(key), _BLOCK), dtype=np.int64)
+    for start in range(0, len(key), _BLOCK):
+        stop = min(start + _BLOCK, len(key))
+        q = scratch[: stop - start]
+        np.floor_divide(key[start:stop], n, out=q)
+        q *= n
+        np.subtract(key[start:stop], q, out=q)
+        heads[start:stop] = q
+    del heads
+    key.resize(len(key) // 2, refcheck=False)
+    return key.view(np.int32)
+
+
 class VertexSet:
     """Sorted, deduplicated set of vertex ids with cached volume.
 
@@ -217,9 +254,6 @@ class VertexSet:
 
     def __hash__(self) -> int:
         return hash((id(self._graph), self._ids))
-
-    def intersection(self, other: Iterable[int]) -> "VertexSet":
-        return VertexSet(self._graph, self._members.intersection(other))
 
     def __repr__(self) -> str:
         ids = list(self._ids)

@@ -14,6 +14,8 @@ import numpy as np
 from localcut import Graph, VertexSet
 from localcut.augmented import sink_factor_for_overlap
 
+from oracle import intersection
+
 # named fixtures ------------------------------------------------------------
 
 
@@ -163,8 +165,21 @@ def planted_alpha_star(
     """Exact threshold above which the planted set satisfies the probe inequality."""
     from localcut import boundary_edges
 
-    inter = s_star.intersection(a).volume
+    inter = intersection(s_star, a).volume
     outside = s_star.volume - inter
     denom = Fraction(inter) - Fraction(eps) * outside
     assert denom > 0, "planted set must overlap the seed enough"
     return Fraction(boundary_edges(g, s_star)) / denom
+
+
+def random_edge_array(seed: int, n: int, m: int) -> np.ndarray:
+    """``m`` uniform random edges on ``n >= 2`` vertices as an int64 ``(m, 2)`` array.
+
+    Repeated pairs are kept as parallel edges; self-loops are redrawn by
+    shifting the second end.
+    """
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, size=(m, 2), dtype=np.int64)
+    loops = edges[:, 0] == edges[:, 1]
+    edges[loops, 1] = (edges[loops, 1] + rng.integers(1, n, size=int(loops.sum()))) % n
+    return edges

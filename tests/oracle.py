@@ -25,6 +25,8 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable
 
+import numpy as np
+
 from localcut import (
     AugmentedGraph,
     BiDemand,
@@ -51,13 +53,33 @@ __all__ = [
     "eval_condition_41",
     "expansion_lower_bound",
     "flow_certificate_bound",
+    "intersection",
     "path_length_certificate",
     "push",
     "reference_bfs_distances",
     "reference_blocking_flow",
+    "reference_csr",
 ]
 
 _MAX_N = 20
+
+
+def intersection(s: VertexSet, other: Iterable[int]) -> VertexSet:
+    """The members of ``s`` that ``other`` also lists, on ``s``'s graph."""
+    return VertexSet(s.graph, set(s).intersection(other))
+
+
+def reference_csr(n: int, edges: np.ndarray) -> tuple[list[int], list[int]]:
+    """Offsets and heads of the ``(m, 2)`` edge array's CSR, by one lexsort.
+
+    Every edge gives an arc from each end; arcs are ordered by tail, then
+    head, so each adjacency run comes out sorted.
+    """
+    tails = np.concatenate([edges[:, 0], edges[:, 1]]).astype(np.int64)
+    heads = np.concatenate([edges[:, 1], edges[:, 0]]).astype(np.int64)
+    order = np.lexsort((heads, tails))
+    off = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))])
+    return off.tolist(), heads[order].tolist()
 
 
 def _check_size(n: int) -> None:
@@ -241,7 +263,7 @@ def eval_condition_41(
         for v in g.adjacent(u):
             if v not in s_star:
                 cross += 1
-    inter = s_star.intersection(a).volume
+    inter = intersection(s_star, a).volume
     outside = s_star.volume - inter
     if eps is None:
         if outside > 0:
@@ -315,7 +337,7 @@ def flow_certificate_bound(ag: AugmentedGraph, s: VertexSet) -> Fraction | None:
     vol_s = Fraction(s.volume)
     if vol_s == 0:
         raise ParameterError("bound is undefined for a set of volume 0")
-    overlap = Fraction(s.intersection(ag.seed).volume) / vol_s
+    overlap = Fraction(intersection(s, ag.seed).volume) / vol_s
     if ag.eps is None:
         return ag.alpha if overlap == 1 else None
     return ag.alpha * ((1 + ag.eps) * overlap - ag.eps)
@@ -343,7 +365,7 @@ def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
     bound = Fraction(alpha) * routed
     if bound > boundary_edges(g, s):
         raise InvariantViolation("certified bound exceeds the actual boundary size")
-    inter = s.intersection(ag.seed).volume
+    inter = intersection(s, ag.seed).volume
     outside = s.volume - inter
     if ag.eps is not None and routed < inter - ag.eps * outside:
         raise InvariantViolation("routed demand fell below its guaranteed minimum")

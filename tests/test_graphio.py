@@ -2,15 +2,17 @@ import io
 import tracemalloc
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import ring_of_cliques
+from gen import random_edge_array, ring_of_cliques
 from localcut import GraphFormatError, load_graph, load_vertex_set
 from localcut import graphio
 from localcut.cli import EXIT_INPUT_ERROR, run_cli
 from localcut.graphio import MAX_IDS_PER_EDGE, load_edgelist, load_metis
+from oracle import reference_csr
 from reference_graphio import ref_load_edgelist, ref_load_metis, ref_load_vertex_set
 
 
@@ -202,6 +204,25 @@ def test_loaders_read_paths(tmp_path):
     want = csr(ref_load_edgelist(io.StringIO(text)))
     assert csr(load_edgelist(path)) == want
     assert csr(load_edgelist(str(path))) == want
+
+
+@given(
+    st.sampled_from((1, 4095, 4096, 4097, 8191, 8192, 8193, 12289)),
+    st.integers(2, 40) | st.integers(2, 20_000),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=25, deadline=None)
+def test_metis_csr_matches_lexsort_reference(m, n, seed):
+    # the loaded graph's int32 heads, reduced from its sorted keys in blocks
+    # of 8192, against one lexsort of both arc directions
+    edges = random_edge_array(seed, n, m)
+    adj = [[] for _ in range(n)]
+    for u, v in edges.tolist():
+        adj[u].append(str(v + 1))
+        adj[v].append(str(u + 1))
+    g = load_metis(io.StringIO(f"{n} {m}\n" + "".join(" ".join(row) + "\n" for row in adj)))
+    assert np.asarray(g._flat).dtype == np.int32
+    assert (list(g._off), list(g._flat)) == reference_csr(n, edges)
 
 
 # one-line corruptions of a valid file; the reference words the expected error

@@ -11,9 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localcut import Graph, ParameterError, VertexSet, boundary_edges, conductance
+from localcut import graphs
 from localcut.graphs import best_prefix
 
-from gen import barbell, cycle_graph, path_graph, random_multigraph, ring_of_cliques
+from gen import (
+    barbell,
+    cycle_graph,
+    path_graph,
+    random_edge_array,
+    random_multigraph,
+    ring_of_cliques,
+)
+from oracle import intersection, reference_csr
 
 
 def test_degree_sum_is_twice_edges():
@@ -110,7 +119,7 @@ def test_vertex_set_ops():
     a = VertexSet(g, [2, 0, 0, 1])
     assert a.ids == (0, 1, 2)
     assert a.volume == 7
-    assert a.intersection([1, 5]).ids == (1,)
+    assert intersection(a, [1, 5]).ids == (1,)
     with pytest.raises(ParameterError):
         VertexSet(g, [9])
 
@@ -175,23 +184,104 @@ def test_csr_matches_sorted_adjacency(n_edges, given_as):
 def test_csr_build_peak_memory():
     # the build's only arrays are the sorted keys (16 bytes per edge), the
     # degree count and the offsets; a temporary per endpoint array would
-    # push the peak past the bound
+    # push the peak past the bound. Afterwards only the int32 heads (8 bytes
+    # per edge) and the offsets stay: an int64 CSR would read 1.00.
     ring = ring_of_cliques(2000, 10)
     edges = np.array(list(ring.edges()), dtype=np.int64)
     csr_bytes = 16 * ring.m + 8 * (ring.n + 1)
     tracemalloc.start()
     try:
         g = Graph(ring.n, edges)
-        peak = tracemalloc.get_traced_memory()[1]
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert list(g._flat) == list(ring._flat)
     assert peak < 1.5 * csr_bytes, f"peak {peak} bytes is {peak / csr_bytes:.2f} x the CSR"
+    assert current < 0.6 * csr_bytes, f"kept {current} bytes, {current / csr_bytes:.2f} x the CSR"
 
 
 def test_graph_pickles_and_deep_copies():
     g = Graph(6, [(0, 1), (1, 2), (0, 1), (4, 5), (2, 0)])
+    assert np.asarray(g._flat).dtype == np.int32
     for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
         assert (h.n, h.m) == (g.n, g.m)
+        assert np.asarray(h._flat).dtype == np.int32
         assert list(h._off) == list(g._off) and list(h._flat) == list(g._flat)
         assert all(list(h.adjacent(u)) == list(g.adjacent(u)) for u in range(g.n))
+
+
+# the heads are reduced from the keys in blocks: edge counts whose 2m keys
+# fall on either side of one and of two block boundaries, and just past six
+BLOCK = graphs._BLOCK
+EDGE_COUNTS = (0, 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1)
+EDGE_COUNTS += (BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1)
+
+
+@given(
+    st.sampled_from(EDGE_COUNTS),
+    st.integers(2, 40) | st.integers(2, 100_000),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["list", "int32", "strided", "uint64", "uint32"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_int32_csr_matches_lexsort_reference(m, n, seed, given_as):
+    # few vertices give many parallel edges
+    edges = random_edge_array(seed, n, m)
+    want = reference_csr(n, edges)
+    if given_as == "list":
+        arg = [tuple(e) for e in edges.tolist()]
+    elif given_as == "strided":
+        wide = np.ones((m, 3), dtype=np.int64)
+        wide[:, :2] = edges
+        arg = wide[:, :2]
+    else:
+        arg = edges.astype(given_as)
+    g = Graph(n, arg)
+    assert np.asarray(g._flat).dtype == np.int32
+    assert (list(g._off), list(g._flat)) == want
+
+
+# arcs come in pairs, so key counts are even
+@pytest.mark.parametrize("arcs", [0, 2, BLOCK - 2, BLOCK, BLOCK + 2, 3 * BLOCK + 2])
+@pytest.mark.parametrize("n", [7, graphs._MAX_N])
+def test_reduce_to_heads_at_block_edges(arcs, n):
+    rng = np.random.default_rng(arcs + n)
+    keys = np.sort(rng.integers(0, n * n, size=arcs, dtype=np.int64))
+    if arcs:
+        keys[-1] = n * n - 1  # the largest head, 2**31 - 1 at the cap
+    want = (keys % n).tolist()
+    heads = graphs._reduce_to_heads(n, keys)
+    assert heads.dtype == np.int32 and heads.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: Graph(n, []),
+        lambda n: Graph.from_sorted_arcs(n, np.array([1, n], dtype=np.int64), np.ones(2, int)),
+    ],
+    ids=["init", "from_sorted_arcs"],
+)
+def test_vertex_cap_is_checked_before_allocation(build):
+    # within the cap, the offsets alone of 2**31 + 1 vertices would take 17 GB
+    n = graphs._MAX_N + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^vertex count {n} exceeds {graphs._MAX_N}$"):
+            build(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_from_sorted_arcs_rejects_keys_it_cannot_take_over():
+    g = Graph(3, [(0, 1), (1, 2)])
+    keys = np.array([1, 3, 5, 7], dtype=np.int64)  # 0-1, 1-0, 1-2, 2-1
+    degrees = np.array([1, 2, 1])
+    view = keys[:]
+    with pytest.raises(ValueError, match="own their buffer"):
+        Graph.from_sorted_arcs(3, view, degrees)
+    assert view.tolist() == [1, 3, 5, 7]
+    h = Graph.from_sorted_arcs(3, keys, degrees)
+    assert (list(h._off), list(h._flat)) == (list(g._off), list(g._flat))

@@ -17,7 +17,7 @@ from localcut import (
 from localcut.local_flow import update_saturated_set
 
 from gen import asym_barbell, barbell
-from oracle import brute_min_conductance, brute_min_cut_value, push
+from oracle import brute_min_conductance, brute_min_cut_value, intersection, push
 
 
 def _dag_min_cut(arcs: dict[tuple[int, int], int], s, t) -> int:
@@ -127,5 +127,5 @@ def test_expansion_bound_exhaustive_subsets():
         routed = Fraction(crossing, scale)
         s = VertexSet(g, members)
         assert alpha * routed <= boundary_edges(g, s)
-        inter = s.intersection(a).volume
+        inter = intersection(s, a).volume
         assert routed >= inter - eps * (s.volume - inter)
