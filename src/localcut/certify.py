@@ -38,15 +38,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BiDemand:
-    """Bipartite demand: ``c1 * deg`` out of each seed vertex, at most ``c2 * deg`` into each sink.
+    """Bipartite demand: ``deg`` out of each seed vertex, at most ``c2 * deg`` into each sink.
 
     ``c2=None`` means unbounded absorption. The usual sanity range is
-    ``c2 >= c1 * vol(A) / vol(V - A)``, without which the total demand
-    cannot fit.
+    ``c2 >= vol(A) / vol(V - A)``, without which the total demand cannot
+    fit.
     """
 
     source: VertexSet
-    c1: Fraction
     c2: Fraction | None
 
 
@@ -74,15 +73,15 @@ def _routing_violations(
     ``emits`` and ``absorbs`` give, in demand units, what each vertex sends
     and what it drains; ``loads`` what each edge ``(u, v)``, ``u < v``,
     carries in either direction. Every vertex of ``bd.source`` must emit
-    exactly ``c1 * deg``, no vertex may absorb more than ``c2 * deg``, and
+    exactly ``deg``, no vertex may absorb more than ``c2 * deg``, and
     no edge may carry more than ``congestion`` times its multiplicity in
     ``g``.
     """
     violations: list[str] = []
     for u in bd.source:
         got = emits.get(u, Fraction(0))
-        if got != bd.c1 * g.degree(u):
-            violations.append(f"seed vertex {u} emits {got}, demand is {bd.c1 * g.degree(u)}")
+        if got != g.degree(u):
+            violations.append(f"seed vertex {u} emits {got}, demand is {g.degree(u)}")
     if bd.c2 is not None:
         for v, got in absorbs.items():
             if got > bd.c2 * g.degree(v):
@@ -102,7 +101,7 @@ def verify_bidemand_routing(
 ) -> RoutingCheck:
     """Check that the flow routes ``bd`` within the given edge congestion.
 
-    Verifies (i) every seed vertex emits exactly ``c1 * deg`` along its
+    Verifies (i) every seed vertex emits exactly ``deg`` along its
     source arc, (ii) every non-seed vertex absorbs at most ``c2 * deg``,
     and (iii) no original edge carries more than ``congestion`` per unit of
     multiplicity. Returns a falsy report rather than raising.
@@ -307,6 +306,6 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     total = sum((amt for _, amt in paths), Fraction(0))
     if total != flow_value:
         violations.append(f"path amounts add to {total}, header says {flow_value}")
-    bd = BiDemand(a, Fraction(1), eps)
+    bd = BiDemand(a, eps)
     violations += _routing_violations(g, bd, 1 / alpha, emits, absorbs, loads)
     return RoutingCheck(not violations, violations)

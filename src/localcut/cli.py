@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="overlap parameter in (0, 1]")
         p.add_argument("--eps", type=_fraction, default=Fraction(1, 5),
                        help="stopping width of the search's fallback bisection (default 1/5)")
-        p.add_argument("--human", action="store_true", help="human-readable output")
         p.add_argument("--instrument", action="store_true",
                        help="include locality counters in the output: the Dinic "
                        "phases the search ran (warm-started probes count only "
@@ -150,14 +149,7 @@ def _cmd_improve(args, solver: str) -> int:
     if args.instrument:
         payload["touched_volume"] = result.touched_volume
         payload["phases"] = result.phases
-    if args.human:
-        if result.improved:
-            print(f"set: {list(result.cut.ids)}")
-            print(f"phi: {result.phi} vol: {result.cut.volume}")
-        else:
-            print("no improvement: the seed set routes its full demand at alpha=1")
-    else:
-        print(json.dumps(payload))
+    print(json.dumps(payload))
     return EXIT_OK if result.improved else EXIT_NO_IMPROVEMENT
 
 

@@ -19,7 +19,8 @@ arc, which stays last. The source's list is built in ascending seed order,
 and the sink's is never scanned.
 
 One Dinic phase is :func:`bfs_distances` then :func:`blocking_flow`. The
-BFS labels every reachable vertex and, while it expands a vertex, keeps
+BFS labels the layers up to the sink's and no further (every reachable
+vertex when the sink is unreachable) and, while it expands a vertex, keeps
 that vertex's residual arcs into the next layer, in list order: its
 admissible arcs. The blocking flow walks only those lists, so it never
 re-tests a label. The lists hold the arcs as they were when the labels
@@ -230,10 +231,12 @@ class FlowState:
 class DistanceLabels:
     """Unit-length shortest-path labels from the source over residual arcs.
 
-    ``admissible`` maps each vertex the BFS expanded before it dequeued the
-    sink (all vertices below the sink's layer among them) to its residual
-    arcs into the next layer, in the order of its arc list; vertices with
-    none are absent. It is ``None`` once released.
+    ``dist`` holds layers ``0..d(t)``, or every reachable vertex when the
+    sink is unreachable, in the order the BFS labelled them, so its labels
+    never decrease along it and each layer is one run. ``admissible`` maps
+    each vertex below the sink's layer to its residual arcs into the next
+    layer, in the order of its arc list; vertices with none are absent. It
+    is ``None`` once released.
     """
 
     __slots__ = ("dist", "admissible")
@@ -246,28 +249,18 @@ class DistanceLabels:
         """Drop the admissible lists; only ``dist`` is needed after the phase."""
         self.admissible = None
 
-    def layers(self, fs: FlowState) -> dict[int, list[int]]:
-        """Base-graph vertices grouped by label, each group sorted."""
-        n = fs.ag.graph.n
-        out: dict[int, list[int]] = {}
-        for v, d in self.dist.items():
-            if v < n:
-                out.setdefault(d, []).append(v)
-        for group in out.values():
-            group.sort()
-        return out
-
 
 def bfs_distances(fs: FlowState) -> DistanceLabels:
     """Shortest-path labels from ``s`` over positive-residual arcs, with admissible arcs.
 
     The lazily built arc structure confines the search to the materialized
-    subgraph; the sink is labeled but never expanded. Each vertex's arcs
-    are scanned in list order, which :meth:`FlowState.open_vertex` fixed:
-    target-id order for the source and every opened vertex. Those into the
-    next layer are kept as the vertex's admissible list. Vertices dequeued
-    after the sink sit at or beyond its layer and keep no list: no
-    blocking-flow path enters them.
+    subgraph. The search stops when it dequeues the first vertex of the
+    sink's layer, so that layer is labelled but none of it is expanded,
+    and nothing beyond it is labelled: no blocking-flow path, cut or check
+    reads past the sink. Each vertex's arcs are scanned in list order,
+    which :meth:`FlowState.open_vertex` fixed: target-id order for the
+    source and every opened vertex. Those into the next layer are kept as
+    the vertex's admissible list.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
@@ -277,12 +270,13 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
     cap = fs.arc_cap
     flow = fs.arc_flow
     arcs_of = fs.arcs_of
-    order = [s]  # the BFS queue: the loops read it while it grows
-    queue = iter(order)
-    for u in queue:
-        if u == t:
+    order = [s]  # the BFS queue: the loop reads it while it grows
+    dt = -1  # the sink's label, once it has one
+    for u in order:
+        du = dist[u]
+        if du == dt:
             break
-        du = dist[u] + 1
+        du += 1
         out = []
         for a in arcs_of[u]:
             if cap[a] > flow[a]:
@@ -291,19 +285,12 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
                     dist[v] = du
                     order.append(v)
                     out.append(a)
+                    if v == t:
+                        dt = du
                 elif dist[v] == du:
                     out.append(a)
         if out:
             admissible[u] = out
-    # everything queued after the sink sits at or beyond its layer: label only
-    for u in queue:
-        du = dist[u] + 1
-        for a in arcs_of[u]:
-            if cap[a] > flow[a]:
-                v = to[a]
-                if v not in dist:
-                    dist[v] = du
-                    order.append(v)
     return DistanceLabels(dist, admissible)
 
 
@@ -392,32 +379,31 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
     return total
 
 
-def check_label_monotone(
-    prev: DistanceLabels, cur: DistanceLabels, t: int, exact_zone_only: bool = False
-) -> None:
-    """Assert labels never decreased between phases, and the sink distance grew.
+def check_label_monotone(prev: DistanceLabels, cur: DistanceLabels, t: int) -> None:
+    """Assert no label of ``prev`` fell in ``cur``, and the sink distance grew.
 
     A Dinic phase raises the sink distance by at least one, so a sink
     labelled in both ``prev`` and ``cur`` must be strictly farther in
-    ``cur``. With ``exact_zone_only`` the check covers the region where lazily
-    materialized labels agree with the full graph's: vertices strictly
-    below the previous sink distance, plus the sink. A vertex beyond that
-    horizon may legitimately gain a shorter label once more of the graph is
-    materialized. Fully materialized solvers check every vertex.
+    ``cur``. Every label of ``prev`` is checked, which holds even while the
+    localized solvers materialize more of the graph, because ``prev`` stops
+    at the sink's layer ``d(t)``. A phase opens only the vertices whose
+    sink arc it filled, which sit at ``d(t) - 1``, and every other
+    unopened labelled vertex still has residual capacity to the sink, so it
+    sits at ``d(t) - 1`` or beyond. So every arc added between two BFS
+    passes joins vertices labelled at least ``d(t) - 1`` and lowers no
+    label up to ``d(t)``; the blocking flow's reverse arcs lead down a
+    layer and lower none either.
     """
-    pd = prev.dist
     cd = cur.dist
-    horizon = pd.get(t)
-    for v, d_old in pd.items():
-        if exact_zone_only and horizon is not None and v != t and d_old >= horizon:
-            continue
+    for v, d_old in prev.dist.items():
         d_new = cd.get(v)
         if d_new is not None and d_new < d_old:
             raise InvariantViolation(
                 f"distance label decreased at vertex {v}: {d_old} -> {d_new}"
             )
-    dt = cd.get(t)
-    if horizon is not None and dt is not None and dt <= horizon:
+    before = prev.dist.get(t)
+    after = cd.get(t)
+    if before is not None and after is not None and after <= before:
         raise InvariantViolation("sink distance failed to grow across a phase")
 
 
@@ -426,9 +412,10 @@ def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
 
     The min cut is the source side of the final residual reachability,
     intersected with the base vertices. Used as the global reference
-    oracle; materializes every vertex, so keep instances moderate. Every
-    phase checks label monotonicity, sink-distance growth and flow
-    conservation.
+    oracle; materializes every vertex, so keep instances moderate. It uses
+    the same :func:`bfs_distances` as the localized solvers, so each phase
+    labels, and checks, only the layers up to the sink's. Every phase
+    checks label monotonicity, sink-distance growth and flow conservation.
     """
     fs = FlowState(ag)
     fs.open_all()

@@ -21,6 +21,7 @@ point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,6 +67,9 @@ class Graph:
             pairs = edges.reshape(-1, 2)
         else:
             seq = edges if isinstance(edges, (list, tuple)) else list(edges)
+            # np.array turns ints mixed with bools into int64, so look before converting
+            if not {bool, np.bool_}.isdisjoint(map(type, chain.from_iterable(seq))):
+                raise ValueError("edge endpoints must be integers, got dtype bool")
             pairs = np.array(seq).reshape(-1, 2) if seq else np.empty((0, 2), np.int64)
         if pairs.dtype.kind not in "iu":
             raise ValueError(f"edge endpoints must be integers, got dtype {pairs.dtype}")
@@ -167,13 +171,6 @@ class Graph:
         if prev >= 0:
             out.append((prev, count))
         return out
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges as ``(u, v)`` with ``u < v``, parallel edges repeated."""
-        for u in range(self._n):
-            for v in self.adjacent(u):
-                if v > u:
-                    yield (u, v)
 
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"

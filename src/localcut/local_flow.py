@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Callable
 
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
@@ -188,12 +190,15 @@ def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
 def _best_layer_cut(fs: FlowState, labels: DistanceLabels) -> VertexSet:
     """The lowest-conductance prefix union of layers 1..d(t)-2 (:func:`best_prefix`).
 
-    :func:`_check_layer_containment` has already checked these layers
-    against the same labels.
+    The BFS labels in nondecreasing order, so each layer is one run of
+    ``labels.dist``, and a prefix union's conductance does not depend on
+    the order inside a layer. :func:`_check_layer_containment` has already
+    checked these layers against the same labels.
     """
     g = fs.ag.graph
-    layers = labels.layers(fs)
-    groups = (layers.get(j, ()) for j in range(1, labels.dist[fs.ag.sink_id] - 1))
+    top = labels.dist[fs.ag.sink_id] - 2
+    runs = groupby(labels.dist.items(), key=itemgetter(1))
+    groups = ([v for v, _ in run] for d, run in runs if 1 <= d <= top)
     best = best_prefix(g, groups, g.total_volume - 1)
     if best is None:
         raise InvariantViolation("no nonempty layer cut available")
@@ -240,8 +245,8 @@ def _localized_dinic(
 
     Each phase labels the materialized residual graph, saturates its
     admissible arcs, and opens the vertices whose sink arcs filled. Every
-    phase checks layer containment, label monotonicity within the exact
-    zone, sink-distance growth and flow antisymmetry and conservation. The
+    phase checks layer containment, label monotonicity through the sink's
+    layer, sink-distance growth and flow antisymmetry and conservation. The
     growth check also bounds an uncapped run: the sink distance would
     outgrow the materialized vertex count before the phases could.
 
@@ -280,7 +285,7 @@ def _localized_dinic(
     while True:
         _check_layer_containment(fs, labels)
         if prev is not None:
-            check_label_monotone(prev, labels, t, exact_zone_only=True)
+            check_label_monotone(prev, labels, t)
         if t not in labels.dist or (budget is not None and stats.phases >= budget):
             break
         if not blocking_flow(fs, labels):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -50,6 +50,7 @@ __all__ = [
     "brute_min_quotient",
     "cut_certificate_check",
     "cut_value",
+    "edges",
     "eval_condition_41",
     "expansion_lower_bound",
     "flow_certificate_bound",
@@ -67,6 +68,14 @@ _MAX_N = 20
 def intersection(s: VertexSet, other: Iterable[int]) -> VertexSet:
     """The members of ``s`` that ``other`` also lists, on ``s``'s graph."""
     return VertexSet(s.graph, set(s).intersection(other))
+
+
+def edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """All edges of ``g`` as ``(u, v)`` with ``u < v``, parallel edges repeated."""
+    for u in range(g.n):
+        for v in g.adjacent(u):
+            if v > u:
+                yield (u, v)
 
 
 def reference_csr(n: int, edges: np.ndarray) -> tuple[list[int], list[int]]:
@@ -351,7 +360,7 @@ def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
     least ``alpha * (vol(A & S) - eps * vol(S - A))``.
     """
     ag = fs.ag
-    check = verify_bidemand_routing(fs, BiDemand(ag.seed, Fraction(1), ag.eps), 1 / ag.alpha)
+    check = verify_bidemand_routing(fs, BiDemand(ag.seed, ag.eps), 1 / ag.alpha)
     if not check:
         raise NotACertificateError(
             "flow does not route the full demand: " + "; ".join(check.violations[:3])

@@ -38,7 +38,7 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
-from oracle import brute_min_cut_value, eval_condition_41, path_length_certificate
+from oracle import brute_min_cut_value, edges, eval_condition_41, path_length_certificate
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -83,7 +83,7 @@ def _subset_tables(g, a, ag):
     deg = np.array([g.degree(u) for u in range(n)], dtype=np.int64)
     vol = bits @ deg
     cross = np.zeros(1 << n, dtype=np.int64)
-    for u, v in g.edges():
+    for u, v in edges(g):
         cross += bits[:, u] ^ bits[:, v]
     seed_deg = np.array([deg[u] if u in a else 0 for u in range(n)], dtype=np.int64)
     inter = bits @ seed_deg
@@ -255,7 +255,7 @@ def test_criterion_08_certificate_suite(small_suite):
             continue
         full_flows += 1
         fs = res.flow
-        check = verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), 1 / alpha)
+        check = verify_bidemand_routing(fs, BiDemand(a, eps), 1 / alpha)
         assert check.ok, check.violations[:3]
         pd = decompose_paths(fs)
         assert pd.total == fs.value

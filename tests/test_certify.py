@@ -43,19 +43,19 @@ def full_flow_state():
 def test_zero_flow_fails_verification():
     g, a, eps = bipartite_instance()
     fs = FlowState(build(g, a, Fraction(1), eps))
-    check = verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), Fraction(1))
+    check = verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1))
     assert not check
     assert check.violations
 
 
 def test_full_flow_verifies_at_its_congestion():
     g, a, eps, fs = full_flow_state()
-    assert verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), Fraction(1)).ok
+    assert verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1)).ok
 
 
 def test_congestion_below_utilization_fails():
     g, a, eps, fs = full_flow_state()
-    check = verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), Fraction(1, 100))
+    check = verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1, 100))
     assert not check.ok
 
 
@@ -214,7 +214,7 @@ def test_flow_routing_reports_each_violation_kind(tail, head, units, violation):
     g, a, eps, fs = full_flow_state()
     ends = {"s": fs.ag.source_id, "t": fs.ag.sink_id}
     add_flow(fs, ends.get(tail, tail), ends.get(head, head), units)
-    check = verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), Fraction(1))
+    check = verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1))
     assert (check.ok, check.violations) == (False, [violation])
 
 
@@ -231,7 +231,7 @@ def test_decompose_leaves_circulation_out():
         push(fs, arc_between(fs, u, v), fs.ag.scale)
     fs.check_conservation()
     assert all(fs.arc_flow[arc_between(fs, u, v)] == fs.ag.scale for u, v in cycle)
-    assert verify_bidemand_routing(fs, BiDemand(a, Fraction(1), eps), 1 / alpha).ok
+    assert verify_bidemand_routing(fs, BiDemand(a, eps), 1 / alpha).ok
     pd = decompose_paths(fs)
     assert pd.total == fs.value
     assert pd.paths == [(0, 3), (1, 4), (2, 5)]

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gen import ring_of_cliques
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.graphio import parse_rational, parse_unsigned
+from oracle import edges
 
 
 def run(capsys, *argv):
@@ -341,7 +342,7 @@ def write_ring_files(tmp_path):
     """A ring of 100 10-cliques and the seed of clique 3 minus two members plus the next hub."""
     g = ring_of_cliques(100, 10)
     graph_file = tmp_path / "ring.edgelist"
-    graph_file.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    graph_file.write_text("".join(f"{u} {v}\n" for u, v in edges(g)))
     seed_file = tmp_path / "seed.txt"
     seed = [v for v in range(30, 40) if v not in (31, 35)] + [40]
     seed_file.write_text(" ".join(map(str, seed)) + "\n")

@@ -12,7 +12,7 @@ from localcut import GraphFormatError, load_graph, load_vertex_set
 from localcut import graphio
 from localcut.cli import EXIT_INPUT_ERROR, run_cli
 from localcut.graphio import MAX_IDS_PER_EDGE, load_edgelist, load_metis
-from oracle import reference_csr
+from oracle import edges, reference_csr
 from reference_graphio import ref_load_edgelist, ref_load_metis, ref_load_vertex_set
 
 
@@ -387,7 +387,7 @@ def test_load_peak_memory_is_bounded_by_file_size(tmp_path, fmt):
     g = ring_of_cliques(2000, 10)
     path = tmp_path / f"g.{fmt}"
     if fmt == "edgelist":
-        path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        path.write_text("".join(f"{u} {v}\n" for u, v in edges(g)))
     else:
         rows = (" ".join(str(v + 1) for v in g.adjacent(u)) for u in range(g.n))
         path.write_text(f"{g.n} {g.m}\n" + "\n".join(rows) + "\n")

@@ -22,7 +22,7 @@ from gen import (
     random_multigraph,
     ring_of_cliques,
 )
-from oracle import intersection, reference_csr
+from oracle import edges, intersection, reference_csr
 
 
 def test_degree_sum_is_twice_edges():
@@ -50,8 +50,10 @@ def test_out_of_range_edge_rejected():
         np.array([[0.5, 1.7], [1.9, 2.2]]),
         np.array([[True, False]]),
         [("0", "1")],
+        [(0, True)],
+        [(True, 2)],
     ],
-    ids=["float-list", "float-array", "bool-array", "str-list"],
+    ids=["float-list", "float-array", "bool-array", "str-list", "int-bool-list", "bool-int-list"],
 )
 def test_non_integer_endpoints_rejected(edges):
     with pytest.raises(ValueError, match="must be integers, got dtype"):
@@ -187,11 +189,11 @@ def test_csr_build_peak_memory():
     # push the peak past the bound. Afterwards only the int32 heads (8 bytes
     # per edge) and the offsets stay: an int64 CSR would read 1.00.
     ring = ring_of_cliques(2000, 10)
-    edges = np.array(list(ring.edges()), dtype=np.int64)
+    pairs = np.array(list(edges(ring)), dtype=np.int64)
     csr_bytes = 16 * ring.m + 8 * (ring.n + 1)
     tracemalloc.start()
     try:
-        g = Graph(ring.n, edges)
+        g = Graph(ring.n, pairs)
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -118,7 +118,7 @@ def test_improve_no_improvement_outcome():
     cert = res.certificate_flow
     assert cert.full_flow
     check = verify_bidemand_routing(
-        cert.flow, BiDemand(a, Fraction(1), None), Fraction(1)
+        cert.flow, BiDemand(a, None), Fraction(1)
     )
     assert check.ok
 
@@ -228,7 +228,7 @@ def test_cut_certificates_verify():
         elif not res.improved:
             cert = res.certificate_flow
             check = verify_bidemand_routing(
-                cert.flow, BiDemand(a, Fraction(1), eps), 1 / Fraction(1)
+                cert.flow, BiDemand(a, eps), 1 / Fraction(1)
             )
             assert check.ok
 
