@@ -172,10 +172,17 @@ def test_blocking_flow_blocks_admissible_graph():
         assert dt is None or dt > labels.dist[ag.sink_id]
 
 
-def test_label_monotone_rejects_a_stalled_sink():
-    """Equal labels decrease nowhere, but the sink distance did not grow."""
+@pytest.mark.parametrize("release_prev", [False, True])
+def test_label_monotone_rejects_a_stalled_sink(release_prev):
+    """Equal labels decrease nowhere, but the sink distance did not grow.
+
+    The solvers release a phase's admissible lists before the next phase
+    checks against its labels, so the check must read ``dist`` alone.
+    """
     _, _, ag, fs = tri_state()
     prev = bfs_distances(fs)
+    if release_prev:
+        prev.release()
     with pytest.raises(InvariantViolation, match="failed to grow"):
         check_label_monotone(prev, bfs_distances(fs), ag.sink_id)
 
