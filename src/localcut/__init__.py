@@ -11,12 +11,7 @@ expander, and a CLI.
 """
 
 from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma
-from .certify import (
-    BiDemand,
-    PathDecomposition,
-    decompose_paths,
-    verify_bidemand_routing,
-)
+from .certify import PathDecomposition, decompose_paths
 from .errors import (
     GraphFormatError,
     InvariantViolation,
@@ -37,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AugmentedGraph",
     "ApprConfig",
-    "BiDemand",
     "FlowState",
     "Graph",
     "GraphFormatError",
@@ -66,5 +60,4 @@ __all__ = [
     "local_improve_overlap",
     "min_feasible_sigma",
     "sweep_cut",
-    "verify_bidemand_routing",
 ]

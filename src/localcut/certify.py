@@ -1,15 +1,16 @@
-"""Expansion certificates: demand-routing checks, path decomposition, the certificate file.
+"""Expansion certificates: path decomposition, the certificate file and its routing check.
 
 A full-value flow on the augmented graph routes ``deg(u)`` units out of
 every seed vertex into sinks absorbing at most ``eps * deg(v)`` each,
 congesting no original edge beyond ``1/alpha`` times its multiplicity.
 That routing is itself a certificate: for any vertex set, ``alpha`` times
 the demand it sends across its boundary lower-bounds the boundary size.
-This module peels such a flow into explicit paths, writes them as a
-certificate file, and checks a routing given either way: the flow's arcs or
-the file's paths are tallied into what each vertex emits and absorbs and
-what each edge carries, and one routing check tests those tallies. All
-arithmetic is exact.
+This module peels such a flow into explicit paths and writes them as a
+certificate file. Reading one back is the only routing check: the file's
+paths are tallied into what each vertex emits and absorbs and what each
+edge carries, and those tallies are tested against the demand and the
+congestion. A flow is checked through the certificate it decomposes into.
+All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -26,27 +27,12 @@ from .graphio import parse_rational, parse_unsigned
 from .graphs import Graph, VertexSet
 
 __all__ = [
-    "BiDemand",
     "PathDecomposition",
     "RoutingCheck",
-    "verify_bidemand_routing",
     "decompose_paths",
     "write_certificate",
     "validate_certificate",
 ]
-
-
-@dataclass(frozen=True)
-class BiDemand:
-    """Bipartite demand: ``deg`` out of each seed vertex, at most ``c2 * deg`` into each sink.
-
-    ``c2=None`` means unbounded absorption. The usual sanity range is
-    ``c2 >= vol(A) / vol(V - A)``, without which the total demand cannot
-    fit.
-    """
-
-    source: VertexSet
-    c2: Fraction | None
 
 
 @dataclass
@@ -62,7 +48,8 @@ class RoutingCheck:
 
 def _routing_violations(
     g: Graph,
-    bd: BiDemand,
+    a: VertexSet,
+    eps: Fraction | None,
     congestion: Fraction,
     emits: dict[int, Fraction],
     absorbs: dict[int, Fraction],
@@ -72,20 +59,20 @@ def _routing_violations(
 
     ``emits`` and ``absorbs`` give, in demand units, what each vertex sends
     and what it drains; ``loads`` what each edge ``(u, v)``, ``u < v``,
-    carries in either direction. Every vertex of ``bd.source`` must emit
-    exactly ``deg``, no vertex may absorb more than ``c2 * deg``, and
-    no edge may carry more than ``congestion`` times its multiplicity in
-    ``g``.
+    carries in either direction. Every vertex of ``a`` must emit exactly
+    ``deg``, no vertex may absorb more than ``eps * deg`` (``eps=None``
+    leaves absorption unbounded), and no edge may carry more than
+    ``congestion`` times its multiplicity in ``g``.
     """
     violations: list[str] = []
-    for u in bd.source:
+    for u in a:
         got = emits.get(u, Fraction(0))
         if got != g.degree(u):
             violations.append(f"seed vertex {u} emits {got}, demand is {g.degree(u)}")
-    if bd.c2 is not None:
+    if eps is not None:
         for v, got in absorbs.items():
-            if got > bd.c2 * g.degree(v):
-                violations.append(f"sink {v} absorbs {got}, cap is {bd.c2 * g.degree(v)}")
+            if got > eps * g.degree(v):
+                violations.append(f"sink {v} absorbs {got}, cap is {eps * g.degree(v)}")
     multiplicities: dict[int, dict[int, int]] = {}
     for (u, v), load in loads.items():
         if u not in multiplicities:
@@ -94,39 +81,6 @@ def _routing_violations(
         if load > cap:
             violations.append(f"edge ({u}, {v}) carries {load}, congestion cap is {cap}")
     return violations
-
-
-def verify_bidemand_routing(
-    fs: FlowState, bd: BiDemand, congestion: Fraction
-) -> RoutingCheck:
-    """Check that the flow routes ``bd`` within the given edge congestion.
-
-    Verifies (i) every seed vertex emits exactly ``deg`` along its
-    source arc, (ii) every non-seed vertex absorbs at most ``c2 * deg``,
-    and (iii) no original edge carries more than ``congestion`` per unit of
-    multiplicity. Returns a falsy report rather than raising.
-    """
-    s = fs.ag.source_id
-    t = fs.ag.sink_id
-    scale = fs.ag.scale
-    emits: dict[int, Fraction] = {}
-    absorbs: dict[int, Fraction] = {}
-    loads: dict[tuple[int, int], Fraction] = {}
-    # arc a of an even pair runs from arc_to[a + 1] to arc_to[a]: from s, into t, or along an edge
-    for a in range(0, len(fs.arc_to), 2):
-        f = fs.arc_flow[a]
-        if f == 0:
-            continue
-        v = fs.arc_to[a]
-        u = fs.arc_to[a + 1]
-        if u == s:
-            emits[v] = Fraction(f, scale)
-        elif v == t:
-            absorbs[u] = Fraction(f, scale)
-        else:
-            loads[min(u, v), max(u, v)] = Fraction(abs(f), scale)
-    violations = _routing_violations(fs.ag.graph, bd, Fraction(congestion), emits, absorbs, loads)
-    return RoutingCheck(not violations, violations)
 
 
 @dataclass
@@ -224,7 +178,9 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     full flow value, and the demand/congestion constraints. Returns a
     report; raises :class:`ParameterError`, naming the line, on unparseable
     input, a line that is neither a header nor a path, a repeated header,
-    or a vertex outside the graph. Vertex ids and ``vol-a`` follow the
+    a vertex outside the graph, a path amount that is not positive, an
+    ``alpha`` outside ``(0, 1]`` or an ``eps-sigma`` that is neither
+    positive nor ``inf``. Vertex ids and ``vol-a`` follow the
     unsigned-decimal grammar of graph and seed files (:func:`parse_unsigned`).
     """
     header: dict[str, tuple[int, str]] = {}
@@ -258,6 +214,12 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
             raise ParameterError(
                 f"certificate line {lineno}: vertex {outside[0]} out of range (n={g.n})"
             )
+        # a path leaving a set crosses its boundary, so positive loads bound
+        # the demand routed out of it; a negative amount would cancel a load
+        if amount <= 0:
+            raise ParameterError(
+                f"certificate line {lineno}: path amount {parts[-1]} is not positive"
+            )
         paths.append((path, amount))
 
     def field(name: str, parse):
@@ -269,14 +231,14 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         except ValueError:
             raise ParameterError(f"certificate line {lineno}: malformed {name} {text!r}") from None
 
-    def alpha_in_range(text: str) -> Fraction:
-        alpha = parse_rational(text)
-        if not 0 < alpha <= 1:
+    def positive(text: str, most: int | None = None) -> Fraction:
+        value = parse_rational(text)
+        if value <= 0 or (most is not None and value > most):
             raise ValueError
-        return alpha
+        return value
 
-    alpha = field("alpha", alpha_in_range)
-    eps = field("eps-sigma", lambda text: None if text == "inf" else parse_rational(text))
+    alpha = field("alpha", lambda text: positive(text, most=1))
+    eps = field("eps-sigma", lambda text: None if text == "inf" else positive(text))
     vol_a = field("vol-a", parse_unsigned)
     flow_value = field("flow-value", parse_rational)
     violations: list[str] = []
@@ -306,6 +268,5 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     total = sum((amt for _, amt in paths), Fraction(0))
     if total != flow_value:
         violations.append(f"path amounts add to {total}, header says {flow_value}")
-    bd = BiDemand(a, eps)
-    violations += _routing_violations(g, bd, 1 / alpha, emits, absorbs, loads)
+    violations += _routing_violations(g, a, eps, 1 / alpha, emits, absorbs, loads)
     return RoutingCheck(not violations, violations)

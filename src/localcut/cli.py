@@ -94,8 +94,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--alpha", type=_fraction)
     p_cert.add_argument("--sigma", type=_fraction)
     p_cert.add_argument("--eps-sigma", type=_fraction)
-    p_cert.add_argument("--out", help="write a certificate to this path")
-    p_cert.add_argument("--check", help="validate the certificate at this path")
+    action = p_cert.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="write a certificate to this path")
+    action.add_argument("--check", help="validate the certificate at this path")
 
     p_seed = sub.add_parser("seed", help="expand seed vertices by push + sweep")
     add_graph_args(p_seed, seed_set=False)
@@ -122,9 +123,9 @@ def _cmd_stats(args) -> int:
     if args.seed_set:
         a = load_vertex_set(args.seed_set, g)
         payload["vol_a"] = a.volume
-        payload["phi_a"] = _frac_json(conductance(g, a))
+        payload["phi_a"] = conductance(g, a)
     if args.json:
-        print(json.dumps(payload))
+        print(json.dumps(payload, default=_frac_json))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
@@ -177,7 +178,7 @@ def _cmd_flow(args) -> int:
 def _cmd_certify(args) -> int:
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
-    if args.check:
+    if args.check is not None:
         # an undecodable byte is kept as a lone surrogate, which no field's
         # grammar accepts, so the reader rejects its line by number
         with open(args.check, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -188,8 +189,6 @@ def _cmd_certify(args) -> int:
         for line in report.violations:
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if not args.out:
-        raise ParameterError("pass --out to write or --check to validate")
     if args.alpha is None:
         raise ParameterError("writing a certificate needs --alpha")
     eps = _resolve_eps(args, g, a)

@@ -36,6 +36,17 @@ def barbell() -> Graph:
     return Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 
 
+# A certificate on the barbell, seeded with the triangle 0-2, that claims the
+# seed's one boundary edge is at least alpha * vol(A) = 7. Its signed amounts
+# tally to a routing that meets every demand and cap: the negative ones
+# cancel the load on the bridge (2, 3).
+FORGED_CERTIFICATE = (
+    "alpha 1\neps-sigma inf\nvol-a 7\nflow-value 7\n"
+    "path 0 2 3 2\npath 1 2 3 2\npath 2 3 3\npath 0 2 0 2 3 -1\npath 0 2 3 1\n"
+    "path 2 3 2 3 -3\npath 2 3 3\npath 1 2 1 2 3 -1\npath 1 2 3 1\n"
+)
+
+
 def asym_barbell() -> Graph:
     """Triangle 0-2 bridged to a K7 on 3-9; the triangle has volume 7."""
     edges = [(0, 1), (0, 2), (1, 2), (2, 3)]

@@ -14,13 +14,15 @@ and flows certify: :func:`cut_value` of a set's augmented cut,
 :func:`cut_certificate_check` (a cut below ``vol(A)`` has conductance
 below ``alpha``), :func:`flow_certificate_bound` and
 :func:`expansion_lower_bound` (a full-value flow lower-bounds every set's
-boundary), and :func:`path_length_certificate` (a phase-capped flow routes
+boundary; :func:`routing_check` verifies the flow first, through its
+certificate), and :func:`path_length_certificate` (a phase-capped flow routes
 along short paths). No search needs them; the tests check the engine's
 outputs against them.
 """
 
 from __future__ import annotations
 
+import io
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -29,7 +31,6 @@ import numpy as np
 
 from localcut import (
     AugmentedGraph,
-    BiDemand,
     FlowState,
     Graph,
     InvariantViolation,
@@ -41,8 +42,8 @@ from localcut import (
     conductance,
     decompose_paths,
     iteration_bound,
-    verify_bidemand_routing,
 )
+from localcut.certify import RoutingCheck, validate_certificate, write_certificate
 
 __all__ = [
     "brute_min_conductance",
@@ -60,6 +61,7 @@ __all__ = [
     "reference_bfs_distances",
     "reference_blocking_flow",
     "reference_csr",
+    "routing_check",
 ]
 
 _MAX_N = 20
@@ -352,6 +354,20 @@ def flow_certificate_bound(ag: AugmentedGraph, s: VertexSet) -> Fraction | None:
     return ag.alpha * ((1 + ag.eps) * overlap - ag.eps)
 
 
+def routing_check(fs: FlowState) -> RoutingCheck:
+    """The verdict on the certificate ``fs`` decomposes into, as ``certify --check`` reads it.
+
+    The certificate states the flow's own alpha, sink factor and seed set,
+    so the demand is the seed's degrees, each sink absorbs at most
+    ``eps * deg`` and each edge carries at most ``1/alpha`` per unit of
+    multiplicity.
+    """
+    text = io.StringIO()
+    write_certificate(text, fs.ag, decompose_paths(fs))
+    text.seek(0)
+    return validate_certificate(text, fs.ag.graph, fs.ag.seed)
+
+
 def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction) -> Fraction:
     """``alpha`` times the demand routed from inside ``s`` to outside it.
 
@@ -360,7 +376,7 @@ def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
     least ``alpha * (vol(A & S) - eps * vol(S - A))``.
     """
     ag = fs.ag
-    check = verify_bidemand_routing(fs, BiDemand(ag.seed, ag.eps), 1 / ag.alpha)
+    check = routing_check(fs)
     if not check:
         raise NotACertificateError(
             "flow does not route the full demand: " + "; ".join(check.violations[:3])

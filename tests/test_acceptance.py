@@ -26,9 +26,7 @@ from localcut import (
     local_flow,
     local_flow_exact,
     local_improve_overlap,
-    verify_bidemand_routing,
 )
-from localcut.certify import BiDemand
 from localcut.cli import EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.flow import check_label_monotone
 
@@ -38,7 +36,13 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
-from oracle import brute_min_cut_value, edges, eval_condition_41, path_length_certificate
+from oracle import (
+    brute_min_cut_value,
+    edges,
+    eval_condition_41,
+    path_length_certificate,
+    routing_check,
+)
 
 
 def _report(num: int, ok: bool, detail: str = "") -> None:
@@ -247,7 +251,7 @@ def test_criterion_07_forced_layer_cuts():
 
 
 def test_criterion_08_certificate_suite(small_suite):
-    """Full-value flows verify as demand routings; decompositions conserve."""
+    """Full-value flows verify as demand routings through their certificates; decompositions conserve."""
     full_flows = 0
     for g, a, alpha, eps in small_suite:
         res = local_flow(g, a, alpha, eps)
@@ -255,7 +259,7 @@ def test_criterion_08_certificate_suite(small_suite):
             continue
         full_flows += 1
         fs = res.flow
-        check = verify_bidemand_routing(fs, BiDemand(a, eps), 1 / alpha)
+        check = routing_check(fs)
         assert check.ok, check.violations[:3]
         pd = decompose_paths(fs)
         assert pd.total == fs.value

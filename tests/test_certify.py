@@ -1,29 +1,32 @@
 import io
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from localcut import (
     FlowState,
     Graph,
     NotACertificateError,
+    ParameterError,
     VertexSet,
     boundary_edges,
     build,
     decompose_paths,
     local_flow,
-    verify_bidemand_routing,
+    local_flow_exact,
 )
 from localcut.certify import (
-    BiDemand,
     PathDecomposition,
     validate_certificate,
     write_certificate,
 )
 
-from gen import barbell
-from oracle import expansion_lower_bound, path_length_certificate, push
+from gen import FORGED_CERTIFICATE, barbell, random_instance
+from oracle import expansion_lower_bound, path_length_certificate, push, routing_check
 
 
 def bipartite_instance():
@@ -43,20 +46,9 @@ def full_flow_state():
 def test_zero_flow_fails_verification():
     g, a, eps = bipartite_instance()
     fs = FlowState(build(g, a, Fraction(1), eps))
-    check = verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1))
+    check = routing_check(fs)
     assert not check
     assert check.violations
-
-
-def test_full_flow_verifies_at_its_congestion():
-    g, a, eps, fs = full_flow_state()
-    assert verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1)).ok
-
-
-def test_congestion_below_utilization_fails():
-    g, a, eps, fs = full_flow_state()
-    check = verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1, 100))
-    assert not check.ok
 
 
 def test_decompose_single_path():
@@ -194,30 +186,6 @@ def arc_between(fs: FlowState, u: int, v: int) -> int:
     return next(x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
 
 
-def add_flow(fs: FlowState, u: int, v: int, units: int) -> None:
-    """Corrupt the flow: ``units`` demand units more from ``u`` to ``v``, capacities ignored."""
-    x = arc_between(fs, u, v)
-    fs.arc_flow[x] += units * fs.ag.scale
-    fs.arc_flow[x ^ 1] -= units * fs.ag.scale
-
-
-@pytest.mark.parametrize(
-    "tail, head, units, violation",
-    [
-        ("s", 0, -1, "seed vertex 0 emits 7, demand is 8"),
-        (4, "t", 1, "sink 4 absorbs 5, cap is 4"),
-        (0, 4, 1, "edge (0, 4) carries 2, congestion cap is 1"),
-    ],
-    ids=["demand", "sink", "congestion"],
-)
-def test_flow_routing_reports_each_violation_kind(tail, head, units, violation):
-    g, a, eps, fs = full_flow_state()
-    ends = {"s": fs.ag.source_id, "t": fs.ag.sink_id}
-    add_flow(fs, ends.get(tail, tail), ends.get(head, head), units)
-    check = verify_bidemand_routing(fs, BiDemand(a, eps), Fraction(1))
-    assert (check.ok, check.violations) == (False, [violation])
-
-
 def test_decompose_leaves_circulation_out():
     # a triangle seed, each vertex with its own pendant neighbor, which routes its demand
     g = Graph(7, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5), (3, 6), (4, 6), (5, 6)])
@@ -231,7 +199,6 @@ def test_decompose_leaves_circulation_out():
         push(fs, arc_between(fs, u, v), fs.ag.scale)
     fs.check_conservation()
     assert all(fs.arc_flow[arc_between(fs, u, v)] == fs.ag.scale for u, v in cycle)
-    assert verify_bidemand_routing(fs, BiDemand(a, eps), 1 / alpha).ok
     pd = decompose_paths(fs)
     assert pd.total == fs.value
     assert pd.paths == [(0, 3), (1, 4), (2, 5)]
@@ -239,3 +206,84 @@ def test_decompose_leaves_circulation_out():
     write_certificate(buf, fs.ag, pd)
     report = validate_certificate(io.StringIO(buf.getvalue()), g, a)
     assert report.ok, report.violations
+
+
+# an accepted certificate means what it says -----------------------------------
+
+
+def _shortest_walk(g: Graph, u: int, v: int) -> list[int]:
+    """A fewest-edge walk from ``u`` to ``v``, which must be connected."""
+    parent = {u: u}
+    dq = deque([u])
+    while v not in parent:
+        x = dq.popleft()
+        for y in map(int, g.adjacent(x)):
+            if y not in parent:
+                parent[y] = x
+                dq.append(y)
+    walk = [v]
+    while walk[-1] != u:
+        walk.append(parent[walk[-1]])
+    return walk[::-1]
+
+
+@st.composite
+def moved_amount_certificates(draw):
+    """A full flow's certificate with part of one path's amount moved onto another walk.
+
+    The moved amount may be negative, zero, or more than the path carries;
+    the walk has the path's two ends, so every vertex still emits and
+    absorbs what it did.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    g, a, alpha, eps = random_instance(rng, nmax=8)
+    for probe in (alpha, alpha / 4, Fraction(1, g.total_volume + 1)):
+        res = local_flow_exact(g, a, probe, eps)
+        if res.full_flow:
+            break
+    assume(res.full_flow)
+    text = io.StringIO()
+    write_certificate(text, res.flow.ag, decompose_paths(res.flow))
+    lines = text.getvalue().splitlines()
+    i = draw(st.integers(4, len(lines) - 1))
+    *ids, amount = lines[i].split()[1:]
+    start, end = int(ids[0]), int(ids[-1])
+    moved = Fraction(amount) * Fraction(draw(st.integers(-8, 8)), 4)
+    lines[i] = " ".join(["path", *ids, str(Fraction(amount) - moved)])
+    walk = [start]
+    for _ in range(draw(st.integers(0, 4))):
+        walk.append(draw(st.sampled_from([int(w) for w in g.adjacent(walk[-1])])))
+    walk += _shortest_walk(g, walk[-1], end)[1:]
+    lines.append(" ".join(["path", *map(str, walk), str(moved)]))
+    return g, a, "\n".join(lines) + "\n"
+
+
+_BARBELL = barbell()
+
+
+@given(case=moved_amount_certificates())
+@example(case=(_BARBELL, VertexSet(_BARBELL, [0, 1, 2]), FORGED_CERTIFICATE))
+@settings(max_examples=100, deadline=None)
+def test_accepted_certificate_bounds_every_set(case):
+    """If a certificate is accepted, every set's boundary is at least the bound it states.
+
+    That is ``alpha * (vol(S & A) - eps * vol(S - A))``; with ``eps-sigma
+    inf`` only sets inside the seed are bounded.
+    """
+    g, a, text = case
+    try:
+        report = validate_certificate(io.StringIO(text), g, a)
+    except ParameterError:
+        return
+    if not report.ok:
+        return
+    header = dict(line.split(" ", 1) for line in text.splitlines()[:2])
+    alpha = Fraction(header["alpha"])
+    eps = None if header["eps-sigma"] == "inf" else Fraction(header["eps-sigma"])
+    for bits in range(1, 1 << g.n):
+        s = VertexSet(g, [v for v in range(g.n) if bits >> v & 1])
+        if eps is None and not all(v in a for v in s):
+            continue
+        inside = sum(g.degree(v) for v in s if v in a)
+        demand = inside if eps is None else inside - eps * (s.volume - inside)
+        assert boundary_edges(g, s) >= alpha * demand, (sorted(s), text)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import ring_of_cliques
+from gen import FORGED_CERTIFICATE, barbell, ring_of_cliques
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.graphio import parse_rational, parse_unsigned
 from oracle import edges
@@ -35,6 +35,17 @@ def test_stats(capsys, fixtures_dir):
     assert payload["n"] == 10 and payload["m"] == 25
     assert payload["vol_a"] == 7
     assert payload["phi_a"] == {"num": 1, "den": 7}
+
+
+def test_stats_text(capsys, fixtures_dir):
+    code, out, _ = run(
+        capsys,
+        "stats",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
+    )
+    assert code == EXIT_OK
+    assert out == "n: 10\nm: 25\nvolume: 50\nvol_a: 7\nphi_a: 1/7\n"
 
 
 def test_improve_barbell_fixture(capsys, fixtures_dir):
@@ -374,6 +385,8 @@ def test_certify_check_reads_back_ring_certificate(capsys, tmp_path):
         ("path 30 \u0664\u0661 1", "certificate line 5: malformed path line 'path 30 \u0664\u0661 1'"),
         ("path 30 --1 1", "certificate line 5: malformed path line 'path 30 --1 1'"),
         ("path 30 -0 1", "certificate line 5: vertex -0 out of range (n=1000)"),
+        ("path 30 41 -1", "certificate line 5: path amount -1 is not positive"),
+        ("path 30 41 0", "certificate line 5: path amount 0 is not positive"),
     ],
 )
 def test_certify_check_malformed_certificate_exits_2(capsys, tmp_path, bad_line, message):
@@ -430,14 +443,54 @@ def test_certify_check_malformed_vol_a_exits_2(capsys, tmp_path, vol_a):
     assert f"certificate line 3: malformed vol-a {vol_a!r}" in err
 
 
-@pytest.mark.parametrize("alpha", ["0", "-1/2", "3/2", "1e99999"])
-def test_certify_check_alpha_out_of_range_exits_2(capsys, tmp_path, alpha):
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha", "0"), ("alpha", "-1/2"), ("alpha", "3/2"), ("alpha", "1e99999"),
+     ("eps-sigma", "0"), ("eps-sigma", "-1/2")],
+    ids=["0", "-1/2", "3/2", "1e99999", "eps-sigma 0", "eps-sigma -1/2"],
+)
+def test_certify_check_alpha_out_of_range_exits_2(capsys, tmp_path, key, value):
     common = write_ring_files(tmp_path)
     cert_file = tmp_path / "cert.txt"
-    cert_file.write_text(f"alpha {alpha}\neps-sigma inf\nvol-a 1\nflow-value 1\npath 30 41 1\n")
+    header = {"alpha": "1/64", "eps-sigma": "inf", key: value}
+    cert_file.write_text(
+        f"alpha {header['alpha']}\neps-sigma {header['eps-sigma']}\n"
+        "vol-a 1\nflow-value 1\npath 30 41 1\n"
+    )
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
-    assert f"certificate line 1: malformed alpha '{alpha}'" in err
+    line = 1 if key == "alpha" else 2
+    assert f"certificate line {line}: malformed {key} '{value}'" in err
+
+
+def test_certify_check_refuses_negative_amounts(capsys, tmp_path):
+    graph_file = tmp_path / "barbell.edgelist"
+    graph_file.write_text("".join(f"{u} {v}\n" for u, v in edges(barbell())))
+    seed_file = tmp_path / "seed.txt"
+    seed_file.write_text("0 1 2\n")
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text(FORGED_CERTIFICATE)
+    code, out, err = run(
+        capsys, "certify", "--graph", str(graph_file), "--seed-set", str(seed_file),
+        "--check", str(cert_file),
+    )
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.strip() == "error: certificate line 8: path amount -1 is not positive"
+
+
+def test_certify_refuses_out_with_check(capsys, tmp_path):
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file))
+    out_file = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([
+            "certify", *common, "--alpha", "1/64", "--sigma", "1/2",
+            "--check", str(cert_file), "--out", str(out_file),
+        ])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out_file.exists()
 
 
 @pytest.mark.parametrize(
@@ -575,4 +628,6 @@ def test_certificate_rationals_exit_cleanly(tmp_path_factory, ring_certificate, 
     cert.write_text("\n".join(mutated) + "\n")
     code, err = _bounded_run(["certify", *common, "--check", str(cert)])
     if code == EXIT_INPUT_ERROR and err.startswith("error: "):
-        assert f"certificate line {index + 1}: malformed" in err
+        amount = (value.split() or [""])[-1]  # the token the reader takes as the amount
+        refusals = ("malformed", f"path amount {amount} is not positive")
+        assert any(f"certificate line {index + 1}: {why}" in err for why in refusals), err

@@ -14,10 +14,8 @@ from localcut import (
     local_flow_exact,
     local_improve,
     local_improve_overlap,
-    verify_bidemand_routing,
 )
 from localcut.augmented import overlap_for_sink_factor, relative_quotient
-from localcut.certify import BiDemand
 
 from gen import (
     asym_barbell,
@@ -27,7 +25,7 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
-from oracle import brute_min_quotient, cut_certificate_check
+from oracle import brute_min_quotient, cut_certificate_check, routing_check
 
 
 def _spy_probes(monkeypatch, solver, max_phases=None):
@@ -117,10 +115,7 @@ def test_improve_no_improvement_outcome():
     assert res.phi is None and len(res.cut) == 0
     cert = res.certificate_flow
     assert cert.full_flow
-    check = verify_bidemand_routing(
-        cert.flow, BiDemand(a, None), Fraction(1)
-    )
-    assert check.ok
+    assert routing_check(cert.flow).ok
 
 
 def test_improve_probe_count_bound():
@@ -226,11 +221,7 @@ def test_cut_certificates_verify():
             ok, phi = cut_certificate_check(ag, res.cut)
             assert ok and phi == res.phi
         elif not res.improved:
-            cert = res.certificate_flow
-            check = verify_bidemand_routing(
-                cert.flow, BiDemand(a, eps), 1 / Fraction(1)
-            )
-            assert check.ok
+            assert routing_check(res.certificate_flow.flow).ok
 
 
 @pytest.mark.parametrize("solver", ["approx", "exact"])
