@@ -88,7 +88,7 @@ def epsilon_sigma(sigma: Fraction, g: Graph, a: VertexSet) -> Fraction | None:
 
 
 def relative_quotient(
-    g: Graph, a: VertexSet, s: VertexSet, eps: Fraction | None
+    g: Graph, a: VertexSet, s: VertexSet, eps: Fraction | None, boundary: int | None = None
 ) -> Fraction | None:
     """``|E(S, V-S)| / (vol(S & A) - eps * vol(S - A))``; ``None`` when undefined.
 
@@ -96,7 +96,8 @@ def relative_quotient(
     ``alpha`` exactly when its quotient is below ``alpha``. The quotient is
     undefined when the denominator is not positive, which with ``eps=None``
     (unbounded sink factor) is every set reaching outside ``A``. Costs
-    ``O(vol(S))``.
+    ``O(vol(S))``; ``boundary`` is ``|E(S, V-S)|`` when the caller has
+    already counted it.
     """
     inter = sum(g.degree(u) for u in s if u in a)
     outside = s.volume - inter
@@ -106,7 +107,9 @@ def relative_quotient(
         denom = inter - eps * outside
     if denom <= 0:
         return None
-    return boundary_edges(g, s) / denom
+    if boundary is None:
+        boundary = boundary_edges(g, s)
+    return boundary / denom
 
 
 class AugmentedGraph:

@@ -27,6 +27,13 @@ re-tests a label. The lists hold the arcs as they were when the labels
 were computed; the solvers drop them once the phase's blocking flow is
 done (:meth:`DistanceLabels.release`), so at most one phase's lists are
 alive at a time.
+
+Flow conservation is checked in proportion to the work done. The blocking
+flow records the arcs of every path it pushes on (``FlowState.pushed_arcs``),
+and each phase checks antisymmetry and conservation only along that record,
+then empties it. A solver checks every arc pair and every materialized
+vertex, with the source and sink totals, once per run, just before it
+returns.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ class FlowState:
         "value",
         "touched_volume",
         "newly_saturated",
+        "pushed_arcs",
     )
 
     def __init__(self, ag: AugmentedGraph):
@@ -67,6 +75,7 @@ class FlowState:
         self.value = 0
         self.touched_volume = 0
         self.newly_saturated: list[int] = []
+        self.pushed_arcs: list[int] = []
         s = ag.source_id
         out_of_s = self.arcs_of[s]
         for u in ag.seed:  # ascending, so every list starts sorted
@@ -88,8 +97,11 @@ class FlowState:
         ratio of the scales; each edge arc becomes its multiplicity times
         ``ag.edge_cap_unit``, which is at least the scaled old capacity
         because ``1/alpha`` only grew. So the copy is a feasible flow on
-        ``ag`` with the same saturated arcs and opened set. This flow is
-        left untouched.
+        ``ag`` with the same saturated arcs and opened set, and an empty
+        push record. This flow is left untouched. The copy is not checked
+        here: the run that resumes it checks every inherited arc before
+        returning, and scaling by one integer factor neither creates nor
+        hides an imbalance.
 
         Raises:
             InvariantViolation: on a different instance, a higher alpha, or
@@ -120,6 +132,7 @@ class FlowState:
         fs.value = self.value * factor
         fs.touched_volume = self.touched_volume
         fs.newly_saturated = self.newly_saturated[:]
+        fs.pushed_arcs = []
         return fs
 
     def open_vertex(self, v: int) -> None:
@@ -202,30 +215,51 @@ class FlowState:
         """Current s-t flow value in unscaled units."""
         return Fraction(self.value, self.ag.scale)
 
-    def check_conservation(self) -> None:
+    def check_conservation(self, pushed: list[int] | None = None) -> None:
         """Assert antisymmetry of every arc pair and conservation at every materialized vertex.
 
         With antisymmetry, the flow summed over the arcs out of a vertex is
         its net outflow: zero inside, the flow value at the source and its
         negation at the sink.
+
+        Given ``pushed``, a push record such as ``pushed_arcs`` (the arcs of
+        every path :func:`blocking_flow` pushed on since the record was last
+        emptied), only what those pushes changed is checked: antisymmetry of
+        the recorded arcs' pairs and conservation at their heads other than
+        the source and the sink, which are every vertex inside a pushed
+        path. The record is then emptied. The solvers check each phase so
+        and make one full check before they return.
         """
         flow = self.arc_flow
-        if any(map(add, islice(flow, 0, None, 2), islice(flow, 1, None, 2))):
+        arcs_of = self.arcs_of
+        ends = (self.ag.source_id, self.ag.sink_id)
+        if pushed is None:
+            broken = any(map(add, islice(flow, 0, None, 2), islice(flow, 1, None, 2)))
+            inside = arcs_of.keys() - ends
+        else:
+            arcs = set(pushed)
+            pushed.clear()
+            broken = any(flow[a] + flow[a ^ 1] for a in arcs)
+            inside = set(map(self.arc_to.__getitem__, arcs)).difference(ends)
+        if broken:
             a = next(a for a in range(0, len(flow), 2) if flow[a] + flow[a + 1])
             raise InvariantViolation(
                 f"arc pair {a} is not antisymmetric: {flow[a]} and {flow[a + 1]}"
             )
-        s, t = self.ag.source_id, self.ag.sink_id
-        flow_of = flow.__getitem__
-        for v, arcs in self.arcs_of.items():
-            excess = sum(map(flow_of, arcs))
-            if excess and v != s and v != t:
+        for v in inside:
+            excess = 0
+            for a in arcs_of[v]:  # a plain loop: faster here than sum(map(...))
+                excess += flow[a]
+            if excess:
                 raise InvariantViolation(f"conservation violated at vertex {v}: {excess}")
-        if (
-            sum(map(flow_of, self.arcs_of[s])) != self.value
-            or sum(map(flow_of, self.arcs_of[t])) != -self.value
-        ):
-            raise InvariantViolation("flow value disagrees with source/sink excess")
+        if pushed is None:
+            s, t = ends
+            flow_of = flow.__getitem__
+            if (
+                sum(map(flow_of, arcs_of[s])) != self.value
+                or sum(map(flow_of, arcs_of[t])) != -self.value
+            ):
+                raise InvariantViolation("flow value disagrees with source/sink excess")
 
 
 class DistanceLabels:
@@ -305,7 +339,9 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
     :func:`global_max_flow` opens everything. So the DFS takes the same arcs
     in the same order as one that scans every arc in target-id order and
     tests labels, and pushes the same flow. Each push is applied in place
-    and checked against the arc's capacity. The lists are left intact: a
+    and checked against the arc's capacity, and the arcs of its path are
+    appended to ``fs.pushed_arcs``, the record a phase's conservation check
+    reads (:meth:`FlowState.check_conservation`). The lists are left intact: a
     second call on the same labels finds no admissible path and pushes
     nothing. Returns the amount pushed, 0 when the sink is unlabelled.
 
@@ -324,6 +360,7 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
     to = fs.arc_to
     cap = fs.arc_cap
     flow = fs.arc_flow
+    pushed = fs.pushed_arcs
     last = dt - 1  # the depth, and so the label, of the layer below the sink
     ptr: dict[int, int] = {}
     dead: set[int] = set()
@@ -343,6 +380,7 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
                 flow[a ^ 1] -= bottleneck
                 if f == c and cut is None:
                     cut = i
+            pushed += path
             total += bottleneck
             a = path[-1]  # the sink arc
             if flow[a] == cap[a]:
@@ -415,7 +453,9 @@ def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
     oracle; materializes every vertex, so keep instances moderate. It uses
     the same :func:`bfs_distances` as the localized solvers, so each phase
     labels, and checks, only the layers up to the sink's. Every phase
-    checks label monotonicity, sink-distance growth and flow conservation.
+    checks label monotonicity, sink-distance growth, and antisymmetry and
+    conservation along the paths it pushed on; the whole flow is checked
+    once before returning.
     """
     fs = FlowState(ag)
     fs.open_all()
@@ -430,8 +470,9 @@ def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
         if not blocking_flow(fs, labels):
             raise InvariantViolation("reachable sink but nothing pushed")
         labels.release()
-        fs.check_conservation()
+        fs.check_conservation(fs.pushed_arcs)
         prev = labels
+    fs.check_conservation()
     if fs.value > ag.source_total:
         raise InvariantViolation("flow value exceeds total source capacity")
     n = ag.graph.n

@@ -264,8 +264,11 @@ def boundary_edges(g: Graph, s: VertexSet) -> int:
     return sum(g.degree(u) - sum(map(inside, g.adjacent(u))) for u in s._ids)
 
 
-def conductance(g: Graph, s: VertexSet) -> Fraction:
+def conductance(g: Graph, s: VertexSet, boundary: int | None = None) -> Fraction:
     """Boundary edge count over the smaller side's volume, exactly.
+
+    ``boundary`` is ``boundary_edges(g, s)`` when the caller has already
+    counted it.
 
     Raises:
         ParameterError: if ``s`` or its complement has volume 0, as the
@@ -275,7 +278,9 @@ def conductance(g: Graph, s: VertexSet) -> Fraction:
     vol_rest = g.total_volume - vol_s
     if vol_s == 0 or vol_rest == 0:
         raise ParameterError("conductance is undefined for a set or complement of volume 0")
-    return Fraction(boundary_edges(g, s), min(vol_s, vol_rest))
+    if boundary is None:
+        boundary = boundary_edges(g, s)
+    return Fraction(boundary, min(vol_s, vol_rest))
 
 
 def best_prefix(g: Graph, groups: Iterable[Iterable[int]], max_volume: int) -> list[int] | None:

@@ -37,7 +37,7 @@ from .augmented import (
 )
 from .errors import InvariantViolation, ParameterError
 from .exact_flow import local_flow_exact
-from .graphs import Graph, VertexSet, conductance
+from .graphs import Graph, VertexSet, boundary_edges, conductance
 from .local_flow import LocalFlowResult, local_flow, phase_budget
 
 __all__ = ["ImproveResult", "local_improve", "local_improve_overlap"]
@@ -126,13 +126,14 @@ def local_improve(
             alpha_min = alpha
         else:
             trace.append((alpha, "cut-found"))
-            key = (conductance(g, res.cut), res.cut.volume, res.cut.ids, alpha)
+            boundary = boundary_edges(g, res.cut)  # counted once for phi and the quotient
+            key = (conductance(g, res.cut, boundary), res.cut.volume, res.cut.ids, alpha)
             if best is None or key < best:
                 best, winner = key, res
             alpha_max = alpha
             if best[0] == 0:
                 break  # a disconnection cut cannot be beaten
-            q = relative_quotient(g, a, res.cut, eps_sigma)
+            q = relative_quotient(g, a, res.cut, eps_sigma, boundary)
             if q is not None and q < alpha:
                 alpha_max = q
                 if q > alpha_min:

@@ -246,8 +246,11 @@ def _localized_dinic(
     Each phase labels the materialized residual graph, saturates its
     admissible arcs, and opens the vertices whose sink arcs filled. Every
     phase checks layer containment, label monotonicity through the sink's
-    layer, sink-distance growth and flow antisymmetry and conservation. The
-    growth check also bounds an uncapped run: the sink distance would
+    layer, sink-distance growth, and flow antisymmetry and conservation
+    along the paths it pushed on. Before returning, on either exit, the run
+    checks antisymmetry and conservation over its whole flow once, with the
+    source and sink totals, the inherited flow of a resumed run included.
+    The growth check also bounds an uncapped run: the sink distance would
     outgrow the materialized vertex count before the phases could.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
@@ -293,9 +296,10 @@ def _localized_dinic(
         labels.release()
         stats.phases += 1
         update_saturated_set(fs)
-        fs.check_conservation()
+        fs.check_conservation(fs.pushed_arcs)
         prev = labels
         labels = bfs_distances(fs)
+    fs.check_conservation()
     stats.touched_volume = fs.touched_volume
     if t not in labels.dist:
         if fs.value > ag.source_total:

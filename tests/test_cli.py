@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import FORGED_CERTIFICATE, barbell, ring_of_cliques
+from localcut import build, decompose_paths, epsilon_sigma, local_flow_exact
+from localcut.certify import write_certificate
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
-from localcut.graphio import parse_rational, parse_unsigned
+from localcut.graphio import load_graph, load_vertex_set, parse_rational, parse_unsigned
 from oracle import edges
 
 
@@ -201,6 +203,30 @@ def test_certify_round_trip(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert "valid" in out
+
+
+def test_certify_out_equals_the_certificate_of_a_fresh_build(capsys, fixtures_dir, tmp_path):
+    """``certify --out`` writes the text a freshly built augmented graph would give."""
+    graph, seed = fixtures_dir / "barbell.edgelist", fixtures_dir / "barbell_seed.txt"
+    cert_file = tmp_path / "cert.txt"
+    code, _, _ = run(
+        capsys,
+        "certify",
+        "--graph", str(graph),
+        "--seed-set", str(seed),
+        "--alpha", "1/8",
+        "--sigma", "1/2",
+        "--out", str(cert_file),
+    )
+    assert code == EXIT_OK
+    g = load_graph(str(graph))
+    a = load_vertex_set(str(seed), g)
+    alpha = Fraction(1, 8)
+    eps = epsilon_sigma(Fraction(1, 2), g, a)
+    pd = decompose_paths(local_flow_exact(g, a, alpha, eps).flow)
+    text = io.StringIO()
+    write_certificate(text, build(g, a, alpha, eps), pd)
+    assert cert_file.read_text(encoding="utf-8") == text.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+import localcut.augmented as augmented_module
+import localcut.graphs as graphs_module
 import localcut.improve as improve_module
 from localcut import (
     Graph,
     ParameterError,
     VertexSet,
+    boundary_edges,
     build,
     conductance,
     local_flow,
@@ -93,6 +96,28 @@ def test_improve_asym_barbell(monkeypatch):
     # the cut found at alpha = 1 has quotient 1/7, which routes a full flow
     assert res.alpha_trace == [(Fraction(1), "cut-found"), (Fraction(1, 7), "full-flow")]
     assert _check_search_rule(g, a, res.eps, probes) == 0
+
+
+@pytest.mark.parametrize("solver", ["approx", "exact"])
+def test_each_cut_found_counts_its_boundary_once(small_suite, solver, monkeypatch):
+    """One boundary count per cut-found probe gives both its conductance and its quotient."""
+    counted = 0
+
+    def counting(g, s):
+        nonlocal counted
+        counted += 1
+        return boundary_edges(g, s)
+
+    for module in (graphs_module, augmented_module, improve_module):
+        monkeypatch.setattr(module, "boundary_edges", counting)
+    cuts = 0
+    for g, a, _alpha, eps in small_suite[:100]:
+        counted = 0
+        res = local_improve(g, a, eps, solver=solver)
+        found = sum(outcome == "cut-found" for _, outcome in res.alpha_trace)
+        assert counted == found
+        cuts += found
+    assert cuts > 40
 
 
 def test_search_rule_with_starved_layer_cuts(small_suite, monkeypatch):

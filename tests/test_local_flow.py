@@ -649,3 +649,209 @@ def test_admissible_lists_released_before_next_bfs(small_suite):
                 run()
                 multi_phase += len(made) > 2
     assert multi_phase > 50
+
+
+# conservation: checked along each phase's pushes, and in full once per run ---
+
+
+def test_push_record_is_empty_after_every_phase(small_suite):
+    """Each phase's check empties the push record, so it never outgrows one phase.
+
+    Every blocking flow that pushes leaves its paths in the record; the
+    record is empty again when the next BFS starts and when the run
+    returns, for the localized solvers and the global one.
+    """
+    filled = 0
+
+    def spy_bfs(real):
+        def bfs(fs):
+            assert fs.pushed_arcs == []
+            return real(fs)
+
+        return bfs
+
+    def spy_blocking(real):
+        def blocking(fs, labels):
+            nonlocal filled
+            assert fs.pushed_arcs == []
+            pushed = real(fs, labels)
+            assert bool(fs.pushed_arcs) == bool(pushed)
+            filled += bool(pushed)
+            return pushed
+
+        return blocking
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (local_flow_module, flow_module):
+            mp.setattr(module, "bfs_distances", spy_bfs(module.bfs_distances))
+            mp.setattr(module, "blocking_flow", spy_blocking(module.blocking_flow))
+        for g, a, alpha, eps in small_suite[:100]:
+            for res in (
+                local_flow(g, a, alpha, eps),
+                local_flow_exact(g, a, alpha, eps),
+                local_flow_exact(g, a, alpha, eps, start=local_flow(g, a, alpha, eps)),
+            ):
+                assert res.flow.pushed_arcs == []
+            assert global_max_flow(build(g, a, alpha, eps))[0].pushed_arcs == []
+    assert filled > 300
+
+
+def test_resumed_copy_starts_with_an_empty_push_record():
+    g = asym_barbell()
+    ag = build(g, VertexSet(g, [0, 1, 2]), Fraction(1, 3), Fraction(1, 10))
+    fs = FlowState(ag)
+    assert blocking_flow(fs, bfs_distances(fs)) > 0
+    record = fs.pushed_arcs[:]
+    assert record
+    copy = fs.resumed(ag)
+    assert copy.pushed_arcs == []
+    assert fs.pushed_arcs == record
+
+
+# A corruption is injected right after the blocking flow of one phase. The
+# instance has two phases: the first pushes only along s-2-3-t, the second
+# adds paths through 4..7; seeds 0 and 1 lie on no pushed path in either.
+_G = asym_barbell()
+_A = VertexSet(_G, [0, 1, 2])
+_ALPHA, _EPS = Fraction(1, 3), Fraction(1, 10)
+
+
+def _edge(fs: FlowState, u: int, v: int) -> int:
+    return next(x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
+
+
+def _on_path(fs: FlowState) -> int:
+    """The first recorded arc between two base vertices: inside a pushed path."""
+    n = fs.ag.graph.n
+    return next(x for x in fs.pushed_arcs if fs.arc_to[x] < n and fs.arc_to[x ^ 1] < n)
+
+
+def _shift(fs: FlowState, x: int) -> None:
+    """One more unit on arc ``x``, antisymmetry kept: its two ends lose conservation."""
+    fs.arc_flow[x] += 1
+    fs.arc_flow[x ^ 1] -= 1
+
+
+def _spy_checks(mp: pytest.MonkeyPatch) -> list[str]:
+    """Log each conservation check as ``"phase"`` (one push record) or ``"full"``."""
+    checks: list[str] = []
+    real = FlowState.check_conservation
+
+    def check(fs, *pushed):
+        checks.append("phase" if pushed else "full")
+        return real(fs, *pushed)
+
+    mp.setattr(FlowState, "check_conservation", check)
+    return checks
+
+
+def _global(g, a, alpha, eps):
+    return global_max_flow(build(g, a, alpha, eps))
+
+
+# each solver with the module whose blocking_flow it calls
+_SOLVERS = pytest.mark.parametrize(
+    "solve, module",
+    [
+        (local_flow, local_flow_module),
+        (local_flow_exact, local_flow_module),
+        (_global, flow_module),
+    ],
+    ids=["approx", "exact", "global"],
+)
+
+
+def _run_corrupted(solve, module, corrupt) -> tuple[list[str], str]:
+    """Run ``solve`` on the instance above with ``corrupt(fs)`` right after its first blocking flow.
+
+    The run must raise. Returns the conservation checks it made, in order
+    (:func:`_spy_checks`), the last being the one that raised, and the
+    error message.
+    """
+    real_blocking = module.blocking_flow
+    corrupted = False
+
+    def blocking(fs, labels):
+        nonlocal corrupted
+        pushed = real_blocking(fs, labels)
+        if not corrupted:
+            corrupt(fs)
+            corrupted = True
+        return pushed
+
+    with pytest.MonkeyPatch.context() as mp:
+        checks = _spy_checks(mp)
+        mp.setattr(module, "blocking_flow", blocking)
+        with pytest.raises(InvariantViolation) as info:
+            solve(_G, _A, _ALPHA, _EPS)
+    return checks, str(info.value)
+
+
+def test_far_seeds_stay_off_every_pushed_path():
+    """The premise of the far-corruption tests below, on the clean run."""
+    heads = []
+    real_blocking = local_flow_module.blocking_flow
+
+    def blocking(fs, labels):
+        pushed = real_blocking(fs, labels)
+        heads.append({fs.arc_to[x] for x in fs.pushed_arcs})
+        return pushed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_flow_module, "blocking_flow", blocking)
+        res = local_flow_exact(_G, _A, _ALPHA, _EPS)
+    assert res.stats.phases == len(heads) == 2
+    assert heads[0] == {2, 3, res.flow.ag.sink_id}
+    assert heads[1].isdisjoint({0, 1})
+    assert _edge(res.flow, 0, 1) in res.flow.arcs_of[0]
+
+
+@_SOLVERS
+def test_corrupted_arc_on_a_pushed_path_is_caught_in_its_phase(solve, module):
+    checks, error = _run_corrupted(solve, module, lambda fs: _shift(fs, _on_path(fs)))
+    assert checks == ["phase"]
+    assert error in (
+        "conservation violated at vertex 2: 1",
+        "conservation violated at vertex 3: -1",
+    )
+
+
+@_SOLVERS
+def test_broken_antisymmetry_on_a_pushed_pair_is_caught_in_its_phase(solve, module):
+    def corrupt(fs):
+        fs.arc_flow[_on_path(fs) ^ 1] -= 1
+
+    checks, error = _run_corrupted(solve, module, corrupt)
+    assert checks == ["phase"]
+    assert "is not antisymmetric" in error
+
+
+@_SOLVERS
+def test_corrupted_arc_far_from_the_pushes_is_caught_before_the_run_returns(solve, module):
+    """Both phase checks pass over the corruption; the run's full check catches it."""
+    checks, error = _run_corrupted(solve, module, lambda fs: _shift(fs, _edge(fs, 0, 1)))
+    assert checks == ["phase", "phase", "full"]
+    assert error in (
+        "conservation violated at vertex 0: 1",
+        "conservation violated at vertex 1: -1",
+    )
+
+
+@pytest.mark.parametrize("alpha", [_ALPHA, _ALPHA / 2], ids=["same-alpha", "lower-alpha"])
+@pytest.mark.parametrize("solve", [local_flow, local_flow_exact], ids=["approx", "exact"])
+def test_corrupted_start_flow_is_caught_before_the_resumed_run_returns(solve, alpha):
+    """No check runs at resume: the resumed run's full check reads every inherited arc.
+
+    At the same alpha the start is already a maximum flow, so the resumed
+    run makes no phase and only that full check sees the start at all. At
+    the lower alpha new paths cross the corrupted seeds, and a phase check
+    may catch it first.
+    """
+    start = local_flow_exact(_G, _A, _ALPHA, _EPS)
+    _shift(start.flow, _edge(start.flow, 0, 1))
+    with pytest.MonkeyPatch.context() as mp:
+        checks = _spy_checks(mp)
+        with pytest.raises(InvariantViolation, match="conservation violated at vertex [01]"):
+            solve(_G, _A, alpha, _EPS, start=start)
+    if alpha == _ALPHA:
+        assert checks == ["full"]
