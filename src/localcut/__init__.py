@@ -24,7 +24,7 @@ from .flow import FlowState, bfs_distances, blocking_flow, global_max_flow
 from .graphio import load_graph, load_vertex_set
 from .graphs import Graph, VertexSet, boundary_edges, conductance
 from .improve import ImproveResult, local_improve, local_improve_overlap
-from .local_flow import iteration_bound, local_flow
+from .local_flow import local_flow
 from .seeding import ApprConfig, appr_push, sweep_cut
 
 __version__ = "0.1.0"
@@ -51,7 +51,6 @@ __all__ = [
     "decompose_paths",
     "epsilon_sigma",
     "global_max_flow",
-    "iteration_bound",
     "load_graph",
     "load_vertex_set",
     "local_flow",

@@ -6,8 +6,8 @@ congesting no original edge beyond ``1/alpha`` times its multiplicity.
 That routing is itself a certificate: for any vertex set, ``alpha`` times
 the demand it sends across its boundary lower-bounds the boundary size.
 This module peels such a flow into explicit paths and writes them as a
-certificate file. Reading one back is the only routing check: the file's
-paths are tallied into what each vertex emits and absorbs and what each
+certificate file. Reading one back is the only routing check: one pass
+over the file tallies what each vertex emits and absorbs and what each
 edge carries, and those tallies are tested against the demand and the
 congestion. A flow is checked through the certificate it decomposes into.
 All arithmetic is exact.
@@ -15,7 +15,7 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import IO
@@ -41,46 +41,6 @@ class RoutingCheck:
 
     ok: bool
     violations: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _routing_violations(
-    g: Graph,
-    a: VertexSet,
-    eps: Fraction | None,
-    congestion: Fraction,
-    emits: dict[int, Fraction],
-    absorbs: dict[int, Fraction],
-    loads: dict[tuple[int, int], Fraction],
-) -> list[str]:
-    """The demand, absorption and congestion violations of a tallied routing.
-
-    ``emits`` and ``absorbs`` give, in demand units, what each vertex sends
-    and what it drains; ``loads`` what each edge ``(u, v)``, ``u < v``,
-    carries in either direction. Every vertex of ``a`` must emit exactly
-    ``deg``, no vertex may absorb more than ``eps * deg`` (``eps=None``
-    leaves absorption unbounded), and no edge may carry more than
-    ``congestion`` times its multiplicity in ``g``.
-    """
-    violations: list[str] = []
-    for u in a:
-        got = emits.get(u, Fraction(0))
-        if got != g.degree(u):
-            violations.append(f"seed vertex {u} emits {got}, demand is {g.degree(u)}")
-    if eps is not None:
-        for v, got in absorbs.items():
-            if got > eps * g.degree(v):
-                violations.append(f"sink {v} absorbs {got}, cap is {eps * g.degree(v)}")
-    multiplicities: dict[int, dict[int, int]] = {}
-    for (u, v), load in loads.items():
-        if u not in multiplicities:
-            multiplicities[u] = dict(g.neighbor_multiplicities(u))
-        cap = congestion * multiplicities[u].get(v, 0)
-        if load > cap:
-            violations.append(f"edge ({u}, {v}) carries {load}, congestion cap is {cap}")
-    return violations
 
 
 @dataclass
@@ -173,18 +133,31 @@ def write_certificate(fh: IO[str], ag: AugmentedGraph, pd: PathDecomposition) ->
 def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
     """Re-verify a serialized certificate against the graph and seed set.
 
-    Checks header consistency, that every path walks real edges from a
-    seed vertex to a non-seed vertex, that amounts add to the declared
-    full flow value, and the demand/congestion constraints. Returns a
-    report; raises :class:`ParameterError`, naming the line, on unparseable
-    input, a line that is neither a header nor a path, a repeated header,
-    a vertex outside the graph, a path amount that is not positive, an
-    ``alpha`` outside ``(0, 1]`` or an ``eps-sigma`` that is neither
-    positive nor ``inf``. Vertex ids and ``vol-a`` follow the
+    One pass over the lines parses each path, checks that it walks real
+    edges from a seed vertex to a non-seed vertex, and tallies what it
+    emits, absorbs and loads onto each edge. One neighbor count per visited
+    vertex serves each step: a count of 0 means no edge, any other is the
+    edge's multiplicity, kept next to its load. The checks that need the
+    header follow the pass. The report lists violations in this order:
+    header (``vol-a``, ``flow-value``); paths in file order; the amounts'
+    total; demand (each seed vertex emits ``deg``); absorption (at most
+    ``eps * deg``); congestion (at most ``1/alpha`` per unit of multiplicity).
+
+    Returns a report; raises :class:`ParameterError`, naming the line, on
+    unparseable input, a line that is neither a header nor a path, a
+    repeated header, a vertex outside the graph, a path amount that is not
+    positive, an ``alpha`` outside ``(0, 1]`` or an ``eps-sigma`` that is
+    neither positive nor ``inf``. Vertex ids and ``vol-a`` follow the
     unsigned-decimal grammar of graph and seed files (:func:`parse_unsigned`).
     """
     header: dict[str, tuple[int, str]] = {}
-    paths: list[tuple[tuple[int, ...], Fraction]] = []
+    path_violations: list[str] = []
+    total = Fraction(0)
+    emits: dict[int, Fraction] = {}
+    absorbs: dict[int, Fraction] = {}
+    # edge (u, v), u < v: the load it carries in either direction, and its multiplicity
+    loads: dict[tuple[int, int], tuple[Fraction, int]] = {}
+    neighbors: dict[int, Counter[int]] = {}
     for lineno, raw in enumerate(fh, start=1):
         ln = raw.strip()
         if not ln:
@@ -220,7 +193,23 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
             raise ParameterError(
                 f"certificate line {lineno}: path amount {parts[-1]} is not positive"
             )
-        paths.append((path, amount))
+        if path[0] not in a:
+            path_violations.append(f"path starts outside the seed set: {path[0]}")
+        if path[-1] in a:
+            path_violations.append(f"path ends inside the seed set: {path[-1]}")
+        total += amount
+        emits[path[0]] = emits.get(path[0], 0) + amount
+        absorbs[path[-1]] = absorbs.get(path[-1], 0) + amount
+        for u, v in zip(path, path[1:]):
+            if u not in neighbors:
+                neighbors[u] = Counter(g.adjacent(u))
+            mult = neighbors[u][v]
+            if not mult:
+                path_violations.append(f"path step ({u}, {v}) is not an edge")
+                continue
+            edge = (min(u, v), max(u, v))
+            load, _ = loads.get(edge, (0, mult))
+            loads[edge] = (load + amount, mult)
 
     def field(name: str, parse):
         if name not in header:
@@ -246,27 +235,19 @@ def validate_certificate(fh: IO[str], g: Graph, a: VertexSet) -> RoutingCheck:
         violations.append(f"header vol-a {vol_a} != vol(A) {a.volume}")
     if flow_value != a.volume:
         violations.append(f"flow value {flow_value} is not vol(A) = {a.volume}")
-    emits: dict[int, Fraction] = {}
-    absorbs: dict[int, Fraction] = {}
-    loads: dict[tuple[int, int], Fraction] = {}
-    neighbors: dict[int, set[int]] = {}
-    for path, amount in paths:
-        if path[0] not in a:
-            violations.append(f"path starts outside the seed set: {path[0]}")
-        if path[-1] in a:
-            violations.append(f"path ends inside the seed set: {path[-1]}")
-        emits[path[0]] = emits.get(path[0], Fraction(0)) + amount
-        absorbs[path[-1]] = absorbs.get(path[-1], Fraction(0)) + amount
-        for u, v in zip(path, path[1:]):
-            if u not in neighbors:
-                neighbors[u] = set(g.adjacent(u))
-            if v not in neighbors[u]:
-                violations.append(f"path step ({u}, {v}) is not an edge")
-                continue
-            key = (min(u, v), max(u, v))
-            loads[key] = loads.get(key, Fraction(0)) + amount
-    total = sum((amt for _, amt in paths), Fraction(0))
+    violations += path_violations
     if total != flow_value:
         violations.append(f"path amounts add to {total}, header says {flow_value}")
-    violations += _routing_violations(g, a, eps, 1 / alpha, emits, absorbs, loads)
+    for u in a:
+        got = emits.get(u, 0)
+        if got != g.degree(u):
+            violations.append(f"seed vertex {u} emits {got}, demand is {g.degree(u)}")
+    if eps is not None:
+        for v, got in absorbs.items():
+            if got > eps * g.degree(v):
+                violations.append(f"sink {v} absorbs {got}, cap is {eps * g.degree(v)}")
+    for (u, v), (load, mult) in loads.items():
+        cap = mult / alpha
+        if load > cap:
+            violations.append(f"edge ({u}, {v}) carries {load}, congestion cap is {cap}")
     return RoutingCheck(not violations, violations)

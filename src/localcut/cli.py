@@ -64,6 +64,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed_set:
             p.add_argument("--seed-set", required=True, help="path to the seed vertex file")
 
+    def add_sink_args(p: argparse.ArgumentParser) -> None:
+        sink = p.add_mutually_exclusive_group()
+        sink.add_argument("--sigma", type=_fraction, help="overlap parameter giving eps")
+        sink.add_argument("--eps-sigma", type=_fraction, help="sink factor eps itself")
+
     p_stats = sub.add_parser("stats", help="graph and seed-set statistics")
     add_graph_args(p_stats, seed_set=False)
     p_stats.add_argument("--seed-set", help="optional seed set for vol(A), phi(A)")
@@ -87,16 +92,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", help="single localized flow run at a fixed alpha")
     add_graph_args(p_flow)
     p_flow.add_argument("--alpha", type=_fraction, required=True)
-    p_flow.add_argument("--sigma", type=_fraction, help="overlap parameter giving eps")
-    p_flow.add_argument("--eps-sigma", type=_fraction,
-                        help="sink factor, overrides --sigma")
+    add_sink_args(p_flow)
     p_flow.add_argument("--solver", default="approx", choices=("approx", "exact"))
 
     p_cert = sub.add_parser("certify", help="write or validate a routing certificate")
     add_graph_args(p_cert)
     p_cert.add_argument("--alpha", type=_fraction)
-    p_cert.add_argument("--sigma", type=_fraction)
-    p_cert.add_argument("--eps-sigma", type=_fraction)
+    add_sink_args(p_cert)
     action = p_cert.add_mutually_exclusive_group(required=True)
     action.add_argument("--out", help="write a certificate to this path")
     action.add_argument("--check", help="validate the certificate at this path")
@@ -113,9 +115,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_eps(args, g, a):
-    if getattr(args, "eps_sigma", None) is not None:
+    if args.eps_sigma is not None:
         return args.eps_sigma
-    if getattr(args, "sigma", None) is not None:
+    if args.sigma is not None:
         return epsilon_sigma(args.sigma, g, a)
     raise ParameterError("pass --sigma or --eps-sigma")
 
@@ -179,6 +181,13 @@ def _cmd_flow(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.check is not None:
+        for option in ("alpha", "sigma", "eps_sigma"):
+            if getattr(args, option) is not None:
+                raise ParameterError(
+                    f"--{option.replace('_', '-')} is not allowed with --check: "
+                    "the certificate states its own alpha and eps-sigma"
+                )
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
     if args.check is not None:

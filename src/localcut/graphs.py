@@ -155,23 +155,6 @@ class Graph:
         """Neighbors of ``u`` in sorted order, repeated per parallel edge."""
         return self._flat[self._off[u] : self._off[u + 1]]
 
-    def neighbor_multiplicities(self, u: int) -> list[tuple[int, int]]:
-        """Distinct neighbors of ``u`` with edge multiplicities, sorted."""
-        out: list[tuple[int, int]] = []
-        prev = -1
-        count = 0
-        for v in self.adjacent(u):
-            if v == prev:
-                count += 1
-            else:
-                if prev >= 0:
-                    out.append((prev, count))
-                prev = v
-                count = 1
-        if prev >= 0:
-            out.append((prev, count))
-        return out
-
     def __repr__(self) -> str:
         return f"Graph(n={self._n}, m={self._m})"
 

@@ -46,7 +46,6 @@ from .graphs import Graph, VertexSet, best_prefix
 __all__ = [
     "LocalFlowResult",
     "update_saturated_set",
-    "iteration_bound",
     "phase_budget",
     "local_flow",
 ]
@@ -133,11 +132,6 @@ def phase_budget(vol_a: int, sigma: Fraction) -> Callable[[Fraction], int]:
     return budget
 
 
-def iteration_bound(alpha: Fraction, vol_a: int, sigma: Fraction) -> int:
-    """Phase budget ``ceil((5/alpha) * ln(3 vol(A) / sigma))``; see :func:`phase_budget`."""
-    return phase_budget(vol_a, sigma)(alpha)
-
-
 @dataclass
 class LocalFlowStats:
     """Instrumentation counters exposed for the locality contract."""
@@ -222,7 +216,7 @@ def local_flow(
     approximate and ``cut`` is the best layer cut (smallest layer index
     among conductance minimizers).
 
-    ``max_phases`` is the phase budget, by default :func:`iteration_bound`.
+    ``max_phases`` is the phase budget, by default :func:`phase_budget`.
     A smaller one, which tests use to force the approximate branch, voids
     the layer-cut guarantee. ``start`` resumes from the flow of an earlier
     run on the same instance at an alpha at least this one, whose scale
@@ -231,8 +225,7 @@ def local_flow(
     """
     ag = build(g, a, alpha, eps)
     if max_phases is None:
-        sigma = overlap_for_sink_factor(ag.eps)
-        max_phases = iteration_bound(ag.alpha, a.volume, sigma)
+        max_phases = phase_budget(a.volume, overlap_for_sink_factor(ag.eps))(ag.alpha)
     return _localized_dinic(ag, max_phases, start)
 
 

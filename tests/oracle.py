@@ -23,7 +23,7 @@ outputs against them.
 from __future__ import annotations
 
 import io
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -41,9 +41,9 @@ from localcut import (
     boundary_edges,
     conductance,
     decompose_paths,
-    iteration_bound,
 )
 from localcut.certify import RoutingCheck, validate_certificate, write_certificate
+from localcut.local_flow import phase_budget
 
 __all__ = [
     "brute_min_conductance",
@@ -116,7 +116,7 @@ def brute_min_conductance(
     if n < 2:
         raise ParameterError("need at least two vertices")
     deg = [g.degree(u) for u in range(n)]
-    mult = [dict(g.neighbor_multiplicities(u)) for u in range(n)]
+    mult = [Counter(g.adjacent(u)) for u in range(n)]
     total = g.total_volume
     best: Fraction | None = None
     best_mask = 0
@@ -166,7 +166,7 @@ def brute_min_cut_value(ag: AugmentedGraph) -> tuple[VertexSet, Fraction]:
     n = g.n
     _check_size(n)
     deg = [g.degree(u) for u in range(n)]
-    mult = [dict(g.neighbor_multiplicities(u)) for u in range(n)]
+    mult = [Counter(g.adjacent(u)) for u in range(n)]
     in_seed = [u in ag.seed for u in range(n)]
     sink = [0 if in_seed[u] else ag.sink_cap(u) for u in range(n)]
     ce = ag.edge_cap_unit
@@ -220,7 +220,7 @@ def brute_min_quotient(
     n = g.n
     _check_size(n)
     deg = [g.degree(u) for u in range(n)]
-    mult = [dict(g.neighbor_multiplicities(u)) for u in range(n)]
+    mult = [Counter(g.adjacent(u)) for u in range(n)]
     in_seed = [u in a for u in range(n)]
     e_num, e_den = (1, 1) if eps is None else (eps.numerator, eps.denominator)
     mask = 0
@@ -377,7 +377,7 @@ def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
     """
     ag = fs.ag
     check = routing_check(fs)
-    if not check:
+    if not check.ok:
         raise NotACertificateError(
             "flow does not route the full demand: " + "; ".join(check.violations[:3])
         )
@@ -405,7 +405,7 @@ def path_length_certificate(
     A flow assembled from at most ``I`` blocking-flow phases routes along
     paths of at most ``I + 2`` arcs (the source and sink arcs included).
     """
-    bound = iteration_bound(alpha, vol_a, sigma) + 2
+    bound = phase_budget(vol_a, sigma)(alpha) + 2
     return all(len(path) + 1 <= bound for path in pd.paths)
 
 

@@ -47,7 +47,7 @@ def test_zero_flow_fails_verification():
     g, a, eps = bipartite_instance()
     fs = FlowState(build(g, a, Fraction(1), eps))
     check = routing_check(fs)
-    assert not check
+    assert not check.ok
     assert check.violations
 
 
@@ -77,7 +77,7 @@ def test_decompose_conserves_value(small_suite):
         # every interior step is an edge of the graph
         for path in pd.paths:
             for u, v in zip(path, path[1:]):
-                assert v in dict(g.neighbor_multiplicities(u))
+                assert v in g.adjacent(u)
 
 
 def test_expansion_lower_bound_examples():
@@ -171,8 +171,30 @@ def test_bipartite_certificate_is_valid(alpha, eps):
             "1/2", "2", {"path 0 4 1": ""},
             ["path amounts add to 31, header says 32", "seed vertex 0 emits 7, demand is 8"],
         ),
+        # every kind at once, reported header, paths, total, demand, absorption, congestion
+        (
+            "1", "1",
+            {
+                "vol-a 32": "vol-a 31",
+                "path 0 4 1": "path 0 5 4 1",
+                "path 1 4 1": "path 1 5 1",
+                "path 2 4 1": "",
+            },
+            [
+                "header vol-a 31 != vol(A) 32",
+                "path step (5, 4) is not an edge",
+                "path amounts add to 31, header says 32",
+                "seed vertex 2 emits 7, demand is 8",
+                "sink 5 absorbs 5, cap is 4",
+                "edge (0, 5) carries 2, congestion cap is 1",
+                "edge (1, 5) carries 2, congestion cap is 1",
+            ],
+        ),
     ],
-    ids=["non-edge", "starts-outside", "ends-inside", "sink", "demand", "congestion", "total"],
+    ids=[
+        "non-edge", "starts-outside", "ends-inside", "sink", "demand", "congestion", "total",
+        "all-kinds",
+    ],
 )
 def test_certificate_reports_each_violation_kind(alpha, eps, edits, violations):
     g, a, _ = bipartite_instance()

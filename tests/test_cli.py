@@ -520,6 +520,34 @@ def test_certify_refuses_out_with_check(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "option, value", [("--alpha", "1"), ("--sigma", "1/2"), ("--eps-sigma", "1/1000")]
+)
+def test_certify_check_refuses_parameters_it_would_ignore(capsys, tmp_path, option, value):
+    """The certificate states its own alpha and sink factor, so ``--check`` takes neither."""
+    common = write_ring_files(tmp_path)
+    cert_file = tmp_path / "cert.txt"
+    run(capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file))
+    code, out, err = run(capsys, "certify", *common, "--check", str(cert_file), option, value)
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert err.startswith(f"error: {option} is not allowed with --check")
+
+
+@pytest.mark.parametrize("command", ["flow", "certify"])
+def test_sigma_and_eps_sigma_are_exclusive(capsys, tmp_path, command):
+    """Neither sink option silently overrides the other."""
+    cert_file = tmp_path / "cert.txt"
+    out = ["--out", str(cert_file)] if command == "certify" else []
+    with pytest.raises(SystemExit) as exc:
+        run_cli([
+            command, *write_ring_files(tmp_path), "--alpha", "1/64",
+            "--sigma", "1/2", "--eps-sigma", "1/1000", *out,
+        ])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "argument --eps-sigma: not allowed with argument --sigma" in capsys.readouterr().err
+    assert not cert_file.exists()
+
+
+@pytest.mark.parametrize(
     "text, line",
     [(b"alpha 1\xff\n", 1), (b"alpha 1\neps-sigma inf\n\xfe\xff\n", 3)],
 )

@@ -26,7 +26,7 @@ def test_edgelist_comments_and_parallel():
     text = "# a comment\n0 1\n0 1  # inline\n\n1 2\n"
     g = load_edgelist(io.StringIO(text))
     assert g.m == 3
-    assert g.neighbor_multiplicities(0) == [(1, 2)]
+    assert list(g.adjacent(0)) == [1, 1]
 
 
 def test_edgelist_self_loop_line_number():

@@ -20,7 +20,6 @@ from localcut import (
     conductance,
     decompose_paths,
     global_max_flow,
-    iteration_bound,
     local_flow,
     local_flow_exact,
 )
@@ -46,24 +45,24 @@ improve_module = importlib.import_module("localcut.improve")
 
 
 def test_iteration_bound_examples():
-    assert iteration_bound(Fraction(1, 2), 7, Fraction(1, 2)) == 38
-    assert iteration_bound(Fraction(1), 1, Fraction(1)) == 6
-    assert iteration_bound(Fraction(1), 0, Fraction(1, 2)) == 0  # nothing to route
+    assert phase_budget(7, Fraction(1, 2))(Fraction(1, 2)) == 38
+    assert phase_budget(1, Fraction(1))(Fraction(1)) == 6
+    assert phase_budget(0, Fraction(1, 2))(Fraction(1)) == 0  # nothing to route
     # doubling vol(A) adds at most ceil(5 ln 2 / alpha)
     for alpha in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
         for vol in (3, 10, 77):
-            delta = iteration_bound(alpha, 2 * vol, Fraction(1, 2)) - iteration_bound(
-                alpha, vol, Fraction(1, 2)
-            )
+            delta = phase_budget(2 * vol, Fraction(1, 2))(alpha) - phase_budget(
+                vol, Fraction(1, 2)
+            )(alpha)
             assert delta <= math.ceil(5 * math.log(2) / alpha)
 
 
 def test_iteration_bound_matches_decimal_reference():
     """Exact ceilings against 60-digit logarithms over the whole grid.
 
-    Both entry points must agree with the reference: ``iteration_bound``
-    and one ``phase_budget`` reused across a search's alphas, as a binary
-    search uses it.
+    Both uses must agree with the reference: a fresh ``phase_budget`` per
+    alpha, as ``local_flow``'s default budget calls it, and one reused
+    across a search's alphas, as a binary search uses it.
     """
     alphas = [Fraction(1, 2**k) for k in range(7)] + [Fraction(3, 8), Fraction(11, 64)]
     for sigma in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)):
@@ -81,7 +80,7 @@ def test_iteration_bound_matches_decimal_reference():
                 ]
             budget = phase_budget(vol, sigma)
             assert [budget(alpha) for alpha in alphas] == expected, (vol, sigma)
-            assert [iteration_bound(alpha, vol, sigma) for alpha in alphas] == expected, (
+            assert [phase_budget(vol, sigma)(alpha) for alpha in alphas] == expected, (
                 vol,
                 sigma,
             )
