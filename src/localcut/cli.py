@@ -4,7 +4,8 @@ Subcommands: ``stats``, ``improve``, ``improve-exact``, ``flow``,
 ``certify``, ``seed``. Exit codes: 0 success, 1 no-improvement (a valid,
 documented outcome of the improve commands), 2 input or parameter error.
 Decision-bearing numbers are emitted as exact ``{"num": p, "den": q}``
-pairs, never floats.
+pairs, never floats. The parser is built once per process, and every
+option error that needs no file is refused before any file is read.
 """
 
 from __future__ import annotations
@@ -42,84 +43,12 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _frac_json(x: Fraction | None) -> dict | None:
-    if x is None:
-        return None
-    return {"num": x.numerator, "den": x.denominator}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="localcut",
-        description="Flow-based local graph clustering and cut improvement.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_graph_args(p: argparse.ArgumentParser, seed_set: bool = True) -> None:
-        p.add_argument("--graph", required=True, help="path to the graph file")
-        p.add_argument(
-            "--format", default="edgelist", choices=("edgelist", "metis"),
-            help="graph file format",
-        )
-        if seed_set:
-            p.add_argument("--seed-set", required=True, help="path to the seed vertex file")
-
-    def add_sink_args(p: argparse.ArgumentParser) -> None:
-        sink = p.add_mutually_exclusive_group()
-        sink.add_argument("--sigma", type=_fraction, help="overlap parameter giving eps")
-        sink.add_argument("--eps-sigma", type=_fraction, help="sink factor eps itself")
-
-    p_stats = sub.add_parser("stats", help="graph and seed-set statistics")
-    add_graph_args(p_stats, seed_set=False)
-    p_stats.add_argument("--seed-set", help="optional seed set for vol(A), phi(A)")
-    p_stats.add_argument("--json", action="store_true", help="emit JSON")
-
-    for name, help_text in (
-        ("improve", "cut-quotient search improvement with the approximate solver"),
-        ("improve-exact", "cut-quotient search improvement with the exact solver"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        add_graph_args(p)
-        p.add_argument("--sigma", type=_fraction, required=True,
-                       help="overlap parameter in (0, 1]")
-        p.add_argument("--eps", type=_fraction, default=Fraction(1, 5),
-                       help="stopping width of the search's fallback bisection (default 1/5)")
-        p.add_argument("--instrument", action="store_true",
-                       help="include locality counters in the output: the Dinic "
-                       "phases the search ran (warm-started probes count only "
-                       "their own) and the largest volume a probe's flow opened")
-
-    p_flow = sub.add_parser("flow", help="single localized flow run at a fixed alpha")
-    add_graph_args(p_flow)
-    p_flow.add_argument("--alpha", type=_fraction, required=True)
-    add_sink_args(p_flow)
-    p_flow.add_argument("--solver", default="approx", choices=("approx", "exact"))
-
-    p_cert = sub.add_parser("certify", help="write or validate a routing certificate")
-    add_graph_args(p_cert)
-    p_cert.add_argument("--alpha", type=_fraction)
-    add_sink_args(p_cert)
-    action = p_cert.add_mutually_exclusive_group(required=True)
-    action.add_argument("--out", help="write a certificate to this path")
-    action.add_argument("--check", help="validate the certificate at this path")
-
-    p_seed = sub.add_parser("seed", help="expand seed vertices by push + sweep")
-    add_graph_args(p_seed, seed_set=False)
-    p_seed.add_argument("--seed", required=True,
-                        help="seed vertex id, or comma-separated ids")
-    # read by _cmd_seed in the rational and vertex-id grammars
-    p_seed.add_argument("--beta", default="0.1")
-    p_seed.add_argument("--r-max")
-    p_seed.add_argument("--volume-cap")
-    return parser
+# payloads hold Fractions, each written as an exact {"num": p, "den": q} pair
+_to_json = json.JSONEncoder(default=lambda x: {"num": x.numerator, "den": x.denominator}).encode
 
 
 def _resolve_eps(args, g, a):
-    if args.eps_sigma is not None:
-        return args.eps_sigma
-    if args.sigma is not None:
-        return epsilon_sigma(args.sigma, g, a)
-    raise ParameterError("pass --sigma or --eps-sigma")
+    return args.eps_sigma if args.eps_sigma is not None else epsilon_sigma(args.sigma, g, a)
 
 
 def _cmd_stats(args) -> int:
@@ -128,34 +57,34 @@ def _cmd_stats(args) -> int:
     if args.seed_set:
         a = load_vertex_set(args.seed_set, g)
         payload["vol_a"] = a.volume
-        payload["phi_a"] = conductance(g, a)
+        if 0 < a.volume < g.total_volume:
+            payload["phi_a"] = conductance(g, a)
     if args.json:
-        print(json.dumps(payload, default=_frac_json))
+        print(_to_json(payload))
     else:
         for key, value in payload.items():
             print(f"{key}: {value}")
     return EXIT_OK
 
 
-def _cmd_improve(args, solver: str) -> int:
+def _cmd_improve(args) -> int:
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
-    result = local_improve_overlap(g, a, args.sigma, solver, eps=args.eps)
+    result = local_improve_overlap(g, a, args.sigma, args.solver, eps=args.eps)
     payload = {
         "improved": result.improved,
         "set": list(result.cut.ids),
-        "phi": _frac_json(result.phi),
+        "phi": result.phi,
         "vol": result.cut.volume,
         "solver": result.solver,
         "alpha_trace": [
-            {"alpha": _frac_json(alpha), "outcome": outcome}
-            for alpha, outcome in result.alpha_trace
+            {"alpha": alpha, "outcome": outcome} for alpha, outcome in result.alpha_trace
         ],
     }
     if args.instrument:
         payload["touched_volume"] = result.touched_volume
         payload["phases"] = result.phases
-    print(json.dumps(payload))
+    print(_to_json(payload))
     return EXIT_OK if result.improved else EXIT_NO_IMPROVEMENT
 
 
@@ -165,9 +94,8 @@ def _cmd_flow(args) -> int:
     eps = _resolve_eps(args, g, a)
     run = local_flow if args.solver == "approx" else local_flow_exact
     res = run(g, a, args.alpha, eps)
-    value = res.value
     payload = {
-        "flow_value": _frac_json(value),
+        "flow_value": res.value,
         "cut": list(res.cut.ids),
         "exact": res.exact,
         "full_flow": res.full_flow,
@@ -175,8 +103,8 @@ def _cmd_flow(args) -> int:
         "phases": res.stats.phases,
     }
     if 0 < res.cut.volume < g.total_volume:
-        payload["phi"] = _frac_json(conductance(g, res.cut))
-    print(json.dumps(payload))
+        payload["phi"] = conductance(g, res.cut)
+    print(_to_json(payload))
     return EXIT_OK
 
 
@@ -188,6 +116,10 @@ def _cmd_certify(args) -> int:
                     f"--{option.replace('_', '-')} is not allowed with --check: "
                     "the certificate states its own alpha and eps-sigma"
                 )
+    elif args.alpha is None:
+        raise ParameterError("writing a certificate needs --alpha")
+    elif args.sigma is None and args.eps_sigma is None:
+        raise ParameterError("pass --sigma or --eps-sigma")
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
     if args.check is not None:
@@ -201,8 +133,6 @@ def _cmd_certify(args) -> int:
         for line in report.violations:
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    if args.alpha is None:
-        raise ParameterError("writing a certificate needs --alpha")
     eps = _resolve_eps(args, g, a)
     res = local_flow_exact(g, a, args.alpha, eps)
     if not res.full_flow:
@@ -221,7 +151,6 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_seed(args) -> int:
-    g = load_graph(args.graph, args.format)
     seeds = []
     for tok in filter(None, (tok.strip() for tok in args.seed.split(","))):
         try:
@@ -243,50 +172,105 @@ def _cmd_seed(args) -> int:
     def real(text: str) -> float:
         return float(parse_rational(text))
 
+    # grammar only: appr_push checks the ranges against the graph
     cfg = ApprConfig(
         beta=option("beta", real),
         r_max=option("r_max", real),
         volume_cap=option("volume_cap", parse_unsigned),
     )
+    g = load_graph(args.graph, args.format)
 
     def expand(v: int) -> dict:
-        scores = appr_push(g, v, cfg)
-        out = sweep_cut(g, scores)
-        return {
-            "seed": v,
-            "set": list(out.ids),
-            "vol": out.volume,
-            "phi": _frac_json(conductance(g, out)),
-        }
+        out = sweep_cut(g, appr_push(g, v, cfg))
+        return {"seed": v, "set": list(out.ids), "vol": out.volume, "phi": conductance(g, out)}
 
     results = [expand(v) for v in seeds]
     for payload in results:
-        print(json.dumps(payload))
+        print(_to_json(payload))
     return EXIT_OK
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="localcut",
+        description="Flow-based local graph clustering and cut improvement.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_graph_args(p: argparse.ArgumentParser, seed_set: bool = True) -> None:
+        p.add_argument("--graph", required=True, help="path to the graph file")
+        p.add_argument(
+            "--format", default="edgelist", choices=("edgelist", "metis"),
+            help="graph file format",
+        )
+        if seed_set:
+            p.add_argument("--seed-set", required=True, help="path to the seed vertex file")
+
+    def add_sink_args(p: argparse.ArgumentParser, required: bool) -> None:
+        sink = p.add_mutually_exclusive_group(required=required)
+        sink.add_argument("--sigma", type=_fraction, help="overlap parameter giving eps")
+        sink.add_argument("--eps-sigma", type=_fraction, help="sink factor eps itself")
+
+    p_stats = sub.add_parser("stats", help="graph and seed-set statistics")
+    p_stats.set_defaults(run=_cmd_stats)
+    add_graph_args(p_stats, seed_set=False)
+    p_stats.add_argument("--seed-set", help="optional seed set for vol(A), phi(A)")
+    p_stats.add_argument("--json", action="store_true", help="emit JSON")
+
+    for name, solver, help_text in (
+        ("improve", "approx", "cut-quotient search improvement with the approximate solver"),
+        ("improve-exact", "exact", "cut-quotient search improvement with the exact solver"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=_cmd_improve, solver=solver)
+        add_graph_args(p)
+        p.add_argument("--sigma", type=_fraction, required=True,
+                       help="overlap parameter in (0, 1]")
+        p.add_argument("--eps", type=_fraction, default=Fraction(1, 5),
+                       help="stopping width of the search's fallback bisection (default 1/5)")
+        p.add_argument("--instrument", action="store_true",
+                       help="include locality counters in the output: the Dinic "
+                       "phases the search ran (warm-started probes count only "
+                       "their own) and the largest volume a probe's flow opened")
+
+    p_flow = sub.add_parser("flow", help="single localized flow run at a fixed alpha")
+    p_flow.set_defaults(run=_cmd_flow)
+    add_graph_args(p_flow)
+    p_flow.add_argument("--alpha", type=_fraction, required=True)
+    add_sink_args(p_flow, required=True)
+    p_flow.add_argument("--solver", default="approx", choices=("approx", "exact"))
+
+    p_cert = sub.add_parser("certify", help="write or validate a routing certificate")
+    p_cert.set_defaults(run=_cmd_certify)
+    add_graph_args(p_cert)
+    p_cert.add_argument("--alpha", type=_fraction)
+    # required with --out and refused with --check, by _cmd_certify
+    add_sink_args(p_cert, required=False)
+    action = p_cert.add_mutually_exclusive_group(required=True)
+    action.add_argument("--out", help="write a certificate to this path")
+    action.add_argument("--check", help="validate the certificate at this path")
+
+    p_seed = sub.add_parser("seed", help="expand seed vertices by push + sweep")
+    p_seed.set_defaults(run=_cmd_seed)
+    add_graph_args(p_seed, seed_set=False)
+    p_seed.add_argument("--seed", required=True,
+                        help="seed vertex id, or comma-separated ids")
+    # read by _cmd_seed in the rational and vertex-id grammars
+    p_seed.add_argument("--beta", default="0.1")
+    p_seed.add_argument("--r-max")
+    p_seed.add_argument("--volume-cap")
+    return parser
+
+
+_PARSER = _build_parser()
 
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "improve":
-            return _cmd_improve(args, "approx")
-        if args.command == "improve-exact":
-            return _cmd_improve(args, "exact")
-        if args.command == "flow":
-            return _cmd_flow(args)
-        if args.command == "certify":
-            return _cmd_certify(args)
-        if args.command == "seed":
-            return _cmd_seed(args)
-        raise ParameterError(f"unknown command {args.command!r}")
-    except LocalCutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+        return args.run(args)
+    except (LocalCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

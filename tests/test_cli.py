@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import FORGED_CERTIFICATE, barbell, ring_of_cliques
+import localcut
 from localcut import build, decompose_paths, epsilon_sigma, local_flow_exact
 from localcut.certify import write_certificate
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
@@ -150,12 +154,17 @@ def _isolated_vertex_graph(tmp_path, seed: str):
     return str(graph_file), str(seed_file)
 
 
-def test_stats_of_a_zero_volume_seed_exits_2(capsys, tmp_path):
-    graph_file, seed_file = _isolated_vertex_graph(tmp_path, "2")
-    code, out, err = run(capsys, "stats", "--graph", graph_file, "--seed-set", seed_file)
-    assert code == EXIT_INPUT_ERROR
-    assert out == ""
-    assert err.startswith("error:") and "volume 0" in err
+@pytest.mark.parametrize("seed, vol_a", [("2", 0), ("0 1 3", 6)], ids=["volume-0", "all-of-V"])
+def test_stats_omits_phi_a_when_undefined(capsys, tmp_path, seed, vol_a):
+    """A seed set of volume 0 or vol(V) has no conductance, but its other fields are defined."""
+    graph_file, seed_file = _isolated_vertex_graph(tmp_path, seed)
+    common = ["stats", "--graph", graph_file, "--seed-set", seed_file]
+    code, out, err = run(capsys, *common, "--json")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == json.dumps({"n": 4, "m": 3, "volume": 6, "vol_a": vol_a}) + "\n"
+    code, out, err = run(capsys, *common)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == f"n: 4\nm: 3\nvolume: 6\nvol_a: {vol_a}\n"
 
 
 @pytest.mark.parametrize("solver", ["approx", "exact"])
@@ -558,6 +567,91 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
     code, out, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err.startswith(f"error: certificate line {line}: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["flow", "--alpha", "1/2"], "one of the arguments --sigma --eps-sigma is required"),
+        (["certify", "--out", "CERT"], "error: writing a certificate needs --alpha"),
+        (["certify", "--sigma", "1/2", "--out", "CERT"], "error: writing a certificate needs --alpha"),
+        (["certify", "--alpha", "1/2", "--out", "CERT"], "error: pass --sigma or --eps-sigma"),
+        (["seed", "--seed", "0", "--beta", "0.1_0"], "error: bad beta in --beta: "),
+        (["seed", "--seed", "0", "--r-max", "1e999999999"], "error: bad r_max in --r-max: "),
+        (["seed", "--seed", "0", "--volume-cap", "1_0"], "error: bad volume_cap in --volume-cap: "),
+        (["seed", "--seed", "0,4x"], "error: bad seed vertex '4x' in --seed '0,4x'"),
+    ],
+    ids=["flow-no-sink", "certify-nothing", "certify-no-alpha", "certify-no-sink",
+         "seed-beta", "seed-r-max", "seed-volume-cap", "seed-id"],
+)
+def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, argv, message):
+    """With no graph file at all, an option error is still the one reported."""
+    cert_file = tmp_path / "cert.txt"
+    command, *rest = argv
+    files = ["--graph", str(tmp_path / "absent.edgelist")]
+    if command != "seed":
+        files += ["--seed-set", str(tmp_path / "absent_seed.txt")]
+    rest = [str(cert_file) if arg == "CERT" else arg for arg in rest]
+    try:
+        code = run_cli([command, *files, *rest])
+    except SystemExit as exc:  # argparse refuses a missing required option
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert message in err and "absent" not in err
+    assert not cert_file.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("certificate", "eps-sigma inf\nvol-a 7\nflow-value 7\n",
+         "certificate header misses 'alpha'"),
+        ("certificate", "alpha 1\neps-sigma inf\nvol-a 7\nflow-value 7\npath 3\n",
+         "certificate line 5: malformed path line 'path 3'"),
+        ("metis", "", "empty METIS file"),
+        ("metis", "% no header\n  %\n", "empty METIS file"),
+        ("seed", ",", "no seed vertices given"),
+    ],
+    ids=["no-alpha-header", "one-vertex-path", "empty-metis", "comments-only-metis", "no-seed-ids"],
+)
+def test_input_refusals_exit_2(capsys, fixtures_dir, tmp_path, kind, text, message):
+    graph = ["--graph", str(fixtures_dir / "barbell.edgelist")]
+    input_file = tmp_path / "input.txt"
+    input_file.write_text(text)
+    argv = {
+        "certificate": [
+            "certify", *graph, "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
+            "--check", str(input_file),
+        ],
+        "metis": ["stats", "--graph", str(input_file), "--format", "metis"],
+        "seed": ["seed", *graph, "--seed", text],
+    }[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+
+def test_module_runs_as_a_process(capsys, fixtures_dir):
+    """``python -m localcut.cli`` prints what run_cli prints and exits with its code."""
+    src = str(Path(localcut.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def process(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "localcut.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    common = ["--graph", str(fixtures_dir / "barbell.edgelist"),
+              "--seed-set", str(fixtures_dir / "barbell_seed.txt")]
+    improve = ["improve", *common, "--sigma", "1/2"]
+    proc = process(*improve)
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *improve)
+    assert proc.returncode == EXIT_OK and json.loads(proc.stdout)["improved"] is True
+    proc = process("flow", *common, "--alpha", "1/2")
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, "")
+    assert "one of the arguments --sigma --eps-sigma is required" in proc.stderr
 
 
 # rational inputs -------------------------------------------------------------

@@ -86,6 +86,47 @@ def test_iteration_bound_matches_decimal_reference():
             )
 
 
+
+def test_phase_budget_doubles_its_precision_for_small_alphas(monkeypatch):
+    """Small alphas need more logarithm digits than the first 12.
+
+    1/10**11 and 7/10**13 need one doubling and 1/10**23 two. Fresh and
+    reused budgets must both agree with a 120-digit reference, and a reused
+    one computes each precision's logarithm once.
+    """
+    precisions = []
+    context = local_flow_module.Context
+
+    def recording_context(prec):
+        precisions.append(prec)
+        return context(prec=prec)
+
+    monkeypatch.setattr(local_flow_module, "Context", recording_context)
+    logs_needed = {Fraction(1, 10**11): 2, Fraction(7, 10**13): 2, Fraction(1, 10**23): 3}
+    for sigma in (Fraction(1, 2), Fraction(2, 3), Fraction(1)):
+        for vol in (1, 77, 2000, 10**6):
+            with localcontext() as ctx:
+                ctx.prec = 120
+                ln = (Decimal(3 * vol * sigma.denominator) / sigma.numerator).ln()
+                expected = {
+                    alpha: int(
+                        (5 * alpha.denominator * ln / alpha.numerator).to_integral_value(
+                            ROUND_CEILING
+                        )
+                    )
+                    for alpha in logs_needed
+                }
+            for alpha, logs in logs_needed.items():
+                precisions.clear()
+                assert phase_budget(vol, sigma)(alpha) == expected[alpha], (vol, sigma, alpha)
+                assert len(precisions) == logs, (vol, sigma, alpha)
+            precisions.clear()
+            budget = phase_budget(vol, sigma)
+            assert {alpha: budget(alpha) for alpha in logs_needed} == expected, (vol, sigma)
+            assert len(precisions) == 3, (vol, sigma)
+            if (vol, sigma) == (2000, Fraction(2, 3)):
+                assert precisions == [16, 28, 52]
+
 def test_local_matches_global_blocking_flow(small_suite):
     """Phase-by-phase: the lazily materialized run equals the full-graph run."""
     for g, a, alpha, eps in small_suite[:200]:
