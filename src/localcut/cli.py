@@ -116,23 +116,25 @@ def _cmd_certify(args) -> int:
                     f"--{option.replace('_', '-')} is not allowed with --check: "
                     "the certificate states its own alpha and eps-sigma"
                 )
-    elif args.alpha is None:
-        raise ParameterError("writing a certificate needs --alpha")
-    elif args.sigma is None and args.eps_sigma is None:
-        raise ParameterError("pass --sigma or --eps-sigma")
-    g = load_graph(args.graph, args.format)
-    a = load_vertex_set(args.seed_set, g)
-    if args.check is not None:
-        # an undecodable byte is kept as a lone surrogate, which no field's
-        # grammar accepts, so the reader rejects its line by number
+        # opened first, so a bad path costs no parse; an undecodable byte is
+        # kept as a lone surrogate, which no field's grammar accepts, so the
+        # reader rejects its line by number
         with open(args.check, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            report = cert.validate_certificate(fh, g, a)
+            g = load_graph(args.graph, args.format)
+            report = cert.validate_certificate(fh, g, load_vertex_set(args.seed_set, g))
         if report.ok:
             print("certificate valid")
             return EXIT_OK
         for line in report.violations:
             print(f"violation: {line}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    if args.alpha is None:
+        raise ParameterError("writing a certificate needs --alpha")
+    if args.sigma is None and args.eps_sigma is None:
+        raise ParameterError("pass --sigma or --eps-sigma")
+    # --out opens last: opened first, a failed run would truncate an old file
+    g = load_graph(args.graph, args.format)
+    a = load_vertex_set(args.seed_set, g)
     eps = _resolve_eps(args, g, a)
     res = local_flow_exact(g, a, args.alpha, eps)
     if not res.full_flow:

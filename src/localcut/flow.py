@@ -449,11 +449,12 @@ def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
     """Exact max flow and min cut by Dinic's algorithm over the full graph.
 
     The min cut is the source side of the final residual reachability,
-    intersected with the base vertices. Used as the global reference
-    oracle; materializes every vertex, so keep instances moderate. It uses
-    the same :func:`bfs_distances` as the localized solvers, so each phase
-    labels, and checks, only the layers up to the sink's. Every phase
-    checks label monotonicity, sink-distance growth, and antisymmetry and
+    intersected with the base vertices. It materializes every vertex, and
+    stays in ``src/`` only for the benchmark's exact-flow check until the
+    benchmark next changes (the tests use ``oracle.reference_max_flow``).
+    It uses the same :func:`bfs_distances` as the localized solvers, so
+    each phase labels, and checks, only the layers up to the sink's. Every
+    phase checks label monotonicity, sink-distance growth, and antisymmetry and
     conservation along the paths it pushed on; the whole flow is checked
     once before returning.
     """

@@ -29,6 +29,9 @@ int64 value per token, and vectorized checks. Working memory is a few arrays of 
 size plus the parsed tokens. When a check finds a bad line, the first one
 in file order is re-read by a per-line check that words the error.
 
+Both formats build through :mod:`localcut.graphs`, which alone forms the
+CSR arc keys ``tail << 32 | head``; a METIS file hands over its arcs.
+
 Rational parameters, on the command line and in certificates, go through
 :func:`parse_rational`, whose digit and exponent bounds keep a short
 string from expanding into a huge integer.
@@ -371,7 +374,11 @@ def load_edgelist(source: str | os.PathLike | IO[str]) -> Graph:
 
 
 def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
-    """Parse METIS adjacency format (1-based, each edge listed from both sides)."""
+    """Parse METIS adjacency format (1-based, each edge listed from both sides).
+
+    The arcs build through ``graphs``, which forms their keys ``tail << 32 |
+    head`` and checks that each has its reverse; this reader words it if not.
+    """
     header: tuple[int, int] | None = None
     rows = 0  # adjacency lines seen, the header excluded
     tails: list[np.ndarray] = []
@@ -414,22 +421,12 @@ def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     u = np.concatenate(tails) if tails else np.empty(0, dtype=np.int64)
     v = np.concatenate(heads) if heads else np.empty(0, dtype=np.int64)
     del tails, heads
-    # the sorted keys of a symmetric file are already the graph's CSR
-    arcs = np.multiply(u, n)
-    arcs += v
-    arcs.sort()
-    reverse = np.multiply(v, n)
-    reverse += u
-    reverse.sort()
-    if not np.array_equal(arcs, reverse):
+    g = Graph._from_arcs(n, u, v)
+    if g is None:
         raise GraphFormatError(_asymmetry(u, v, n))
-    del reverse
-    lower = int(np.count_nonzero(u < v))
-    if lower != m:
-        raise GraphFormatError(f"header declares {m} edges but file encodes {lower}")
-    degrees = np.bincount(u, minlength=n)
-    del u, v
-    return Graph.from_sorted_arcs(n, arcs, degrees)
+    if g.m != m:
+        raise GraphFormatError(f"header declares {m} edges but file encodes {g.m}")
+    return g
 
 
 def _asymmetry(u: np.ndarray, v: np.ndarray, n: int) -> str:

@@ -5,13 +5,14 @@ with multiplicity everywhere (degrees, volumes, boundary sizes); self-loops
 are rejected at construction. Adjacency is stored in CSR form so a graph
 with millions of edges stays compact and cheap to share between runs: an
 int64 offsets array and an int32 array of heads, each adjacency run sorted,
-served as read-only memoryviews with no copy. The build sorts the int64 arc
-keys ``tail*n+head`` once, in place, then reduces them block by block to
-int32 heads in the front half of the same buffer and shrinks it to that
-half. Its peak memory is the larger of the sorted keys (16 bytes per edge)
-and the heads plus the offsets and one degree count; the finished CSR
-takes 8 bytes per edge plus 8 per vertex, 0.55 times an int64 CSR on a
-ring of cliques.
+served as read-only memoryviews with no copy. Only this module knows the
+arc key ``tail << 32 | head``; both builders (edge pairs, the METIS
+loader's arcs) sort the int64 keys once, in place, then mask them block by
+block to int32 heads in the front half of the same buffer and shrink it to
+that half. An edge-pair build peaks at the larger of the sorted keys (16
+bytes per edge) and the heads plus the offsets and one degree count; the
+finished CSR takes 8 bytes per edge plus 8 per vertex, 0.55 times an int64
+CSR on a ring of cliques.
 
 All conductance and volume arithmetic is exact (integers and
 :class:`fractions.Fraction`); nothing in this module touches floating
@@ -38,7 +39,7 @@ __all__ = [
 
 # the largest vertex count whose heads fit in int32 (its arc keys fit in int64)
 _MAX_N = 2**31
-# keys reduced to heads per step: the int64 scratch stays at 64 KiB
+# keys masked to heads per step: the one block numpy copies is 64 KiB
 _BLOCK = 8192
 
 
@@ -63,6 +64,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
+        if n > _MAX_N:  # before anything is sized by n, and before a key overflows
+            raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
         if isinstance(edges, np.ndarray):
             pairs = edges.reshape(-1, 2)
         else:
@@ -83,40 +86,37 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {pairs[loops.argmax(), 0]}")
         # only after the range check: the cast wraps unsigned endpoints of 2**63 and up
         pairs = pairs.astype(np.int64, copy=False)
-        # CSR with each adjacency run sorted: one in-place sort of the arc keys
-        # tail*n+head, written straight into the one buffer that becomes the heads
+        # CSR with each adjacency run sorted: one in-place sort of both
+        # directions' keys, written straight into the one buffer that becomes the heads
         u, v = pairs[:, 0], pairs[:, 1]
         key = np.empty(2 * m, dtype=np.int64)
-        np.multiply(u, n, out=key[:m])
-        key[:m] += v
-        np.multiply(v, n, out=key[m:])
-        key[m:] += u
+        _arc_keys(u, v, out=key[:m])
+        _arc_keys(v, u, out=key[m:])
         key.sort()
-        heads = _reduce_to_heads(n, key)
-        self._set_csr(n, heads, np.bincount(pairs.ravel(), minlength=n))
+        self._set_csr(n, key, np.bincount(pairs.ravel(), minlength=n))
 
     @classmethod
-    def from_sorted_arcs(cls, n: int, keys: np.ndarray, degrees: np.ndarray) -> Graph:
-        """Graph whose sorted int64 arc keys ``tail*n+head`` are ``keys``.
+    def _from_arcs(cls, n: int, tails: np.ndarray, heads: np.ndarray) -> Graph | None:
+        """Graph of the int64 arcs ``tails[i] -> heads[i]``, or ``None`` unless each has its reverse.
 
-        Every edge appears once from each end, and ``degrees[u]`` counts the
-        keys with tail ``u``. Nothing is validated, so the caller vouches for
-        a symmetric key set within ``0..n*n-1`` with no self-loops and for
-        ``degrees``.
-
-        ``keys`` is consumed: its buffer is overwritten with the heads and
-        shrunk to half, so it must own its data (a view raises
-        ``ValueError`` before anything is written) and the caller may keep
-        no view of it.
+        The caller has checked the ids against ``n`` and refused self-loops.
         """
-        if not keys.flags.owndata:
-            raise ValueError("arc keys must own their buffer, which the graph takes over")
+        if n > _MAX_N:  # before anything is sized by n, and before a key overflows
+            raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
+        key = _arc_keys(tails, heads)
+        key.sort()
+        reverse = _arc_keys(heads, tails)
+        reverse.sort()
+        if not np.array_equal(key, reverse):
+            return None
+        del reverse
         g = cls.__new__(cls)
-        g._set_csr(n, _reduce_to_heads(n, keys), degrees)
+        g._set_csr(n, key, np.bincount(tails, minlength=n))
         return g
 
-    def _set_csr(self, n: int, heads: np.ndarray, degrees: np.ndarray) -> None:
-        """Store the CSR of the int32 ``heads`` and the per-vertex arc counts."""
+    def _set_csr(self, n: int, key: np.ndarray, degrees: np.ndarray) -> None:
+        """Store the CSR of the sorted arc keys, whose buffer becomes the heads."""
+        heads = _reduce_to_heads(key)
         off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=off[1:])
         self.__setstate__((n, len(heads) // 2, off, heads))
@@ -159,29 +159,26 @@ class Graph:
         return f"Graph(n={self._n}, m={self._m})"
 
 
-def _reduce_to_heads(n: int, key: np.ndarray) -> np.ndarray:
-    """The heads ``key % n`` of the sorted int64 arc keys, as int32, in ``key``'s buffer.
+def _arc_keys(tails: np.ndarray, heads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The int64 arc keys ``tail << 32 | head``, which sort by tail, then head."""
+    key = np.left_shift(tails, 32, out=out)
+    key |= heads
+    return key
 
-    Raises ``ValueError`` for more than ``_MAX_N`` vertices, before the
-    caller allocates anything whose size depends on ``n``. Each block of
-    keys is reduced through a small int64 scratch and written to the int32
-    slots at the same indices, which end at or before the block's first
-    key, so no key is overwritten before it is read. The buffer, which
-    ``key`` must own, then shrinks in place to the heads' half (arcs come
-    in pairs, so the key count is even); a view of ``key`` taken before
-    the call would dangle.
+
+def _reduce_to_heads(key: np.ndarray) -> np.ndarray:
+    """The heads, the low 32 bits of the sorted int64 arc keys, as int32 in ``key``'s buffer.
+
+    Each block's heads go to the int32 slots at its keys' indices; past the
+    first block, which numpy copies before writing, these end at or before
+    the block's first key. The buffer, which ``key`` must own, then shrinks
+    in place to the heads' half (arcs come in pairs); a view of ``key``
+    taken before the call would dangle.
     """
-    if n > _MAX_N:
-        raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
     heads = key.view(np.int32)
-    scratch = np.empty(min(len(key), _BLOCK), dtype=np.int64)
     for start in range(0, len(key), _BLOCK):
         stop = min(start + _BLOCK, len(key))
-        q = scratch[: stop - start]
-        np.floor_divide(key[start:stop], n, out=q)
-        q *= n
-        np.subtract(key[start:stop], q, out=q)
-        heads[start:stop] = q
+        np.bitwise_and(key[start:stop], 0xFFFFFFFF, out=heads[start:stop], casting="unsafe")
     del heads
     key.resize(len(key) // 2, refcheck=False)
     return key.view(np.int32)

@@ -51,7 +51,9 @@ class ImproveResult:
 
     ``improved`` distinguishes a genuine cut from the no-improvement
     outcome, where ``cut`` is empty, ``phi`` is ``None``, and the final
-    full-value flow state is kept as the routing certificate.
+    full-value flow state is kept as the routing certificate. Otherwise
+    ``certificate_flow`` is the flow that cut ``cut``, and its ``exact``
+    tells a minimum cut from a layer cut.
 
     ``phases`` is the number of Dinic phases the search actually ran: a
     probe that resumed the first probe's flow adds only its own phases.
@@ -65,7 +67,6 @@ class ImproveResult:
     solver: str
     alpha_trace: list[tuple[Fraction, str]]
     cut_alpha: Fraction | None
-    cut_kind: str | None
     certificate_flow: LocalFlowResult | None
     eps: Fraction | None
     touched_volume: int = 0
@@ -147,10 +148,9 @@ def local_improve(
 
     if best is None:
         # alpha = 1 routed a full flow, and that closed the bracket
-        phi, ids, at_alpha, kind, winner = None, (), None, None, res
+        phi, ids, at_alpha, winner = None, (), None, res
     else:
         phi, _vol, ids, at_alpha = best
-        kind = "min-cut" if winner.exact else "layer-cut"
     return ImproveResult(
         cut=VertexSet(g, ids),
         phi=phi,
@@ -158,7 +158,6 @@ def local_improve(
         solver=solver,
         alpha_trace=trace,
         cut_alpha=at_alpha,
-        cut_kind=kind,
         certificate_flow=winner,
         eps=eps_sigma,
         touched_volume=touched,

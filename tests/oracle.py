@@ -7,7 +7,9 @@ count and volumes in O(1) big-int operations.
 :func:`reference_bfs_distances` and :func:`reference_blocking_flow` are
 one Dinic phase written plainly: every arc of a vertex is scanned and its
 label tested, with no admissible lists. The engine in
-:mod:`localcut.flow` must match them phase by phase.
+:mod:`localcut.flow` must match them phase by phase, and
+:func:`reference_max_flow` runs them to a max flow, the reference for the
+localized solvers.
 
 The lemmas state, on one set at a time, what the augmented graph's cuts
 and flows certify: :func:`cut_value` of a set's augmented cut,
@@ -61,6 +63,7 @@ __all__ = [
     "reference_bfs_distances",
     "reference_blocking_flow",
     "reference_csr",
+    "reference_max_flow",
     "routing_check",
 ]
 
@@ -504,3 +507,18 @@ def reference_blocking_flow(fs: FlowState, dist: dict[int, int]) -> int:
             return total
         dead.add(v)
         v = to[path.pop() ^ 1]
+
+
+def reference_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
+    """Max flow and minimal min cut of ``ag``, by reference phases on every vertex.
+
+    The cut is the base vertices that the final residual graph reaches
+    from the source. Only the arc lists of :meth:`FlowState.open_all` are
+    shared with the localized solvers.
+    """
+    fs = FlowState(ag)
+    fs.open_all()
+    while ag.sink_id in (dist := reference_bfs_distances(fs)):
+        if not reference_blocking_flow(fs, dist):
+            raise InvariantViolation("reachable sink but nothing pushed")
+    return fs, VertexSet(ag.graph, (v for v in dist if v < ag.graph.n))

@@ -22,7 +22,6 @@ from localcut import (
     build,
     conductance,
     decompose_paths,
-    global_max_flow,
     local_flow,
     local_flow_exact,
     local_improve_overlap,
@@ -41,6 +40,7 @@ from oracle import (
     edges,
     eval_condition_41,
     path_length_certificate,
+    reference_max_flow,
     routing_check,
 )
 
@@ -70,7 +70,7 @@ def test_criterion_01_oracle_equivalence(small_suite):
         ag = build(g, a, alpha, eps)
         approx = local_flow(g, a, alpha, eps)
         exact = local_flow_exact(g, a, alpha, eps)
-        ref, _ = global_max_flow(ag)
+        ref, _ = reference_max_flow(ag)
         assert approx.exact, "phase budget bound on the small family"
         assert approx.flow.value == exact.flow.value == ref.value
         _, best = brute_min_cut_value(ag)
@@ -119,7 +119,7 @@ def test_criterion_02_certificates_exhaustive(small_suite):
         assert not bad.any(), "cut certificate violated"
         checked_cut += int(proper.sum())
         # (b) a full-value flow bounds the boundary of every nonempty subset
-        ref, _ = global_max_flow(ag)
+        ref, _ = reference_max_flow(ag)
         if ref.value == ag.source_total:
             nonempty = vol > 0
             if eps is None:
@@ -188,7 +188,7 @@ def test_criterion_05_overlap_bound_exact(planted_family):
         assert res.phi <= 2 / delta * phi_b, f"k={k}: {res.phi} > {2 / delta * phi_b}"
         if k == 50:
             ag = build(g, a, res.cut_alpha, res.eps)
-            ref, _ = global_max_flow(ag)
+            ref, _ = reference_max_flow(ag)
             assert ref.value == res.certificate_flow.flow.value
     _report(5, True, "exact bounds hold; k=50 flow equals the global oracle")
 

@@ -602,6 +602,19 @@ def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, arg
     assert not cert_file.exists()
 
 
+def test_certify_check_opens_the_certificate_before_the_graph(capsys, tmp_path):
+    """A mistyped certificate path is refused before the graph is parsed."""
+    cert_file = tmp_path / "absent_cert.txt"
+    code, out, err = run(
+        capsys, "certify",
+        "--graph", str(tmp_path / "absent.edgelist"),
+        "--seed-set", str(tmp_path / "absent_seed.txt"),
+        "--check", str(cert_file),
+    )
+    assert (code, out) == (EXIT_INPUT_ERROR, "")
+    assert str(cert_file) in err and "absent.edgelist" not in err
+
+
 @pytest.mark.parametrize(
     "kind, text, message",
     [

@@ -212,7 +212,7 @@ def test_graph_pickles_and_deep_copies():
         assert all(list(h.adjacent(u)) == list(g.adjacent(u)) for u in range(g.n))
 
 
-# the heads are reduced from the keys in blocks: edge counts whose 2m keys
+# the heads are masked from the keys in blocks: edge counts whose 2m keys
 # fall on either side of one and of two block boundaries, and just past six
 BLOCK = graphs._BLOCK
 EDGE_COUNTS = (0, 1, BLOCK // 2 - 1, BLOCK // 2, BLOCK // 2 + 1)
@@ -248,21 +248,24 @@ def test_int32_csr_matches_lexsort_reference(m, n, seed, given_as):
 @pytest.mark.parametrize("n", [7, graphs._MAX_N])
 def test_reduce_to_heads_at_block_edges(arcs, n):
     rng = np.random.default_rng(arcs + n)
-    keys = np.sort(rng.integers(0, n * n, size=arcs, dtype=np.int64))
+    tails, heads = rng.integers(0, n, size=(2, arcs), dtype=np.int64)
     if arcs:
-        keys[-1] = n * n - 1  # the largest head, 2**31 - 1 at the cap
-    want = (keys % n).tolist()
-    heads = graphs._reduce_to_heads(n, keys)
-    assert heads.dtype == np.int32 and heads.tolist() == want
+        tails[-1] = heads[-1] = n - 1  # the largest tail and head, 2**31 - 1 at the cap
+    want = heads[np.lexsort((heads, tails))].tolist()
+    keys = graphs._arc_keys(tails, heads)
+    keys.sort()
+    got = graphs._reduce_to_heads(keys)
+    assert got.dtype == np.int32 and got.tolist() == want
 
 
 @pytest.mark.parametrize(
     "build",
     [
         lambda n: Graph(n, []),
-        lambda n: Graph.from_sorted_arcs(n, np.array([1, n], dtype=np.int64), np.ones(2, int)),
+        # a tail of n - 1 = 2**31 would overflow its key's shift
+        lambda n: Graph._from_arcs(n, np.array([0, n - 1]), np.array([n - 1, 0])),
     ],
-    ids=["init", "from_sorted_arcs"],
+    ids=["init", "from_arcs"],
 )
 def test_vertex_cap_is_checked_before_allocation(build):
     # within the cap, the offsets alone of 2**31 + 1 vertices would take 17 GB
@@ -275,15 +278,3 @@ def test_vertex_cap_is_checked_before_allocation(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_from_sorted_arcs_rejects_keys_it_cannot_take_over():
-    g = Graph(3, [(0, 1), (1, 2)])
-    keys = np.array([1, 3, 5, 7], dtype=np.int64)  # 0-1, 1-0, 1-2, 2-1
-    degrees = np.array([1, 2, 1])
-    view = keys[:]
-    with pytest.raises(ValueError, match="own their buffer"):
-        Graph.from_sorted_arcs(3, view, degrees)
-    assert view.tolist() == [1, 3, 5, 7]
-    h = Graph.from_sorted_arcs(3, keys, degrees)
-    assert (list(h._off), list(h._flat)) == (list(g._off), list(g._flat))

@@ -37,7 +37,13 @@ from gen import (
     ring_of_cliques,
     two_cluster_graph,
 )
-from oracle import brute_min_cut_value, cut_value, reference_bfs_distances, reference_blocking_flow
+from oracle import (
+    brute_min_cut_value,
+    cut_value,
+    reference_bfs_distances,
+    reference_blocking_flow,
+    reference_max_flow,
+)
 
 # the modules; the package attributes of the same names are the re-exported functions
 local_flow_module = importlib.import_module("localcut.local_flow")
@@ -241,7 +247,7 @@ def test_local_flow_differential_exact_values(small_suite):
         ag = build(g, a, alpha, eps)
         res = local_flow(g, a, alpha, eps)
         assert res.exact, "phase budget must never bind on the small family"
-        ref, _ = global_max_flow(ag)
+        ref, _ = reference_max_flow(ag)
         assert res.flow.value == ref.value
 
 
@@ -252,7 +258,7 @@ def test_local_flow_differential_up_to_fifty_vertices():
         res = local_flow(g, a, alpha, eps)
         if not res.exact:
             continue
-        ref, _ = global_max_flow(build(g, a, alpha, eps))
+        ref, _ = reference_max_flow(build(g, a, alpha, eps))
         assert res.flow.value == ref.value
 
 
@@ -446,7 +452,7 @@ def test_solvers_agree_with_oracles(instance):
     ag = build(g, a, alpha, eps)
     approx = local_flow(g, a, alpha, eps)
     exact = local_flow_exact(g, a, alpha, eps)
-    ref, ref_cut = global_max_flow(ag)
+    ref, ref_cut = reference_max_flow(ag)
     _, brute = brute_min_cut_value(ag)
     # at most n - 1 phases on n <= 7 vertices, and the budget is at least 6
     assert approx.exact
@@ -500,7 +506,7 @@ def test_resumed_flow_matches_global_oracle(instance):
             with pytest.raises(InvariantViolation, match="is not a multiple of"):
                 solve(g, a, alpha_lo, eps, start=start)
         return
-    ref, ref_cut = global_max_flow(build(g, a, alpha_lo, eps))
+    ref, ref_cut = reference_max_flow(build(g, a, alpha_lo, eps))
     for solve in (local_flow, local_flow_exact):
         warm = solve(g, a, alpha_lo, eps, start=start)
         _assert_saturated_record(warm)
