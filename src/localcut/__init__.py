@@ -20,18 +20,17 @@ from .errors import (
     ParameterError,
 )
 from .exact_flow import local_flow_exact
-from .flow import FlowState, bfs_distances, blocking_flow, global_max_flow
+from .flow import FlowState, bfs_distances, blocking_flow
 from .graphio import load_graph, load_vertex_set
 from .graphs import Graph, VertexSet, boundary_edges, conductance
 from .improve import ImproveResult, local_improve, local_improve_overlap
 from .local_flow import local_flow
-from .seeding import ApprConfig, appr_push, sweep_cut
+from .seeding import appr_push, sweep_cut
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedGraph",
-    "ApprConfig",
     "FlowState",
     "Graph",
     "GraphFormatError",
@@ -50,7 +49,6 @@ __all__ = [
     "conductance",
     "decompose_paths",
     "epsilon_sigma",
-    "global_max_flow",
     "load_graph",
     "load_vertex_set",
     "local_flow",

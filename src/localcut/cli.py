@@ -23,7 +23,7 @@ from .graphio import load_graph, load_vertex_set, parse_rational, parse_unsigned
 from .graphs import conductance
 from .improve import local_improve_overlap
 from .local_flow import local_flow
-from .seeding import ApprConfig, appr_push, sweep_cut
+from .seeding import appr_push, sweep_cut
 
 # Not used here: the benchmark's span tracer (perfbench/spans.py) patches this name on this module.
 from .augmented import build  # noqa: F401
@@ -162,28 +162,25 @@ def _cmd_seed(args) -> int:
     if not seeds:
         raise ParameterError("no seed vertices given")
 
-    def option(name: str, parse):
-        text = getattr(args, name)
-        if text is None:
-            return None
-        try:
-            return parse(text)
-        except ValueError as exc:
-            raise ParameterError(f"bad {name} in --{name.replace('_', '-')}: {exc}") from None
-
     def real(text: str) -> float:
         return float(parse_rational(text))
 
-    # grammar only: appr_push checks the ranges against the graph
-    cfg = ApprConfig(
-        beta=option("beta", real),
-        r_max=option("r_max", real),
-        volume_cap=option("volume_cap", parse_unsigned),
-    )
+    # grammar only, for the options given: appr_push holds the defaults and
+    # checks the ranges against the graph
+    params = {}
+    for name, parse in (("beta", real), ("r_max", real), ("volume_cap", parse_unsigned)):
+        text = getattr(args, name)
+        if text is None:
+            continue
+        try:
+            params[name] = parse(text)
+        except ValueError as exc:
+            raise ParameterError(f"bad {name} in --{name.replace('_', '-')}: {exc}") from None
     g = load_graph(args.graph, args.format)
 
     def expand(v: int) -> dict:
-        out = sweep_cut(g, appr_push(g, v, cfg))
+        scores, _ = appr_push(g, v, **params)
+        out = sweep_cut(g, scores)
         return {"seed": v, "set": list(out.ids), "vol": out.volume, "phi": conductance(g, out)}
 
     results = [expand(v) for v in seeds]
@@ -258,9 +255,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--seed", required=True,
                         help="seed vertex id, or comma-separated ids")
     # read by _cmd_seed in the rational and vertex-id grammars
-    p_seed.add_argument("--beta", default="0.1")
-    p_seed.add_argument("--r-max")
-    p_seed.add_argument("--volume-cap")
+    p_seed.add_argument("--beta")
+    threshold = p_seed.add_mutually_exclusive_group()
+    threshold.add_argument("--r-max")
+    threshold.add_argument("--volume-cap")
     return parser
 
 

@@ -21,7 +21,8 @@ Grammar shared by all three readers (graph, METIS, seed set):
   its edge count, so the vertex count, and every array sized by it, stays
   proportional to the file. A METIS header's vertex count must equal its
   number of adjacency lines, which is checked before anything is sized
-  by it.
+  by it. Both formats refuse, with the line, a vertex count beyond the
+  ``2**31`` that :class:`~localcut.graphs.Graph` holds.
 
 The readers scan line-aligned blocks of about ``CHUNK_BYTES`` with numpy:
 blank and comment masks, token bounds, token counts per line and one
@@ -49,7 +50,7 @@ from typing import IO, Iterator, NamedTuple
 import numpy as np
 
 from .errors import GraphFormatError, InvariantViolation
-from .graphs import Graph, VertexSet
+from .graphs import _MAX_N, Graph, VertexSet
 
 __all__ = [
     "load_graph",
@@ -362,10 +363,11 @@ def load_edgelist(source: str | os.PathLike | IO[str]) -> Graph:
     del pairs
     top = np.maximum(edges[:, 0], edges[:, 1])
     n = int(top.max()) + 1
-    limit = MAX_IDS_PER_EDGE * m
+    limit = min(MAX_IDS_PER_EDGE * m, _MAX_N - 1)
     if n > limit + 1:
         i = int(np.argmax(top > limit))
-        message = f"vertex id {int(top[i])} exceeds {MAX_IDS_PER_EDGE} x {m} edges = {limit}"
+        bound = f"{MAX_IDS_PER_EDGE} x {m} edges =" if limit < _MAX_N - 1 else "the largest id"
+        message = f"vertex id {int(top[i])} exceeds {bound} {limit}"
         for uv, t, lineno in _edge_blocks(source):
             if i < len(uv):
                 raise GraphFormatError(message, lineno + t.line_of(2 * i))
@@ -391,7 +393,8 @@ def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
         skip = 0  # the header's tokens
         if header is None and len(body):
             h, body = int(body[0]), body[1:]
-            header = _metis_header(t.text(h), lineno + h)
+            header_line = lineno + h
+            header = _metis_header(t.text(h), header_line)
             n_cap = min(header[0], _TOO_LARGE)
             skip = t.tokens_before(h + 1)
         vertex = np.full(len(t.ends), -1, dtype=np.int64)
@@ -415,6 +418,8 @@ def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     n, m = header
     if rows != n:
         raise GraphFormatError(f"header declares {n} vertices but file has {rows} adjacency lines")
+    if n > _MAX_N:
+        raise GraphFormatError(f"header declares {n} vertices, more than {_MAX_N}", header_line)
     if first_bad is not None:
         at, text, u = first_bad
         _raise_line(_metis_line_error(text, u, n), at)

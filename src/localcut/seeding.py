@@ -11,68 +11,53 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graphs import Graph, VertexSet, best_prefix
 
-__all__ = ["ApprConfig", "appr_push", "sweep_cut"]
-
-
-@dataclass(frozen=True)
-class ApprConfig:
-    """Push parameters.
-
-    ``beta`` is the teleport probability; ``r_max`` the per-degree residual
-    threshold below which a vertex is never pushed. When ``r_max`` is
-    omitted it defaults to ``1 / (10 * volume_cap)``, and ``volume_cap``
-    defaults to half the graph volume.
-    """
-
-    beta: float = 0.1
-    r_max: float | None = None
-    volume_cap: int | None = None
-
-    def resolved_r_max(self, g: Graph) -> float:
-        if self.r_max is not None:
-            return self.r_max
-        cap = self.volume_cap if self.volume_cap is not None else max(1, g.m)
-        return 1 / (10 * cap)
+__all__ = ["appr_push", "sweep_cut"]
 
 
 def appr_push(
     g: Graph,
     seed_vertex: int,
-    cfg: ApprConfig | None = None,
     *,
-    return_residual: bool = False,
-) -> dict[int, float] | tuple[dict[int, float], dict[int, float]]:
+    beta: float = 0.1,
+    r_max: float | None = None,
+    volume_cap: int | None = None,
+) -> tuple[dict[int, float], dict[int, float]]:
     """Approximate personalized-PageRank vector from one seed vertex.
 
-    Runs lazy-walk pushes until every vertex satisfies
-    ``residual(u) < r_max * deg(u)``. Returns the sparse score vector;
-    when the tolerance is too coarse for any push to fire, the seed
-    indicator is returned instead so the vector always has support.
-    ``return_residual`` additionally exposes the exit residuals for
-    diagnostics.
+    Runs lazy-walk pushes with teleport probability ``beta`` until every
+    vertex has ``residual(u) < r_max * deg(u)``. Give ``r_max`` or
+    ``volume_cap``, not both: ``r_max`` defaults to ``1 / (10 * volume_cap)``
+    and ``volume_cap`` to ``m``. ``volume_cap`` sets only this threshold,
+    not the volume of the output. A push at ``u`` moves at least
+    ``beta * r_max * deg(u)`` of the unit mass into the scores, so the
+    pushed volume is at most ``1 / (beta * r_max)`` (Andersen, Chung, Lang).
+
+    Returns ``(scores, residual)``, the residual being the scores' error
+    term. If no push fires, the scores are the seed indicator.
 
     Raises:
         ParameterError: on a seed vertex out of range, ``beta`` outside
-            (0, 1), ``volume_cap`` below 1, or an ``r_max`` (given, or
-            resolved from ``volume_cap``) that is not finite and positive.
+            (0, 1), both thresholds given, ``volume_cap`` below 1, or an
+            ``r_max`` (given, or from ``volume_cap``) not finite and positive.
     """
-    cfg = cfg or ApprConfig()
     if not 0 <= seed_vertex < g.n:
         raise ParameterError(f"seed vertex {seed_vertex} out of range")
-    if not 0.0 < cfg.beta < 1.0:
-        raise ParameterError(f"beta must be in (0, 1), got {cfg.beta}")
-    if cfg.volume_cap is not None and cfg.volume_cap < 1:
-        raise ParameterError(f"volume_cap must be at least 1, got {cfg.volume_cap}")
-    r_max = cfg.resolved_r_max(g)
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    if r_max is not None and volume_cap is not None:
+        raise ParameterError("pass r_max or volume_cap, not both")
+    if volume_cap is not None and volume_cap < 1:
+        raise ParameterError(f"volume_cap must be at least 1, got {volume_cap}")
+    source = ""
+    if r_max is None:
+        source = f" (from volume_cap {volume_cap})"
+        r_max = 1 / (10 * (volume_cap if volume_cap is not None else max(1, g.m)))
     if not 0.0 < r_max < math.inf:
-        source = "" if cfg.r_max is not None else f" (from volume_cap {cfg.volume_cap})"
         raise ParameterError(f"r_max must be finite and positive, got {r_max}{source}")
-    beta = cfg.beta
     scores: dict[int, float] = {}
     residual: dict[int, float] = {seed_vertex: 1.0}
     queue: deque[int] = deque([seed_vertex])
@@ -99,9 +84,7 @@ def appr_push(
             queued.add(u)
     if not scores:
         scores = {seed_vertex: 1.0}
-    if return_residual:
-        return scores, residual
-    return scores
+    return scores, residual
 
 
 def sweep_cut(g: Graph, scores: dict[int, float]) -> VertexSet:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gen import FORGED_CERTIFICATE, barbell, ring_of_cliques
 import localcut
-from localcut import build, decompose_paths, epsilon_sigma, local_flow_exact
+from localcut import build, decompose_paths, epsilon_sigma, graphio, local_flow_exact
 from localcut.certify import write_certificate
 from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.graphio import load_graph, load_vertex_set, parse_rational, parse_unsigned
@@ -372,6 +372,20 @@ def test_seed_ids_may_carry_blanks(capsys, fixtures_dir):
     assert [json.loads(line)["seed"] for line in out.splitlines()] == [0, 4]
 
 
+@pytest.mark.parametrize(
+    "name, fmt, message",
+    [
+        ("barbell.edgelist", "edgelist", "line 6: vertex id 4 exceeds the largest id 3"),
+        ("barbell.metis", "metis", "line 1: header declares 10 vertices, more than 4"),
+    ],
+)
+def test_graph_over_the_vertex_cap_exits_2(capsys, monkeypatch, fixtures_dir, name, fmt, message):
+    """The loaders refuse the vertex count with its line, before a ``Graph`` is sized by it."""
+    monkeypatch.setattr(graphio, "_MAX_N", 4)
+    code, out, err = run(capsys, "stats", "--graph", str(fixtures_dir / name), "--format", fmt)
+    assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")
+
+
 def test_metis_input(capsys, fixtures_dir):
     code, out, _ = run(
         capsys,
@@ -580,9 +594,11 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
         (["seed", "--seed", "0", "--r-max", "1e999999999"], "error: bad r_max in --r-max: "),
         (["seed", "--seed", "0", "--volume-cap", "1_0"], "error: bad volume_cap in --volume-cap: "),
         (["seed", "--seed", "0,4x"], "error: bad seed vertex '4x' in --seed '0,4x'"),
+        (["seed", "--seed", "0", "--r-max", "1/1000", "--volume-cap", "1"],
+         "argument --volume-cap: not allowed with argument --r-max"),
     ],
     ids=["flow-no-sink", "certify-nothing", "certify-no-alpha", "certify-no-sink",
-         "seed-beta", "seed-r-max", "seed-volume-cap", "seed-id"],
+         "seed-beta", "seed-r-max", "seed-volume-cap", "seed-id", "seed-r-max-and-volume-cap"],
 )
 def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, argv, message):
     """With no graph file at all, an option error is still the one reported."""
@@ -624,9 +640,13 @@ def test_certify_check_opens_the_certificate_before_the_graph(capsys, tmp_path):
          "certificate line 5: malformed path line 'path 3'"),
         ("metis", "", "empty METIS file"),
         ("metis", "% no header\n  %\n", "empty METIS file"),
+        ("metis", "2 1\n-2\n1\n", "line 2: neighbor -2 out of range"),
         ("seed", ",", "no seed vertices given"),
+        ("seed", "99", "seed vertex 99 out of range"),
+        ("beta", "1", "beta must be in (0, 1), got 1.0"),
     ],
-    ids=["no-alpha-header", "one-vertex-path", "empty-metis", "comments-only-metis", "no-seed-ids"],
+    ids=["no-alpha-header", "one-vertex-path", "empty-metis", "comments-only-metis",
+         "negative-metis-neighbor", "no-seed-ids", "seed-out-of-range", "beta-1"],
 )
 def test_input_refusals_exit_2(capsys, fixtures_dir, tmp_path, kind, text, message):
     graph = ["--graph", str(fixtures_dir / "barbell.edgelist")]
@@ -639,6 +659,7 @@ def test_input_refusals_exit_2(capsys, fixtures_dir, tmp_path, kind, text, messa
         ],
         "metis": ["stats", "--graph", str(input_file), "--format", "metis"],
         "seed": ["seed", *graph, "--seed", text],
+        "beta": ["seed", *graph, "--seed", "0", "--beta", text],
     }[kind]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (EXIT_INPUT_ERROR, "", f"error: {message}\n")

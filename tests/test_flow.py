@@ -10,9 +10,8 @@ from localcut import (
     bfs_distances,
     blocking_flow,
     build,
-    global_max_flow,
 )
-from localcut.flow import check_label_monotone
+from localcut.flow import check_label_monotone, global_max_flow
 
 from gen import barbell, random_instance
 from oracle import brute_min_cut_value, cut_value, push

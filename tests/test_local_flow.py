@@ -19,13 +19,13 @@ from localcut import (
     build,
     conductance,
     decompose_paths,
-    global_max_flow,
     local_flow,
     local_flow_exact,
 )
 from localcut import flow as flow_module
 from localcut.augmented import least_scale, sink_factor_for_overlap
 from localcut.certify import validate_certificate, write_certificate
+from localcut.flow import global_max_flow
 from localcut.improve import local_improve, local_improve_overlap
 from localcut.local_flow import phase_budget, update_saturated_set
 

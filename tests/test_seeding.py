@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from localcut import (
-    ApprConfig,
     Graph,
     ParameterError,
     VertexSet,
@@ -19,9 +18,7 @@ from gen import asym_barbell, complete_graph, random_multigraph
 def test_two_vertex_closed_form():
     g = Graph(2, [(0, 1)])
     beta = 0.3
-    scores, residual = appr_push(
-        g, 0, ApprConfig(beta=beta, r_max=1e-8), return_residual=True
-    )
+    scores, residual = appr_push(g, 0, beta=beta, r_max=1e-8)
     # stationary push limit: p = beta + (1-beta)/2 at the seed
     exact = (beta + (1 - beta) / 2, (1 - beta) / 2)
     slack = sum(residual.values())
@@ -32,7 +29,7 @@ def test_two_vertex_closed_form():
 
 def test_coarse_tolerance_returns_indicator():
     g = complete_graph(5)
-    assert appr_push(g, 2, ApprConfig(r_max=1.5)) == {2: 1.0}
+    assert appr_push(g, 2, r_max=1.5)[0] == {2: 1.0}
 
 
 def test_residual_invariant_at_exit():
@@ -40,12 +37,17 @@ def test_residual_invariant_at_exit():
     for _ in range(20):
         g = random_multigraph(rng, rng.randint(3, 20), 30)
         seed = rng.randrange(g.n)
-        cfg = ApprConfig(beta=0.15, r_max=1 / (5 * g.total_volume))
-        scores, residual = appr_push(g, seed, cfg, return_residual=True)
-        r_max = cfg.resolved_r_max(g)
+        r_max = 1 / (5 * g.total_volume)
+        scores, residual = appr_push(g, seed, beta=0.15, r_max=r_max)
         for u, r in residual.items():
             if g.degree(u) > 0:
                 assert r < r_max * g.degree(u)
+
+
+def test_push_refuses_both_thresholds():
+    g = complete_graph(5)
+    with pytest.raises(ParameterError, match="^pass r_max or volume_cap, not both$"):
+        appr_push(g, 0, r_max=1e-3, volume_cap=1)
 
 
 def test_sweep_on_triangle_support():
@@ -88,8 +90,8 @@ def test_sweep_rejects_empty_support():
 def test_push_determinism():
     rng = random.Random(3)
     g = random_multigraph(rng, 30, 70)
-    a = appr_push(g, 7, ApprConfig())
-    b = appr_push(g, 7, ApprConfig())
+    a, _ = appr_push(g, 7)
+    b, _ = appr_push(g, 7)
     assert a == b
     assert sweep_cut(g, a).ids == sweep_cut(g, b).ids
 
@@ -101,6 +103,6 @@ def test_sweep_volume_stays_within_half():
         seed = rng.randrange(g.n)
         if g.degree(seed) == 0:
             continue
-        out = sweep_cut(g, appr_push(g, seed, ApprConfig()))
+        out = sweep_cut(g, appr_push(g, seed)[0])
         assert 0 < len(out)
         assert 2 * out.volume <= g.total_volume
