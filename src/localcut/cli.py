@@ -35,12 +35,23 @@ EXIT_NO_IMPROVEMENT = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _fraction(text: str) -> Fraction:
-    """Parse "p/q" or a decimal string exactly, within :func:`parse_rational`'s bounds."""
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _fraction(name: str, top: int | None = 1):
+    """Option type: "p/q" or a decimal, parsed exactly, in ``(0, top]``, or positive if no top.
+
+    An out-of-range value raises ParameterError, which argparse lets through to ``run_cli``.
+    """
+
+    def parse(text: str) -> Fraction:
+        try:
+            value = parse_rational(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if value <= 0 or top is not None and value > top:
+            interval = "positive" if top is None else f"in (0, {top}]"
+            raise ParameterError(f"{name} must be {interval}, got {value}")
+        return value
+
+    return parse
 
 
 # payloads hold Fractions, each written as an exact {"num": p, "den": q} pair
@@ -207,8 +218,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_sink_args(p: argparse.ArgumentParser, required: bool) -> None:
         sink = p.add_mutually_exclusive_group(required=required)
-        sink.add_argument("--sigma", type=_fraction, help="overlap parameter giving eps")
-        sink.add_argument("--eps-sigma", type=_fraction, help="sink factor eps itself")
+        sink.add_argument("--sigma", type=_fraction("sigma"), help="overlap parameter giving eps")
+        sink.add_argument("--eps-sigma", type=_fraction("eps-sigma", None),
+                          help="sink factor eps itself")
 
     p_stats = sub.add_parser("stats", help="graph and seed-set statistics")
     p_stats.set_defaults(run=_cmd_stats)
@@ -223,9 +235,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=_cmd_improve, solver=solver)
         add_graph_args(p)
-        p.add_argument("--sigma", type=_fraction, required=True,
+        p.add_argument("--sigma", type=_fraction("sigma"), required=True,
                        help="overlap parameter in (0, 1]")
-        p.add_argument("--eps", type=_fraction, default=Fraction(1, 5),
+        p.add_argument("--eps", type=_fraction("eps"), default=Fraction(1, 5),
                        help="stopping width of the search's fallback bisection (default 1/5)")
         p.add_argument("--instrument", action="store_true",
                        help="include locality counters in the output: the Dinic "
@@ -235,14 +247,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow = sub.add_parser("flow", help="single localized flow run at a fixed alpha")
     p_flow.set_defaults(run=_cmd_flow)
     add_graph_args(p_flow)
-    p_flow.add_argument("--alpha", type=_fraction, required=True)
+    p_flow.add_argument("--alpha", type=_fraction("alpha"), required=True)
     add_sink_args(p_flow, required=True)
     p_flow.add_argument("--solver", default="approx", choices=("approx", "exact"))
 
     p_cert = sub.add_parser("certify", help="write or validate a routing certificate")
     p_cert.set_defaults(run=_cmd_certify)
     add_graph_args(p_cert)
-    p_cert.add_argument("--alpha", type=_fraction)
+    p_cert.add_argument("--alpha", type=_fraction("alpha"))
     # required with --out and refused with --check, by _cmd_certify
     add_sink_args(p_cert, required=False)
     action = p_cert.add_mutually_exclusive_group(required=True)
@@ -267,8 +279,8 @@ _PARSER = _build_parser()
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch; returns the process exit code."""
-    args = _PARSER.parse_args(argv)
     try:
+        args = _PARSER.parse_args(argv)
         return args.run(args)
     except (LocalCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -33,7 +33,7 @@ flow records the arcs of every path it pushes on (``FlowState.pushed_arcs``),
 and each phase checks antisymmetry and conservation only along that record,
 then empties it. A solver checks every arc pair and every materialized
 vertex, with the source and sink totals, once per run, just before it
-returns.
+returns; the localized solvers leave their last phase to that check.
 """
 
 from __future__ import annotations
@@ -227,13 +227,15 @@ class FlowState:
         emptied), only what those pushes changed is checked: antisymmetry of
         the recorded arcs' pairs and conservation at their heads other than
         the source and the sink, which are every vertex inside a pushed
-        path. The record is then emptied. The solvers check each phase so
-        and make one full check before they return.
+        path. The record is then emptied, as is ``pushed_arcs`` by the full
+        check. The solvers check phases so and make one full check before
+        they return.
         """
         flow = self.arc_flow
         arcs_of = self.arcs_of
         ends = (self.ag.source_id, self.ag.sink_id)
         if pushed is None:
+            self.pushed_arcs.clear()
             broken = any(map(add, islice(flow, 0, None, 2), islice(flow, 1, None, 2)))
             inside = arcs_of.keys() - ends
         else:

@@ -6,14 +6,15 @@ their immediate frontier. The flow state's opened set is the seed plus
 the saturated set and the only record of either: a vertex joins the
 saturated set by being opened (:func:`update_saturated_set`).
 
-If a phase ever fails to augment, the flow is an exact maximum flow and
-the residual reachability is a minimum cut. If the phase budget runs out
-first, the best layer cut of the final residual distance labels is
-returned instead; its conductance is below twice the capacity parameter
-whenever the budget was the configured one. Either way the run returns
-one flat :class:`LocalFlowResult`: its ``cut``, ``exact`` (false for a
-layer cut) and the flow state, whose opened set is the saturated set's
-only copy.
+:func:`local_flow` always runs under :func:`phase_budget`, this module's
+sole statement of ``ceil((5/alpha) ln(3 vol(A)/sigma))``. If a phase ever
+fails to augment, the flow is an exact maximum flow and the residual
+reachability is a minimum cut. If the budget runs out first, the best
+layer cut of the final residual distance labels is returned instead; its
+conductance is below twice the capacity parameter. Either way the run
+returns one flat :class:`LocalFlowResult`: its ``cut``, ``exact`` (false
+for a layer cut) and the flow state, whose opened set is the saturated
+set's only copy.
 
 A run may resume the flow of an earlier run of the same instance at a
 higher alpha (``start=``). The improvement search resumes every probe
@@ -34,9 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from typing import Callable
 
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
 from .errors import InvariantViolation
@@ -85,8 +86,19 @@ def update_saturated_set(fs: FlowState) -> list[int]:
     return fresh
 
 
-def phase_budget(vol_a: int, sigma: Fraction) -> Callable[[Fraction], int]:
-    """``alpha -> ceil((5/alpha) * ln(3 vol(A) / sigma))``, computed exactly.
+@lru_cache(maxsize=256)
+def _scaled_log(top: int, bottom: int, digits: int) -> int:
+    """``10**digits * ln(top / bottom)`` to within 2 units; memoized, see :func:`phase_budget`."""
+    # ln r < bit_length(top), so the log's last significant digit sits two
+    # places below 10**-digits; rounding r moves its log by under a tenth of
+    # a unit, rounding the log by less, truncating by under one
+    ctx = Context(prec=digits + len(str(top.bit_length())) + 2)
+    ln = ctx.ln(ctx.divide(Decimal(top), Decimal(bottom)))
+    return int(ctx.scaleb(ln, digits))
+
+
+def phase_budget(vol_a: int, sigma: Fraction, alpha: Fraction) -> int:
+    """``ceil((5/alpha) * ln(3 vol(A) / sigma))``, computed exactly.
 
     For rational ``r != 1``, ``ln r`` is irrational, so the product is never
     an integer, and any two bounds on it with the same floor decide the
@@ -94,42 +106,24 @@ def phase_budget(vol_a: int, sigma: Fraction) -> Callable[[Fraction], int]:
     ln r`` to within 2; ``digits`` doubles until the bounds agree. A ratio
     of at most 1 (a seed of volume 0, which routes nothing) gets budget 0.
 
-    Only alpha varies between the probes of one improvement search, so the
-    returned function keeps the logarithm at each precision it has needed
-    and a search computes it once instead of once per probe.
+    The logarithm depends on ``vol(A)``, ``sigma`` and the precision only,
+    and :func:`_scaled_log` keeps it: a fresh one costs several times a
+    kept one, and the probes of one search, which differ only in alpha,
+    compute it once.
     """
-    sigma = Fraction(sigma)
-    top = 3 * vol_a * sigma.denominator
-    bottom = sigma.numerator
-    logs: dict[int, int] = {}
-
-    def log_ratio(digits: int) -> int:
-        mid = logs.get(digits)
-        if mid is None:
-            # ln r < bit_length(top), so the log's last significant digit sits
-            # two places below 10**-digits; rounding r moves its log by under a
-            # tenth of a unit, rounding the log by less, truncating by under one
-            ctx = Context(prec=digits + len(str(top.bit_length())) + 2)
-            ln = ctx.ln(ctx.divide(Decimal(top), Decimal(bottom)))
-            mid = logs[digits] = int(ctx.scaleb(ln, digits))
-        return mid
-
-    def budget(alpha: Fraction) -> int:
-        if top <= bottom:
-            return 0
-        alpha = Fraction(alpha)
-        num = 5 * alpha.denominator
-        den = alpha.numerator
-        digits = 12
-        while True:
-            mid = log_ratio(digits)
-            unit = den * 10**digits
-            lo = num * (mid - 2) // unit
-            if lo == num * (mid + 2) // unit:
-                return lo + 1
-            digits *= 2
-
-    return budget
+    sigma, alpha = Fraction(sigma), Fraction(alpha)
+    top, bottom = 3 * vol_a * sigma.denominator, sigma.numerator
+    if top <= bottom:
+        return 0
+    num, den = 5 * alpha.denominator, alpha.numerator
+    digits = 12
+    while True:
+        mid = _scaled_log(top, bottom, digits)
+        unit = den * 10**digits
+        lo = num * (mid - 2) // unit
+        if lo == num * (mid + 2) // unit:
+            return lo + 1
+        digits *= 2
 
 
 @dataclass
@@ -205,10 +199,9 @@ def local_flow(
     alpha: Fraction,
     eps: Fraction | None,
     *,
-    max_phases: int | None = None,
     start: LocalFlowResult | None = None,
 ) -> LocalFlowResult:
-    """Localized phase-capped Dinic on the augmented graph of ``(a, alpha, eps)``.
+    """Localized Dinic on the augmented graph of ``(a, alpha, eps)``, within the phase budget.
 
     Returns an exact maximum flow and minimum cut when a phase fails to
     augment within the budget; ``full_flow`` marks the case where the flow
@@ -216,17 +209,13 @@ def local_flow(
     approximate and ``cut`` is the best layer cut (smallest layer index
     among conductance minimizers).
 
-    ``max_phases`` is the phase budget, by default :func:`phase_budget`.
-    A smaller one, which tests use to force the approximate branch, voids
-    the layer-cut guarantee. ``start`` resumes from the flow of an earlier
-    run on the same instance at an alpha at least this one, whose scale
-    divides this run's (see :func:`_localized_dinic`); that run's result
-    is not modified.
+    ``start`` resumes from the flow of an earlier run on the same instance
+    at an alpha at least this one, whose scale divides this run's (see
+    :func:`_localized_dinic`); that run's result is not modified.
     """
     ag = build(g, a, alpha, eps)
-    if max_phases is None:
-        max_phases = phase_budget(a.volume, overlap_for_sink_factor(ag.eps))(ag.alpha)
-    return _localized_dinic(ag, max_phases, start)
+    budget = phase_budget(a.volume, overlap_for_sink_factor(ag.eps), ag.alpha)
+    return _localized_dinic(ag, budget, start)
 
 
 def _localized_dinic(
@@ -238,12 +227,13 @@ def _localized_dinic(
 
     Each phase labels the materialized residual graph, saturates its
     admissible arcs, and opens the vertices whose sink arcs filled. Every
-    phase checks layer containment, label monotonicity through the sink's
-    layer, sink-distance growth, and flow antisymmetry and conservation
-    along the paths it pushed on. Before returning, on either exit, the run
-    checks antisymmetry and conservation over its whole flow once, with the
-    source and sink totals, the inherited flow of a resumed run included.
-    The growth check also bounds an uncapped run: the sink distance would
+    labelling is checked for layer containment, label monotonicity through
+    the sink's layer and sink-distance growth, after, if another phase is
+    to follow, antisymmetry and conservation along the previous phase's
+    pushed paths. Before returning, on either exit, the run checks these
+    two over its whole flow once, with the source and sink totals, the
+    last phase and the inherited flow of a resumed run included. The
+    growth check also bounds an uncapped run: the sink distance would
     outgrow the materialized vertex count before the phases could.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
@@ -279,17 +269,19 @@ def _localized_dinic(
     prev: DistanceLabels | None = None
     labels = bfs_distances(fs)
     while True:
+        more = t in labels.dist and (budget is None or stats.phases < budget)
+        if more and prev is not None:
+            fs.check_conservation(fs.pushed_arcs)
         _check_layer_containment(fs, labels)
         if prev is not None:
             check_label_monotone(prev, labels, t)
-        if t not in labels.dist or (budget is not None and stats.phases >= budget):
+        if not more:
             break
         if not blocking_flow(fs, labels):
             raise InvariantViolation("reachable sink but blocking flow pushed nothing")
         labels.release()
         stats.phases += 1
         update_saturated_set(fs)
-        fs.check_conservation(fs.pushed_arcs)
         prev = labels
         labels = bfs_distances(fs)
     fs.check_conservation()

@@ -20,6 +20,10 @@ boundary; :func:`routing_check` verifies the flow first, through its
 certificate), and :func:`path_length_certificate` (a phase-capped flow routes
 along short paths). No search needs them; the tests check the engine's
 outputs against them.
+
+:func:`capped_flow` runs the approximate solver under a phase cap other
+than its own budget, which the library does not offer; tests use it to
+force layer cuts.
 """
 
 from __future__ import annotations
@@ -41,16 +45,18 @@ from localcut import (
     PathDecomposition,
     VertexSet,
     boundary_edges,
+    build,
     conductance,
     decompose_paths,
 )
 from localcut.certify import RoutingCheck, validate_certificate, write_certificate
-from localcut.local_flow import phase_budget
+from localcut.local_flow import LocalFlowResult, _localized_dinic, phase_budget
 
 __all__ = [
     "brute_min_conductance",
     "brute_min_cut_value",
     "brute_min_quotient",
+    "capped_flow",
     "cut_certificate_check",
     "cut_value",
     "edges",
@@ -408,8 +414,18 @@ def path_length_certificate(
     A flow assembled from at most ``I`` blocking-flow phases routes along
     paths of at most ``I + 2`` arcs (the source and sink arcs included).
     """
-    bound = phase_budget(vol_a, sigma)(alpha) + 2
+    bound = phase_budget(vol_a, sigma, alpha) + 2
     return all(len(path) + 1 <= bound for path in pd.paths)
+
+
+def capped_flow(
+    g: Graph, a: VertexSet, alpha: Fraction, eps: Fraction | None, phases: int
+) -> LocalFlowResult:
+    """``local_flow`` stopped after at most ``phases`` phases instead of its phase budget.
+
+    Below the budget the layer cut keeps no conductance guarantee.
+    """
+    return _localized_dinic(build(g, a, alpha, eps), phases, None)
 
 
 def push(fs: FlowState, a: int, amount: int) -> None:

@@ -37,6 +37,7 @@ from gen import (
 )
 from oracle import (
     brute_min_cut_value,
+    capped_flow,
     edges,
     eval_condition_41,
     path_length_certificate,
@@ -240,7 +241,7 @@ def test_criterion_07_forced_layer_cuts():
         full = local_flow(g, a, alpha, eps)
         if full.stats.phases < 2:
             continue
-        forced = local_flow(g, a, alpha, eps, max_phases=full.stats.phases - 1)
+        forced = capped_flow(g, a, alpha, eps, full.stats.phases - 1)
         if forced.exact:
             continue
         phi = conductance(g, forced.cut)

@@ -596,9 +596,23 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
         (["seed", "--seed", "0,4x"], "error: bad seed vertex '4x' in --seed '0,4x'"),
         (["seed", "--seed", "0", "--r-max", "1/1000", "--volume-cap", "1"],
          "argument --volume-cap: not allowed with argument --r-max"),
+        (["improve", "--sigma", "0"], "error: sigma must be in (0, 1], got 0"),
+        (["improve-exact", "--sigma", "3/2"], "error: sigma must be in (0, 1], got 3/2"),
+        (["flow", "--alpha", "1/2", "--sigma", "-1"], "error: sigma must be in (0, 1], got -1"),
+        (["flow", "--alpha", "0", "--sigma", "1/2"], "error: alpha must be in (0, 1], got 0"),
+        (["certify", "--alpha", "2", "--sigma", "1/2", "--out", "CERT"],
+         "error: alpha must be in (0, 1], got 2"),
+        (["improve", "--sigma", "1/2", "--eps", "0"], "error: eps must be in (0, 1], got 0"),
+        (["improve", "--sigma", "1/2", "--eps", "1.5"], "error: eps must be in (0, 1], got 3/2"),
+        (["flow", "--alpha", "1/2", "--eps-sigma", "0"],
+         "error: eps-sigma must be positive, got 0"),
+        (["certify", "--alpha", "1/2", "--eps-sigma", "-0.25", "--out", "CERT"],
+         "error: eps-sigma must be positive, got -1/4"),
     ],
     ids=["flow-no-sink", "certify-nothing", "certify-no-alpha", "certify-no-sink",
-         "seed-beta", "seed-r-max", "seed-volume-cap", "seed-id", "seed-r-max-and-volume-cap"],
+         "seed-beta", "seed-r-max", "seed-volume-cap", "seed-id", "seed-r-max-and-volume-cap",
+         "sigma-0", "sigma-above-1", "flow-sigma-negative", "alpha-0", "certify-alpha-above-1",
+         "eps-0", "eps-above-1", "eps-sigma-0", "certify-eps-sigma-negative"],
 )
 def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, argv, message):
     """With no graph file at all, an option error is still the one reported."""

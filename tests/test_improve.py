@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -30,19 +31,25 @@ from gen import (
 )
 from oracle import brute_min_quotient, cut_certificate_check, routing_check
 
+# the module; the package attribute of the same name is the re-exported function
+local_flow_module = importlib.import_module("localcut.local_flow")
 
-def _spy_probes(monkeypatch, solver, max_phases=None):
+
+def _spy_probes(monkeypatch, solver, starve=None):
     """Record ``(alpha, result)`` of every probe the search makes.
 
-    ``max_phases`` maps the search's phase budget to the one actually run,
-    which lets a test starve the approximate solver into layer cuts.
+    ``starve`` maps the approximate solver's phase budget to the one
+    actually run, which lets a test starve it into layer cuts.
     """
+    if starve is not None:
+        real_budget = local_flow_module.phase_budget
+        monkeypatch.setattr(
+            local_flow_module, "phase_budget", lambda *args: starve(real_budget(*args))
+        )
     cold = local_flow if solver == "approx" else local_flow_exact
     probes = []
 
     def spy(g, a, alpha, eps, **kwargs):
-        if max_phases is not None:
-            kwargs["max_phases"] = max_phases(kwargs["max_phases"])
         res = cold(g, a, alpha, eps, **kwargs)
         probes.append((alpha, res))
         return res
@@ -122,7 +129,7 @@ def test_each_cut_found_counts_its_boundary_once(small_suite, solver, monkeypatc
 
 def test_search_rule_with_starved_layer_cuts(small_suite, monkeypatch):
     """Budget-starved layer cuts that fail to lower the quotient make the search bisect."""
-    probes = _spy_probes(monkeypatch, "approx", max_phases=lambda budget: budget // 8)
+    probes = _spy_probes(monkeypatch, "approx", starve=lambda budget: budget // 8)
     midpoints = 0
     for g, a, _, eps in small_suite[:200]:
         probes.clear()
@@ -164,6 +171,16 @@ def test_improve_parameter_validation():
         local_improve(g, a, Fraction(1, 3), solver="bogus")
     with pytest.raises(ParameterError, match="at least"):
         local_improve_overlap(g, a, Fraction(1, 100))
+    # refused by the first probe's augmented-graph build, with its message
+    for seed, eps_sigma, message in [
+        ([], Fraction(1, 3), "seed set must be nonempty"),
+        (range(6), Fraction(1, 3), "seed volume 26 exceeds half the total volume 50"),
+        ([0, 1, 2], Fraction(0), "eps must be positive, got 0"),
+        ([0, 1, 2], Fraction(-1, 2), "eps must be positive, got -1/2"),
+    ]:
+        for solver in ("approx", "exact"):
+            with pytest.raises(ParameterError, match=message):
+                local_improve(g, VertexSet(g, seed), eps_sigma, solver=solver)
 
 
 def test_exact_solver_never_worse_than_approx_bound():

@@ -23,7 +23,7 @@ from localcut import (
     local_flow_exact,
 )
 from localcut import flow as flow_module
-from localcut.augmented import least_scale, sink_factor_for_overlap
+from localcut.augmented import least_scale, overlap_for_sink_factor, sink_factor_for_overlap
 from localcut.certify import validate_certificate, write_certificate
 from localcut.flow import global_max_flow
 from localcut.improve import local_improve, local_improve_overlap
@@ -39,6 +39,7 @@ from gen import (
 )
 from oracle import (
     brute_min_cut_value,
+    capped_flow,
     cut_value,
     reference_bfs_distances,
     reference_blocking_flow,
@@ -51,24 +52,23 @@ improve_module = importlib.import_module("localcut.improve")
 
 
 def test_iteration_bound_examples():
-    assert phase_budget(7, Fraction(1, 2))(Fraction(1, 2)) == 38
-    assert phase_budget(1, Fraction(1))(Fraction(1)) == 6
-    assert phase_budget(0, Fraction(1, 2))(Fraction(1)) == 0  # nothing to route
+    assert phase_budget(7, Fraction(1, 2), Fraction(1, 2)) == 38
+    assert phase_budget(1, Fraction(1), Fraction(1)) == 6
+    assert phase_budget(0, Fraction(1, 2), Fraction(1)) == 0  # nothing to route
     # doubling vol(A) adds at most ceil(5 ln 2 / alpha)
     for alpha in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
         for vol in (3, 10, 77):
-            delta = phase_budget(2 * vol, Fraction(1, 2))(alpha) - phase_budget(
-                vol, Fraction(1, 2)
-            )(alpha)
+            delta = phase_budget(2 * vol, Fraction(1, 2), alpha) - phase_budget(
+                vol, Fraction(1, 2), alpha
+            )
             assert delta <= math.ceil(5 * math.log(2) / alpha)
 
 
 def test_iteration_bound_matches_decimal_reference():
     """Exact ceilings against 60-digit logarithms over the whole grid.
 
-    Both uses must agree with the reference: a fresh ``phase_budget`` per
-    alpha, as ``local_flow``'s default budget calls it, and one reused
-    across a search's alphas, as a binary search uses it.
+    The first alpha of each ``(vol, sigma)`` computes the logarithm and the
+    others read it from the memo, as the probes of one search do.
     """
     alphas = [Fraction(1, 2**k) for k in range(7)] + [Fraction(3, 8), Fraction(11, 64)]
     for sigma in (Fraction(1, 2), Fraction(2, 3), Fraction(3, 4), Fraction(1)):
@@ -84,21 +84,15 @@ def test_iteration_bound_matches_decimal_reference():
                     )
                     for alpha in alphas
                 ]
-            budget = phase_budget(vol, sigma)
-            assert [budget(alpha) for alpha in alphas] == expected, (vol, sigma)
-            assert [phase_budget(vol, sigma)(alpha) for alpha in alphas] == expected, (
-                vol,
-                sigma,
-            )
-
+            assert [phase_budget(vol, sigma, alpha) for alpha in alphas] == expected, (vol, sigma)
 
 
 def test_phase_budget_doubles_its_precision_for_small_alphas(monkeypatch):
     """Small alphas need more logarithm digits than the first 12.
 
-    1/10**11 and 7/10**13 need one doubling and 1/10**23 two. Fresh and
-    reused budgets must both agree with a 120-digit reference, and a reused
-    one computes each precision's logarithm once.
+    1/10**11 and 7/10**13 need one doubling and 1/10**23 two. Budgets from
+    a cleared memo and from a warm one must both agree with a 120-digit
+    reference, and the memo computes each precision's logarithm once.
     """
     precisions = []
     context = local_flow_module.Context
@@ -123,15 +117,88 @@ def test_phase_budget_doubles_its_precision_for_small_alphas(monkeypatch):
                     for alpha in logs_needed
                 }
             for alpha, logs in logs_needed.items():
+                local_flow_module._scaled_log.cache_clear()
                 precisions.clear()
-                assert phase_budget(vol, sigma)(alpha) == expected[alpha], (vol, sigma, alpha)
+                assert phase_budget(vol, sigma, alpha) == expected[alpha], (vol, sigma, alpha)
                 assert len(precisions) == logs, (vol, sigma, alpha)
+            local_flow_module._scaled_log.cache_clear()
             precisions.clear()
-            budget = phase_budget(vol, sigma)
-            assert {alpha: budget(alpha) for alpha in logs_needed} == expected, (vol, sigma)
+            got = {alpha: phase_budget(vol, sigma, alpha) for alpha in logs_needed}
+            assert got == expected, (vol, sigma)
             assert len(precisions) == 3, (vol, sigma)
             if (vol, sigma) == (2000, Fraction(2, 3)):
                 assert precisions == [16, 28, 52]
+
+
+def _spy_budget(mp: pytest.MonkeyPatch, phases=None) -> list[tuple]:
+    """Record the arguments of every ``phase_budget`` call the solvers make.
+
+    With ``phases``, every call returns it instead of the real budget.
+    """
+    real = local_flow_module.phase_budget
+    calls: list[tuple] = []
+
+    def budget(*args):
+        calls.append(args)
+        return real(*args) if phases is None else phases
+
+    mp.setattr(local_flow_module, "phase_budget", budget)
+    return calls
+
+
+def test_only_the_approximate_solver_asks_for_the_budget(small_suite):
+    """``local_flow`` asks once per run, with ``(vol(A), sigma, alpha)``; the exact solver never.
+
+    A search asks once per approximate probe, since each probe is one run.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_budget(mp)
+        for g, a, alpha, eps in small_suite[:100]:
+            calls.clear()
+            local_flow(g, a, alpha, eps)
+            assert calls == [(a.volume, overlap_for_sink_factor(eps), alpha)]
+            local_flow_exact(g, a, alpha, eps)
+            local_improve(g, a, eps, solver="exact")
+            assert len(calls) == 1
+            calls.clear()
+            res = local_improve(g, a, eps)
+            assert [call[2] for call in calls] == [alpha for alpha, _ in res.alpha_trace]
+
+
+def test_the_budget_caps_the_run(small_suite):
+    """A budget of ``k`` stops the run after ``k`` phases, as :func:`capped_flow` does."""
+    capped = 0
+    for g, a, alpha, eps in small_suite[:200]:
+        full = local_flow(g, a, alpha, eps).stats.phases
+        for k in (0, 1, 2):
+            with pytest.MonkeyPatch.context() as mp:
+                _spy_budget(mp, k)
+                res = local_flow(g, a, alpha, eps)
+            assert res.stats.phases == min(k, full)
+            assert res.exact == (k >= full)
+            ref = capped_flow(g, a, alpha, eps, k)
+            assert (res.cut, res.value, res.exact) == (ref.cut, ref.value, ref.exact)
+            capped += k < full
+    assert capped > 200
+
+
+def test_a_search_computes_each_logarithm_once(monkeypatch):
+    """From a cleared memo, a whole search makes one Decimal context per precision it needs."""
+    precisions = []
+    context = local_flow_module.Context
+
+    def recording_context(prec):
+        precisions.append(prec)
+        return context(prec=prec)
+
+    monkeypatch.setattr(local_flow_module, "Context", recording_context)
+    rng = random.Random(5150)
+    g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
+    a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
+    local_flow_module._scaled_log.cache_clear()
+    res = local_improve_overlap(g, a, Fraction(2, 3))
+    assert len(res.alpha_trace) >= 3
+    assert precisions and len(precisions) == len(set(precisions)) < len(res.alpha_trace)
 
 def test_local_matches_global_blocking_flow(small_suite):
     """Phase-by-phase: the lazily materialized run equals the full-graph run."""
@@ -205,7 +272,7 @@ def test_saturated_record_matches_opened_set(small_suite):
 
     for g, a, alpha, eps in small_suite:
         _assert_saturated_record(local_flow(g, a, alpha, eps))
-        _assert_saturated_record(local_flow(g, a, alpha, eps, max_phases=1))
+        _assert_saturated_record(capped_flow(g, a, alpha, eps, 1))
         _assert_saturated_record(local_flow_exact(g, a, alpha, eps))
     rng = random.Random(5150)
     g, b = two_cluster_graph(rng, 50, 62, 0.3, 3)
@@ -400,7 +467,7 @@ def test_forced_early_stop_returns_layer_cut(small_suite):
     alpha, eps = Fraction(1, 4), Fraction(1, 10)
     full = local_flow(g, a, alpha, eps)
     assert full.exact
-    res = local_flow(g, a, alpha, eps, max_phases=full.stats.phases - 1)
+    res = capped_flow(g, a, alpha, eps, full.stats.phases - 1)
     assert not res.exact and not res.full_flow
     assert set(res.cut) <= res.flow.opened
     dist = bfs_distances(res.flow).dist
@@ -410,8 +477,8 @@ def test_forced_early_stop_returns_layer_cut(small_suite):
     assert set(res.cut) == {v for v, d in dist.items() if v < g.n and 1 <= d <= top}
     layer_cuts = 0
     for g, a, alpha, eps in small_suite:
-        for max_phases in (0, 1, 2, 3):
-            res = local_flow(g, a, alpha, eps, max_phases=max_phases)
+        for phases in (0, 1, 2, 3):
+            res = capped_flow(g, a, alpha, eps, phases)
             if not res.exact:
                 assert res.cut == _reference_layer_cut(res.flow)
                 layer_cuts += 1
@@ -704,8 +771,10 @@ def test_push_record_is_empty_after_every_phase(small_suite):
     """Each phase's check empties the push record, so it never outgrows one phase.
 
     Every blocking flow that pushes leaves its paths in the record; the
-    record is empty again when the next BFS starts and when the run
-    returns, for the localized solvers and the global one.
+    record is empty again when the next blocking flow starts and when the
+    run returns, for the localized solvers and the global one. The global
+    solver checks a phase before its next BFS; the localized ones check
+    after it, once it shows that another phase follows.
     """
     filled = 0
 
@@ -728,8 +797,8 @@ def test_push_record_is_empty_after_every_phase(small_suite):
         return blocking
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow_module, "bfs_distances", spy_bfs(flow_module.bfs_distances))
         for module in (local_flow_module, flow_module):
-            mp.setattr(module, "bfs_distances", spy_bfs(module.bfs_distances))
             mp.setattr(module, "blocking_flow", spy_blocking(module.blocking_flow))
         for g, a, alpha, eps in small_suite[:100]:
             for res in (
@@ -874,9 +943,17 @@ def test_broken_antisymmetry_on_a_pushed_pair_is_caught_in_its_phase(solve, modu
 
 @_SOLVERS
 def test_corrupted_arc_far_from_the_pushes_is_caught_before_the_run_returns(solve, module):
-    """Both phase checks pass over the corruption; the run's full check catches it."""
+    """The phase checks pass over the corruption; the run's full check catches it.
+
+    The global solver checks both phases' records. The localized solvers
+    check only the first, which a second phase follows, and leave the last
+    to the full check.
+    """
     checks, error = _run_corrupted(solve, module, lambda fs: _shift(fs, _edge(fs, 0, 1)))
-    assert checks == ["phase", "phase", "full"]
+    if module is flow_module:
+        assert checks == ["phase", "phase", "full"]
+    else:
+        assert checks == ["phase", "full"]
     assert error in (
         "conservation violated at vertex 0: 1",
         "conservation violated at vertex 1: -1",
