@@ -35,8 +35,8 @@ EXIT_NO_IMPROVEMENT = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _fraction(name: str, top: int | None = 1):
-    """Option type: "p/q" or a decimal, parsed exactly, in ``(0, top]``, or positive if no top.
+def _fraction(name: str):
+    """Option type: "p/q" or a decimal, parsed exactly, in ``(0, 1]``.
 
     An out-of-range value raises ParameterError, which argparse lets through to ``run_cli``.
     """
@@ -46,9 +46,8 @@ def _fraction(name: str, top: int | None = 1):
             value = parse_rational(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if value <= 0 or top is not None and value > top:
-            interval = "positive" if top is None else f"in (0, {top}]"
-            raise ParameterError(f"{name} must be {interval}, got {value}")
+        if not 0 < value <= 1:
+            raise ParameterError(f"{name} must be in (0, 1], got {value}")
         return value
 
     return parse
@@ -56,10 +55,6 @@ def _fraction(name: str, top: int | None = 1):
 
 # payloads hold Fractions, each written as an exact {"num": p, "den": q} pair
 _to_json = json.JSONEncoder(default=lambda x: {"num": x.numerator, "den": x.denominator}).encode
-
-
-def _resolve_eps(args, g, a):
-    return args.eps_sigma if args.eps_sigma is not None else epsilon_sigma(args.sigma, g, a)
 
 
 def _cmd_stats(args) -> int:
@@ -102,7 +97,7 @@ def _cmd_improve(args) -> int:
 def _cmd_flow(args) -> int:
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
-    eps = _resolve_eps(args, g, a)
+    eps = epsilon_sigma(args.sigma, g, a)
     run = local_flow if args.solver == "approx" else local_flow_exact
     res = run(g, a, args.alpha, eps)
     payload = {
@@ -121,10 +116,10 @@ def _cmd_flow(args) -> int:
 
 def _cmd_certify(args) -> int:
     if args.check is not None:
-        for option in ("alpha", "sigma", "eps_sigma"):
+        for option in ("alpha", "sigma"):
             if getattr(args, option) is not None:
                 raise ParameterError(
-                    f"--{option.replace('_', '-')} is not allowed with --check: "
+                    f"--{option} is not allowed with --check: "
                     "the certificate states its own alpha and eps-sigma"
                 )
         # opened first, so a bad path costs no parse; an undecodable byte is
@@ -141,16 +136,16 @@ def _cmd_certify(args) -> int:
         return EXIT_INPUT_ERROR
     if args.alpha is None:
         raise ParameterError("writing a certificate needs --alpha")
-    if args.sigma is None and args.eps_sigma is None:
-        raise ParameterError("pass --sigma or --eps-sigma")
+    if args.sigma is None:
+        raise ParameterError("writing a certificate needs --sigma")
     # --out opens last: opened first, a failed run would truncate an old file
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
-    eps = _resolve_eps(args, g, a)
+    eps = epsilon_sigma(args.sigma, g, a)
     res = local_flow_exact(g, a, args.alpha, eps)
     if not res.full_flow:
-        # name the min cut by its value, the max flow's: the cut may be all
-        # of V, which has no conductance
+        # name the min cut by its value, the max flow's; a cut below vol(A)
+        # is never all of V, whose sink arcs carry eps * vol(V - A) >= vol(A)
         raise NotACertificateError(
             f"no full-value flow at alpha={args.alpha}: the minimum cut has value "
             f"{res.value} < vol(A) = {a.volume}; certificates exist only when "
@@ -173,13 +168,11 @@ def _cmd_seed(args) -> int:
     if not seeds:
         raise ParameterError("no seed vertices given")
 
-    def real(text: str) -> float:
-        return float(parse_rational(text))
-
     # grammar only, for the options given: appr_push holds the defaults and
     # checks the ranges against the graph
     params = {}
-    for name, parse in (("beta", real), ("r_max", real), ("volume_cap", parse_unsigned)):
+    grammars = (("beta", lambda text: float(parse_rational(text))), ("volume_cap", parse_unsigned))
+    for name, parse in grammars:
         text = getattr(args, name)
         if text is None:
             continue
@@ -216,11 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if seed_set:
             p.add_argument("--seed-set", required=True, help="path to the seed vertex file")
 
-    def add_sink_args(p: argparse.ArgumentParser, required: bool) -> None:
-        sink = p.add_mutually_exclusive_group(required=required)
-        sink.add_argument("--sigma", type=_fraction("sigma"), help="overlap parameter giving eps")
-        sink.add_argument("--eps-sigma", type=_fraction("eps-sigma", None),
-                          help="sink factor eps itself")
+    # every sink factor comes from sigma, through epsilon_sigma
+    sigma = {"type": _fraction("sigma"), "help": "overlap parameter in (0, 1]"}
 
     p_stats = sub.add_parser("stats", help="graph and seed-set statistics")
     p_stats.set_defaults(run=_cmd_stats)
@@ -235,8 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=_cmd_improve, solver=solver)
         add_graph_args(p)
-        p.add_argument("--sigma", type=_fraction("sigma"), required=True,
-                       help="overlap parameter in (0, 1]")
+        p.add_argument("--sigma", required=True, **sigma)
         p.add_argument("--eps", type=_fraction("eps"), default=Fraction(1, 5),
                        help="stopping width of the search's fallback bisection (default 1/5)")
         p.add_argument("--instrument", action="store_true",
@@ -248,15 +237,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.set_defaults(run=_cmd_flow)
     add_graph_args(p_flow)
     p_flow.add_argument("--alpha", type=_fraction("alpha"), required=True)
-    add_sink_args(p_flow, required=True)
+    p_flow.add_argument("--sigma", required=True, **sigma)
     p_flow.add_argument("--solver", default="approx", choices=("approx", "exact"))
 
     p_cert = sub.add_parser("certify", help="write or validate a routing certificate")
     p_cert.set_defaults(run=_cmd_certify)
     add_graph_args(p_cert)
+    # both required with --out and refused with --check, by _cmd_certify
     p_cert.add_argument("--alpha", type=_fraction("alpha"))
-    # required with --out and refused with --check, by _cmd_certify
-    add_sink_args(p_cert, required=False)
+    p_cert.add_argument("--sigma", **sigma)
     action = p_cert.add_mutually_exclusive_group(required=True)
     action.add_argument("--out", help="write a certificate to this path")
     action.add_argument("--check", help="validate the certificate at this path")
@@ -267,10 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--seed", required=True,
                         help="seed vertex id, or comma-separated ids")
     # read by _cmd_seed in the rational and vertex-id grammars
-    p_seed.add_argument("--beta")
-    threshold = p_seed.add_mutually_exclusive_group()
-    threshold.add_argument("--r-max")
-    threshold.add_argument("--volume-cap")
+    p_seed.add_argument("--beta", help="teleport probability in (0, 1) (default 1/10)")
+    p_seed.add_argument("--volume-cap", help="sets only the push threshold "
+                        "1/(10 * volume_cap), not the output's volume (default m)")
     return parser
 
 
@@ -278,10 +266,12 @@ _PARSER = _build_parser()
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments and dispatch; return the exit code, argparse's 2 and ``--help``'s 0 too."""
     try:
         args = _PARSER.parse_args(argv)
         return args.run(args)
+    except SystemExit as exc:  # only argparse exits: a usage error or --help
+        return exc.code
     except (LocalCutError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

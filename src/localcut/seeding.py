@@ -9,7 +9,6 @@ guarantees belong to the improvement stage.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
 from .errors import ParameterError
@@ -23,41 +22,37 @@ def appr_push(
     seed_vertex: int,
     *,
     beta: float = 0.1,
-    r_max: float | None = None,
     volume_cap: int | None = None,
 ) -> tuple[dict[int, float], dict[int, float]]:
     """Approximate personalized-PageRank vector from one seed vertex.
 
     Runs lazy-walk pushes with teleport probability ``beta`` until every
-    vertex has ``residual(u) < r_max * deg(u)``. Give ``r_max`` or
-    ``volume_cap``, not both: ``r_max`` defaults to ``1 / (10 * volume_cap)``
-    and ``volume_cap`` to ``m``. ``volume_cap`` sets only this threshold,
-    not the volume of the output. A push at ``u`` moves at least
-    ``beta * r_max * deg(u)`` of the unit mass into the scores, so the
-    pushed volume is at most ``1 / (beta * r_max)`` (Andersen, Chung, Lang).
+    vertex has ``residual(u) < r_max * deg(u)``, at the threshold
+    ``r_max = 1 / (10 * volume_cap)``; ``volume_cap`` defaults to ``m``.
+    ``volume_cap`` sets only this threshold, not the volume of the output.
+    A push at ``u`` moves at least ``beta * r_max * deg(u)`` of the unit
+    mass into the scores, so the pushed volume is at most
+    ``1 / (beta * r_max)`` (Andersen, Chung, Lang).
 
     Returns ``(scores, residual)``, the residual being the scores' error
     term. If no push fires, the scores are the seed indicator.
 
     Raises:
         ParameterError: on a seed vertex out of range, ``beta`` outside
-            (0, 1), both thresholds given, ``volume_cap`` below 1, or an
-            ``r_max`` (given, or from ``volume_cap``) not finite and positive.
+            (0, 1), ``volume_cap`` below 1, or a ``volume_cap`` so large
+            that its threshold underflows to 0.
     """
     if not 0 <= seed_vertex < g.n:
         raise ParameterError(f"seed vertex {seed_vertex} out of range")
     if not 0.0 < beta < 1.0:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
-    if r_max is not None and volume_cap is not None:
-        raise ParameterError("pass r_max or volume_cap, not both")
-    if volume_cap is not None and volume_cap < 1:
+    if volume_cap is None:
+        volume_cap = max(1, g.m)
+    elif volume_cap < 1:
         raise ParameterError(f"volume_cap must be at least 1, got {volume_cap}")
-    source = ""
-    if r_max is None:
-        source = f" (from volume_cap {volume_cap})"
-        r_max = 1 / (10 * (volume_cap if volume_cap is not None else max(1, g.m)))
-    if not 0.0 < r_max < math.inf:
-        raise ParameterError(f"r_max must be finite and positive, got {r_max}{source}")
+    r_max = 1 / (10 * volume_cap)
+    if not r_max > 0.0:
+        raise ParameterError("volume_cap is too large: its threshold 1/(10 * volume_cap) is 0")
     scores: dict[int, float] = {}
     residual: dict[int, float] = {seed_vertex: 1.0}
     queue: deque[int] = deque([seed_vertex])

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from gen import FORGED_CERTIFICATE, barbell, ring_of_cliques
 import localcut
 from localcut import build, decompose_paths, epsilon_sigma, graphio, local_flow_exact
 from localcut.certify import write_certificate
-from localcut.cli import EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
+from localcut.cli import _PARSER, EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.graphio import load_graph, load_vertex_set, parse_rational, parse_unsigned
 from oracle import edges
 
@@ -169,6 +171,11 @@ def test_stats_omits_phi_a_when_undefined(capsys, tmp_path, seed, vol_a):
 
 @pytest.mark.parametrize("solver", ["approx", "exact"])
 def test_flow_cut_of_full_volume_has_no_phi(capsys, tmp_path, solver):
+    """``flow`` omits ``phi`` for a cut of volume 0 or ``vol(V)``.
+
+    A sink factor from ``--sigma`` makes the sink arcs alone worth at least
+    ``vol(A)``, so a cut of all of V is unreachable; a full flow's empty cut is.
+    """
     graph_file, seed_file = _isolated_vertex_graph(tmp_path, "0")
     code, out, _ = run(
         capsys,
@@ -176,12 +183,13 @@ def test_flow_cut_of_full_volume_has_no_phi(capsys, tmp_path, solver):
         "--graph", graph_file,
         "--seed-set", seed_file,
         "--alpha", "1",
-        "--eps-sigma", "1/100",
+        "--sigma", "1",
         "--solver", solver,
     )
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["cut"] == [0, 1, 3]  # every vertex of positive degree
+    assert payload["full_flow"] is True
+    assert payload["cut"] == []
     assert "phi" not in payload
 
 
@@ -238,15 +246,7 @@ def test_certify_out_equals_the_certificate_of_a_fresh_build(capsys, fixtures_di
     assert cert_file.read_text(encoding="utf-8") == text.getvalue()
 
 
-@pytest.mark.parametrize(
-    "alpha, sink",
-    [
-        ("1/2", ["--sigma", "1/2"]),
-        # the minimum cut is all of V, a set with no conductance
-        ("1/20", ["--eps-sigma", "1/100"]),
-    ],
-    ids=["proper-cut", "cut-is-all-of-V"],
-)
+@pytest.mark.parametrize("alpha, sink", [("1/2", ["--sigma", "1/2"])], ids=["proper-cut"])
 def test_certify_refuses_when_cut_exists(capsys, fixtures_dir, tmp_path, alpha, sink):
     code, _, err = run(
         capsys,
@@ -296,10 +296,6 @@ def test_seed_multiple_jobs(capsys, fixtures_dir):
         ("--volume-cap", "0", "volume_cap"),
         ("--volume-cap", "-3", "volume_cap"),
         ("--volume-cap", "1" + "0" * 400, "volume_cap"),
-        ("--r-max", "nan", "r_max"),
-        ("--r-max", "inf", "r_max"),
-        ("--r-max", "0", "r_max"),
-        ("--r-max", "-1", "r_max"),
         ("--beta", "nan", "beta"),
         ("--beta", "inf", "beta"),
     ],
@@ -321,7 +317,6 @@ def test_seed_bad_parameter_exits_2(capsys, fixtures_dir, option, value, named):
     [
         ("--volume-cap", "1_0"), ("--volume-cap", "+10"), ("--volume-cap", "\u0661\u0660"),
         ("--volume-cap", "10.0"), ("--beta", "0.1_0"), ("--beta", "\u0660.1"),
-        ("--r-max", "0.00_1"), ("--r-max", "1e999999999"),
     ],
 )
 def test_seed_options_follow_the_number_grammar(capsys, fixtures_dir, option, value):
@@ -532,19 +527,16 @@ def test_certify_refuses_out_with_check(capsys, tmp_path):
     cert_file = tmp_path / "cert.txt"
     run(capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2", "--out", str(cert_file))
     out_file = tmp_path / "out.txt"
-    with pytest.raises(SystemExit) as exc:
-        run_cli([
-            "certify", *common, "--alpha", "1/64", "--sigma", "1/2",
-            "--check", str(cert_file), "--out", str(out_file),
-        ])
-    assert exc.value.code == EXIT_INPUT_ERROR
-    assert "not allowed with argument" in capsys.readouterr().err
+    code, _, err = run(
+        capsys, "certify", *common, "--alpha", "1/64", "--sigma", "1/2",
+        "--check", str(cert_file), "--out", str(out_file),
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert "not allowed with argument" in err
     assert not out_file.exists()
 
 
-@pytest.mark.parametrize(
-    "option, value", [("--alpha", "1"), ("--sigma", "1/2"), ("--eps-sigma", "1/1000")]
-)
+@pytest.mark.parametrize("option, value", [("--alpha", "1"), ("--sigma", "1/2")])
 def test_certify_check_refuses_parameters_it_would_ignore(capsys, tmp_path, option, value):
     """The certificate states its own alpha and sink factor, so ``--check`` takes neither."""
     common = write_ring_files(tmp_path)
@@ -553,21 +545,6 @@ def test_certify_check_refuses_parameters_it_would_ignore(capsys, tmp_path, opti
     code, out, err = run(capsys, "certify", *common, "--check", str(cert_file), option, value)
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert err.startswith(f"error: {option} is not allowed with --check")
-
-
-@pytest.mark.parametrize("command", ["flow", "certify"])
-def test_sigma_and_eps_sigma_are_exclusive(capsys, tmp_path, command):
-    """Neither sink option silently overrides the other."""
-    cert_file = tmp_path / "cert.txt"
-    out = ["--out", str(cert_file)] if command == "certify" else []
-    with pytest.raises(SystemExit) as exc:
-        run_cli([
-            command, *write_ring_files(tmp_path), "--alpha", "1/64",
-            "--sigma", "1/2", "--eps-sigma", "1/1000", *out,
-        ])
-    assert exc.value.code == EXIT_INPUT_ERROR
-    assert "argument --eps-sigma: not allowed with argument --sigma" in capsys.readouterr().err
-    assert not cert_file.exists()
 
 
 @pytest.mark.parametrize(
@@ -586,16 +563,13 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["flow", "--alpha", "1/2"], "one of the arguments --sigma --eps-sigma is required"),
+        (["flow", "--alpha", "1/2"], "the following arguments are required: --sigma"),
         (["certify", "--out", "CERT"], "error: writing a certificate needs --alpha"),
         (["certify", "--sigma", "1/2", "--out", "CERT"], "error: writing a certificate needs --alpha"),
-        (["certify", "--alpha", "1/2", "--out", "CERT"], "error: pass --sigma or --eps-sigma"),
+        (["certify", "--alpha", "1/2", "--out", "CERT"], "error: writing a certificate needs --sigma"),
         (["seed", "--seed", "0", "--beta", "0.1_0"], "error: bad beta in --beta: "),
-        (["seed", "--seed", "0", "--r-max", "1e999999999"], "error: bad r_max in --r-max: "),
         (["seed", "--seed", "0", "--volume-cap", "1_0"], "error: bad volume_cap in --volume-cap: "),
         (["seed", "--seed", "0,4x"], "error: bad seed vertex '4x' in --seed '0,4x'"),
-        (["seed", "--seed", "0", "--r-max", "1/1000", "--volume-cap", "1"],
-         "argument --volume-cap: not allowed with argument --r-max"),
         (["improve", "--sigma", "0"], "error: sigma must be in (0, 1], got 0"),
         (["improve-exact", "--sigma", "3/2"], "error: sigma must be in (0, 1], got 3/2"),
         (["flow", "--alpha", "1/2", "--sigma", "-1"], "error: sigma must be in (0, 1], got -1"),
@@ -604,15 +578,18 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
          "error: alpha must be in (0, 1], got 2"),
         (["improve", "--sigma", "1/2", "--eps", "0"], "error: eps must be in (0, 1], got 0"),
         (["improve", "--sigma", "1/2", "--eps", "1.5"], "error: eps must be in (0, 1], got 3/2"),
-        (["flow", "--alpha", "1/2", "--eps-sigma", "0"],
-         "error: eps-sigma must be positive, got 0"),
-        (["certify", "--alpha", "1/2", "--eps-sigma", "-0.25", "--out", "CERT"],
-         "error: eps-sigma must be positive, got -1/4"),
+        # one option per quantity: the sink factor comes from --sigma, the
+        # push threshold from --volume-cap
+        (["flow", "--alpha", "1/2", "--sigma", "1/2", "--eps-sigma", "1/100"],
+         "unrecognized arguments: --eps-sigma 1/100"),
+        (["certify", "--alpha", "1/2", "--eps-sigma", "1/100", "--out", "CERT"],
+         "unrecognized arguments: --eps-sigma 1/100"),
+        (["seed", "--seed", "0", "--r-max", "1/1000"], "unrecognized arguments: --r-max 1/1000"),
     ],
     ids=["flow-no-sink", "certify-nothing", "certify-no-alpha", "certify-no-sink",
-         "seed-beta", "seed-r-max", "seed-volume-cap", "seed-id", "seed-r-max-and-volume-cap",
+         "seed-beta", "seed-volume-cap", "seed-id",
          "sigma-0", "sigma-above-1", "flow-sigma-negative", "alpha-0", "certify-alpha-above-1",
-         "eps-0", "eps-above-1", "eps-sigma-0", "certify-eps-sigma-negative"],
+         "eps-0", "eps-above-1", "flow-eps-sigma-gone", "certify-eps-sigma-gone", "seed-r-max-gone"],
 )
 def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, argv, message):
     """With no graph file at all, an option error is still the one reported."""
@@ -622,14 +599,34 @@ def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, arg
     if command != "seed":
         files += ["--seed-set", str(tmp_path / "absent_seed.txt")]
     rest = [str(cert_file) if arg == "CERT" else arg for arg in rest]
-    try:
-        code = run_cli([command, *files, *rest])
-    except SystemExit as exc:  # argparse refuses a missing required option
-        code = exc.code
+    code = run_cli([command, *files, *rest])
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_INPUT_ERROR, "")
     assert message in err and "absent" not in err
     assert not cert_file.exists()
+
+
+def test_usage_errors_and_help_are_returned(capsys):
+    """``run_cli`` returns argparse's exit codes instead of raising ``SystemExit``."""
+    assert run_cli([]) == EXIT_INPUT_ERROR
+    assert "the following arguments are required: command" in capsys.readouterr().err
+    assert run_cli(["seed", "--help"]) == EXIT_OK
+    assert "--volume-cap" in capsys.readouterr().out
+
+
+def test_readme_cli_section_names_every_option():
+    """README's CLI section names exactly the options the parser takes."""
+    commands = next(a for a in _PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for parser in commands.choices.values()
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"--[a-z-]+", section)) == options
 
 
 def test_certify_check_opens_the_certificate_before_the_graph(capsys, tmp_path):
@@ -699,7 +696,7 @@ def test_module_runs_as_a_process(capsys, fixtures_dir):
     assert proc.returncode == EXIT_OK and json.loads(proc.stdout)["improved"] is True
     proc = process("flow", *common, "--alpha", "1/2")
     assert (proc.returncode, proc.stdout) == (EXIT_INPUT_ERROR, "")
-    assert "one of the arguments --sigma --eps-sigma is required" in proc.stderr
+    assert "the following arguments are required: --sigma" in proc.stderr
 
 
 # rational inputs -------------------------------------------------------------
@@ -728,10 +725,8 @@ RATIONAL_ARGV = [
     ("improve-exact", "--sigma", "1/2", "--eps", "{}"),
     ("flow", "--alpha", "{}", "--sigma", "1/2"),
     ("flow", "--alpha", "1/2", "--sigma", "{}", "--solver", "exact"),
-    ("flow", "--alpha", "1/2", "--eps-sigma", "{}"),
     ("certify", "--alpha", "{}", "--sigma", "1/2", "--out", "CERT"),
     ("certify", "--alpha", "1/8", "--sigma", "{}", "--out", "CERT"),
-    ("certify", "--alpha", "1/8", "--eps-sigma", "{}", "--out", "CERT"),
 ]
 TIME_BOUND_S = 5.0
 MEMORY_BOUND = 32 << 20
@@ -744,10 +739,7 @@ def _bounded_run(argv: list[str]) -> tuple[int, str]:
     start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                code = run_cli(argv)
-            except SystemExit as exc:  # argparse rejects an argument with exit 2
-                code = exc.code
+            code = run_cli(argv)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -776,15 +768,14 @@ def test_parse_unsigned_grammar():
 
 
 def test_out_of_bound_argument_is_named(capsys, fixtures_dir):
-    with pytest.raises(SystemExit) as exc:
-        run_cli([
-            "flow",
-            "--graph", str(fixtures_dir / "barbell.edgelist"),
-            "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
-            "--alpha", "1e999999999",
-        ])
-    assert exc.value.code == EXIT_INPUT_ERROR
-    err = capsys.readouterr().err
+    code, _, err = run(
+        capsys,
+        "flow",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
+        "--alpha", "1e999999999",
+    )
+    assert code == EXIT_INPUT_ERROR
     assert "argument --alpha" in err and "exponent" in err
 
 

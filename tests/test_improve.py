@@ -19,7 +19,7 @@ from localcut import (
     local_improve,
     local_improve_overlap,
 )
-from localcut.augmented import overlap_for_sink_factor, relative_quotient
+from localcut.augmented import epsilon_sigma, overlap_for_sink_factor, relative_quotient
 
 from gen import (
     asym_barbell,
@@ -194,6 +194,34 @@ def test_exact_solver_never_worse_than_approx_bound():
         phi_b = conductance(g, b)
         assert res_e.phi <= 2 / delta * phi_b
         assert res_a.phi <= 4 / delta * phi_b
+
+
+def test_solvers_agree_wherever_the_budget_never_binds(small_suite, monkeypatch):
+    """Where every approximate probe reached a maximum flow, both searches are one search.
+
+    A starved pass meets probes that stop on a layer cut; the test claims
+    nothing about those instances.
+    """
+    rng = random.Random(23)
+    cases = [(g, a, eps) for g, a, _, eps in small_suite]
+    for _ in range(12):  # the instances of test_exact_solver_never_worse_than_approx_bound
+        g, b = two_cluster_graph(rng, 18, 24, 0.5, 2)
+        a, _ = perturb_to_overlap(rng, g, b, Fraction(2, 3))
+        cases.append((g, a, epsilon_sigma(Fraction(2, 3), g, a)))
+    agreed = layered = 0
+    for starve in (None, lambda budget: budget // 8):
+        probes = _spy_probes(monkeypatch, "approx", starve)
+        for g, a, eps in cases:
+            probes.clear()
+            res_a = local_improve(g, a, eps, solver="approx")
+            res_e = local_improve(g, a, eps, solver="exact")
+            if not all(res.exact for _, res in probes):
+                layered += 1
+                continue
+            agreed += 1
+            for field in ("cut", "phi", "improved", "alpha_trace", "phases", "touched_volume"):
+                assert getattr(res_a, field) == getattr(res_e, field), field
+    assert agreed and layered, (agreed, layered)
 
 
 def test_bracketing_invariant_on_planted_instances():

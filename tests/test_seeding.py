@@ -18,7 +18,7 @@ from gen import asym_barbell, complete_graph, random_multigraph
 def test_two_vertex_closed_form():
     g = Graph(2, [(0, 1)])
     beta = 0.3
-    scores, residual = appr_push(g, 0, beta=beta, r_max=1e-8)
+    scores, residual = appr_push(g, 0, beta=beta, volume_cap=10**7)  # threshold 1e-8
     # stationary push limit: p = beta + (1-beta)/2 at the seed
     exact = (beta + (1 - beta) / 2, (1 - beta) / 2)
     slack = sum(residual.values())
@@ -28,8 +28,9 @@ def test_two_vertex_closed_form():
 
 
 def test_coarse_tolerance_returns_indicator():
-    g = complete_graph(5)
-    assert appr_push(g, 2, r_max=1.5)[0] == {2: 1.0}
+    # the seed's degree 11 exceeds 10 * volume_cap, so its unit residual is below the threshold
+    g = complete_graph(12)
+    assert appr_push(g, 2, volume_cap=1)[0] == {2: 1.0}
 
 
 def test_residual_invariant_at_exit():
@@ -37,17 +38,17 @@ def test_residual_invariant_at_exit():
     for _ in range(20):
         g = random_multigraph(rng, rng.randint(3, 20), 30)
         seed = rng.randrange(g.n)
-        r_max = 1 / (5 * g.total_volume)
-        scores, residual = appr_push(g, seed, beta=0.15, r_max=r_max)
+        scores, residual = appr_push(g, seed, beta=0.15, volume_cap=g.m)
+        r_max = 1 / (10 * g.m)
         for u, r in residual.items():
             if g.degree(u) > 0:
                 assert r < r_max * g.degree(u)
 
 
-def test_push_refuses_both_thresholds():
+def test_push_refuses_a_volume_cap_whose_threshold_underflows():
     g = complete_graph(5)
-    with pytest.raises(ParameterError, match="^pass r_max or volume_cap, not both$"):
-        appr_push(g, 0, r_max=1e-3, volume_cap=1)
+    with pytest.raises(ParameterError, match=r"^volume_cap is too large: .* is 0$"):
+        appr_push(g, 0, volume_cap=10**400)
 
 
 def test_sweep_on_triangle_support():
