@@ -11,7 +11,6 @@ expander, and a CLI.
 """
 
 from .augmented import AugmentedGraph, build, epsilon_sigma, min_feasible_sigma
-from .certify import PathDecomposition, decompose_paths
 from .errors import (
     GraphFormatError,
     InvariantViolation,
@@ -39,7 +38,6 @@ __all__ = [
     "LocalCutError",
     "NotACertificateError",
     "ParameterError",
-    "PathDecomposition",
     "VertexSet",
     "appr_push",
     "bfs_distances",
@@ -47,7 +45,6 @@ __all__ = [
     "boundary_edges",
     "build",
     "conductance",
-    "decompose_paths",
     "epsilon_sigma",
     "load_graph",
     "load_vertex_set",

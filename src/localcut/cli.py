@@ -151,10 +151,9 @@ def _cmd_certify(args) -> int:
             f"{res.value} < vol(A) = {a.volume}; certificates exist only when "
             "the demand routes fully"
         )
-    pd = cert.decompose_paths(res.flow)
     with open(args.out, "w", encoding="utf-8") as fh:
-        cert.write_certificate(fh, res.flow.ag, pd)
-    print(f"wrote certificate with {len(pd.paths)} paths to {args.out}")
+        edges = cert.write_certificate(fh, res.flow)
+    print(f"wrote certificate with {edges} edges to {args.out}")
     return EXIT_OK
 
 

@@ -38,12 +38,11 @@ def barbell() -> Graph:
 
 # A certificate on the barbell, seeded with the triangle 0-2, that claims the
 # seed's one boundary edge is at least alpha * vol(A) = 7. Its signed amounts
-# tally to a routing that meets every demand and cap: the negative ones
-# cancel the load on the bridge (2, 3).
+# tally to a routing that meets every demand and cap: each edge is written
+# against its flow, so each load reads negative, under every cap of 1.
 FORGED_CERTIFICATE = (
     "alpha 1\neps-sigma inf\nvol-a 7\nflow-value 7\n"
-    "path 0 2 3 2\npath 1 2 3 2\npath 2 3 3\npath 0 2 0 2 3 -1\npath 0 2 3 1\n"
-    "path 2 3 2 3 -3\npath 2 3 3\npath 1 2 1 2 3 -1\npath 1 2 3 1\n"
+    "edge 2 0 -2\nedge 2 1 -2\nedge 3 2 -7\n"
 )
 
 

@@ -17,9 +17,10 @@ and flows certify: :func:`cut_value` of a set's augmented cut,
 below ``alpha``), :func:`flow_certificate_bound` and
 :func:`expansion_lower_bound` (a full-value flow lower-bounds every set's
 boundary; :func:`routing_check` verifies the flow first, through its
-certificate), and :func:`path_length_certificate` (a phase-capped flow routes
-along short paths). No search needs them; the tests check the engine's
-outputs against them.
+certificate, and :func:`net_outflow` reads what crosses the set), and
+:func:`path_length_certificate` (a phase-capped flow routes along short
+paths, as :func:`peel_paths` splits it). No search needs them; the tests
+check the engine's outputs against them.
 
 :func:`capped_flow` runs the approximate solver under a phase cap other
 than its own budget, which the library does not offer; tests use it to
@@ -42,12 +43,10 @@ from localcut import (
     InvariantViolation,
     NotACertificateError,
     ParameterError,
-    PathDecomposition,
     VertexSet,
     boundary_edges,
     build,
     conductance,
-    decompose_paths,
 )
 from localcut.certify import RoutingCheck, validate_certificate, write_certificate
 from localcut.local_flow import LocalFlowResult, _localized_dinic, phase_budget
@@ -64,7 +63,9 @@ __all__ = [
     "expansion_lower_bound",
     "flow_certificate_bound",
     "intersection",
+    "net_outflow",
     "path_length_certificate",
+    "peel_paths",
     "push",
     "reference_bfs_distances",
     "reference_blocking_flow",
@@ -364,7 +365,7 @@ def flow_certificate_bound(ag: AugmentedGraph, s: VertexSet) -> Fraction | None:
 
 
 def routing_check(fs: FlowState) -> RoutingCheck:
-    """The verdict on the certificate ``fs`` decomposes into, as ``certify --check`` reads it.
+    """The verdict on the certificate ``fs`` writes, as ``certify --check`` reads it.
 
     The certificate states the flow's own alpha, sink factor and seed set,
     so the demand is the seed's degrees, each sink absorbs at most
@@ -372,13 +373,24 @@ def routing_check(fs: FlowState) -> RoutingCheck:
     multiplicity.
     """
     text = io.StringIO()
-    write_certificate(text, fs.ag, decompose_paths(fs))
+    write_certificate(text, fs)
     text.seek(0)
     return validate_certificate(text, fs.ag.graph, fs.ag.seed)
 
 
+def net_outflow(fs: FlowState, members: VertexSet | set[int]) -> Fraction:
+    """Net flow ``fs`` sends from ``members`` to the rest over base edges, in demand units."""
+    n = fs.ag.graph.n
+    to = fs.arc_to
+    out = 0
+    for a, f in enumerate(fs.arc_flow):
+        if f > 0 and to[a] < n and to[a ^ 1] < n:
+            out += f * ((to[a ^ 1] in members) - (to[a] in members))
+    return Fraction(out, fs.ag.scale)
+
+
 def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction) -> Fraction:
-    """``alpha`` times the demand routed from inside ``s`` to outside it.
+    """``alpha`` times the net demand the flow routes out of ``s``.
 
     Requires a verified full-demand routing (raises otherwise). The bound
     is certified: it never exceeds the actual boundary size, and it is at
@@ -390,12 +402,7 @@ def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
         raise NotACertificateError(
             "flow does not route the full demand: " + "; ".join(check.violations[:3])
         )
-    pd = decompose_paths(fs)
-    crossing = 0
-    for path, amount in zip(pd.paths, pd.amounts):
-        if path[0] in s and path[-1] not in s:
-            crossing += amount
-    routed = Fraction(crossing, pd.scale)
+    routed = net_outflow(fs, s)
     bound = Fraction(alpha) * routed
     if bound > boundary_edges(g, s):
         raise InvariantViolation("certified bound exceeds the actual boundary size")
@@ -406,16 +413,60 @@ def expansion_lower_bound(g: Graph, fs: FlowState, s: VertexSet, alpha: Fraction
     return bound
 
 
+def peel_paths(fs: FlowState) -> list[tuple[tuple[int, ...], int]]:
+    """Split the flow into source-to-sink paths, shortest first, as ``(interior, amount)``.
+
+    The arcs of positive flow form a flow of the same value (the flow is
+    antisymmetric), so while value remains a source-to-sink path of them
+    exists, and peeling its bottleneck keeps that so. Circulation the
+    peeling leaves behind carries no demand and appears in no path.
+    Amounts are scaled; they add up to ``fs.value``.
+    """
+    s = fs.ag.source_id
+    t = fs.ag.sink_id
+    # one arc pair per vertex pair, so each positive arc is its pair's only entry
+    pos: dict[int, dict[int, int]] = {}
+    for a, f in enumerate(fs.arc_flow):
+        if f > 0:
+            pos.setdefault(fs.arc_to[a ^ 1], {})[fs.arc_to[a]] = f
+    paths: list[tuple[tuple[int, ...], int]] = []
+    remaining = fs.value
+    while remaining > 0:
+        parent = {s: s}
+        dq = deque([s])
+        while dq and t not in parent:
+            u = dq.popleft()
+            for v in sorted(pos.get(u, ())):
+                if v not in parent:
+                    parent[v] = u
+                    dq.append(v)
+        if t not in parent:
+            raise InvariantViolation("flow value positive but no source-sink path remains")
+        path = [t]
+        while path[-1] != s:
+            path.append(parent[path[-1]])
+        path.reverse()
+        steps = list(zip(path, path[1:]))
+        amount = min(remaining, *(pos[u][v] for u, v in steps))
+        for u, v in steps:
+            pos[u][v] -= amount
+            if pos[u][v] == 0:
+                del pos[u][v]
+        paths.append((tuple(path[1:-1]), amount))
+        remaining -= amount
+    return paths
+
+
 def path_length_certificate(
-    pd: PathDecomposition, alpha: Fraction, vol_a: int, sigma: Fraction
+    paths: Iterable[tuple[int, ...]], alpha: Fraction, vol_a: int, sigma: Fraction
 ) -> bool:
-    """Do all decomposed paths respect the phase-budget length bound?
+    """Do all paths (interior vertices only) respect the phase-budget length bound?
 
     A flow assembled from at most ``I`` blocking-flow phases routes along
     paths of at most ``I + 2`` arcs (the source and sink arcs included).
     """
     bound = phase_budget(vol_a, sigma, alpha) + 2
-    return all(len(path) + 1 <= bound for path in pd.paths)
+    return all(len(path) + 1 <= bound for path in paths)
 
 
 def capped_flow(

@@ -21,7 +21,6 @@ from localcut import (
     bfs_distances,
     build,
     conductance,
-    decompose_paths,
     local_flow,
     local_flow_exact,
     local_improve_overlap,
@@ -41,6 +40,7 @@ from oracle import (
     edges,
     eval_condition_41,
     path_length_certificate,
+    peel_paths,
     reference_max_flow,
     routing_check,
 )
@@ -252,7 +252,7 @@ def test_criterion_07_forced_layer_cuts():
 
 
 def test_criterion_08_certificate_suite(small_suite):
-    """Full-value flows verify as demand routings through their certificates; decompositions conserve."""
+    """Full-value flows verify as demand routings through their certificates; path peels conserve."""
     full_flows = 0
     for g, a, alpha, eps in small_suite:
         res = local_flow(g, a, alpha, eps)
@@ -262,10 +262,10 @@ def test_criterion_08_certificate_suite(small_suite):
         fs = res.flow
         check = routing_check(fs)
         assert check.ok, check.violations[:3]
-        pd = decompose_paths(fs)
-        assert pd.total == fs.value
+        paths = peel_paths(fs)
+        assert sum(amount for _, amount in paths) == fs.value
         sigma = Fraction(3 * eps, 1 + 3 * eps) if eps is not None else Fraction(1)
-        assert path_length_certificate(pd, alpha, a.volume, sigma)
+        assert path_length_certificate([path for path, _ in paths], alpha, a.volume, sigma)
     assert full_flows >= 20, f"family produced only {full_flows} routing certificates"
     _report(8, True, f"{full_flows} routing certificates verified")
 

@@ -15,18 +15,13 @@ from localcut import (
     VertexSet,
     boundary_edges,
     build,
-    decompose_paths,
     local_flow,
     local_flow_exact,
 )
-from localcut.certify import (
-    PathDecomposition,
-    validate_certificate,
-    write_certificate,
-)
+from localcut.certify import validate_certificate, write_certificate
 
-from gen import FORGED_CERTIFICATE, barbell, random_instance
-from oracle import expansion_lower_bound, path_length_certificate, push, routing_check
+from gen import FORGED_CERTIFICATE, barbell, path_graph, random_instance
+from oracle import expansion_lower_bound, path_length_certificate, peel_paths, push, routing_check
 
 
 def bipartite_instance():
@@ -51,33 +46,47 @@ def test_zero_flow_fails_verification():
     assert check.violations
 
 
-def test_decompose_single_path():
-    from gen import path_graph
+# the oracle's shortest-first peel, and the certificate the writer takes off the same flow
 
+
+def test_decompose_single_path():
     g = path_graph(2)
     a = VertexSet(g, [0])
     res = local_flow(g, a, Fraction(1), Fraction(1))
-    pd = decompose_paths(res.flow)
-    assert len(pd.paths) == 1
-    assert pd.paths[0] == (0, 1)
-    assert pd.total == res.flow.value
+    assert peel_paths(res.flow) == [((0, 1), res.flow.value)]
+    text = io.StringIO()
+    assert write_certificate(text, res.flow) == 1
+    assert text.getvalue().splitlines()[3:] == ["flow-value 1", "edge 0 1 1"]
 
 
 def test_decompose_zero_flow():
     g, a, eps = bipartite_instance()
-    pd = decompose_paths(FlowState(build(g, a, Fraction(1), eps)))
-    assert pd.paths == [] and pd.total == 0
+    fs = FlowState(build(g, a, Fraction(1), eps))
+    assert peel_paths(fs) == []
+    text = io.StringIO()
+    assert write_certificate(text, fs) == 0
+    assert text.getvalue() == f"alpha 1\neps-sigma {eps}\nvol-a 32\nflow-value 0\n"
 
 
 def test_decompose_conserves_value(small_suite):
     for g, a, alpha, eps in small_suite[:100]:
-        res = local_flow(g, a, alpha, eps)
-        pd = decompose_paths(res.flow)
-        assert pd.total == res.flow.value
+        fs = local_flow(g, a, alpha, eps).flow
+        paths = peel_paths(fs)
+        assert sum(amount for _, amount in paths) == fs.value
         # every interior step is an edge of the graph
-        for path in pd.paths:
+        for path, _ in paths:
             for u, v in zip(path, path[1:]):
                 assert v in g.adjacent(u)
+        text = io.StringIO()
+        count = write_certificate(text, fs)
+        lines = text.getvalue().splitlines()
+        assert lines[3] == f"flow-value {Fraction(fs.value, fs.ag.scale)}"
+        rows = [(int(u), int(v), Fraction(amount)) for _, u, v, amount in map(str.split, lines[4:])]
+        assert len(rows) == count == len({frozenset(row[:2]) for row in rows})
+        # each line is an edge carrying flow, and what leaves the seed set is the value
+        assert all(v in g.adjacent(u) and amount > 0 for u, v, amount in rows)
+        sent = sum(amount * ((u in a) - (v in a)) for u, v, amount in rows)
+        assert sent * fs.ag.scale == fs.value
 
 
 def test_expansion_lower_bound_examples():
@@ -85,8 +94,9 @@ def test_expansion_lower_bound_examples():
     # sources entirely inside S, sinks outside: the bound is the full demand
     s_all = VertexSet(g, range(4))
     assert expansion_lower_bound(g, fs, s_all, Fraction(1)) == a.volume
+    # sinks only take flow in, so the bound on them is vacuous
     disjoint = VertexSet(g, [4, 5])
-    assert expansion_lower_bound(g, fs, disjoint, Fraction(1)) == 0
+    assert expansion_lower_bound(g, fs, disjoint, Fraction(1)) == -8
 
 
 def test_expansion_lower_bound_exhaustive_small():
@@ -109,17 +119,15 @@ def test_expansion_lower_bound_requires_full_flow():
 
 def test_path_length_certificate():
     g, a, eps, fs = full_flow_state()
-    pd = decompose_paths(fs)
-    assert path_length_certificate(pd, Fraction(1), a.volume, Fraction(1, 2))
-    long_pd = PathDecomposition([tuple(range(500))], [1], 1)
-    assert not path_length_certificate(long_pd, Fraction(1), a.volume, Fraction(1, 2))
+    paths = [path for path, _ in peel_paths(fs)]
+    assert path_length_certificate(paths, Fraction(1), a.volume, Fraction(1, 2))
+    assert not path_length_certificate([tuple(range(500))], Fraction(1), a.volume, Fraction(1, 2))
 
 
 def test_certificate_round_trip():
     g, a, eps, fs = full_flow_state()
-    pd = decompose_paths(fs)
     buf = io.StringIO()
-    write_certificate(buf, fs.ag, pd)
+    write_certificate(buf, fs)
     buf.seek(0)
     report = validate_certificate(buf, g, a)
     assert report.ok, report.violations
@@ -127,9 +135,8 @@ def test_certificate_round_trip():
 
 def test_certificate_detects_tampering():
     g, a, eps, fs = full_flow_state()
-    pd = decompose_paths(fs)
     buf = io.StringIO()
-    write_certificate(buf, fs.ag, pd)
+    write_certificate(buf, fs)
     text = buf.getvalue().replace("flow-value 32", "flow-value 31")
     report = validate_certificate(io.StringIO(text), g, a)
     assert not report.ok
@@ -140,8 +147,8 @@ def test_certificate_detects_tampering():
 
 def bipartite_certificate(alpha: str = "1", eps: str = "1") -> str:
     """A valid certificate for the full flow on K_{4,8}: one unit per edge, seed side first."""
-    paths = "".join(f"path {u} {v} 1\n" for u in range(4) for v in range(4, 12))
-    return f"alpha {alpha}\neps-sigma {eps}\nvol-a 32\nflow-value 32\n" + paths
+    edges = "".join(f"edge {u} {v} 1\n" for u in range(4) for v in range(4, 12))
+    return f"alpha {alpha}\neps-sigma {eps}\nvol-a 32\nflow-value 32\n" + edges
 
 
 @pytest.mark.parametrize("alpha, eps", [("1", "1"), ("1/2", "2")])
@@ -151,49 +158,61 @@ def test_bipartite_certificate_is_valid(alpha, eps):
     assert report.ok, report.violations
 
 
+# vertex 4 sends 4 back to seed 0 while taking 3 in; 0 sends the 5 it lacks over (0, 5)
+_SENDS_OUT = {"edge 0 4 1": "edge 4 0 4", "edge 0 5 1": "edge 0 5 6"}
+
+
 @pytest.mark.parametrize(
     "alpha, eps, edits, violations",
     [
         # header alpha 1/2 and eps 2 leave every edge and sink room, so only the tampering shows
-        ("1/2", "2", {"path 0 4 1": "path 0 5 4 1"}, ["path step (5, 4) is not an edge"]),
         (
-            "1/2", "2", {"path 0 4 1": "path 5 1 4 1"},
-            ["path starts outside the seed set: 5", "seed vertex 0 emits 7, demand is 8"],
+            "1/2", "2", {"edge 0 4 1": "edge 5 4 1", "edge 0 5 1": "edge 0 5 2"},
+            ["line 5: (5, 4) is not an edge"],
         ),
-        ("1/2", "2", {"path 0 4 1": "path 0 4 1 1"}, ["path ends inside the seed set: 1"]),
-        ("1/2", "1", {"path 0 4 1": "path 0 5 1"}, ["sink 5 absorbs 5, cap is 4"]),
+        ("1/8", "3", _SENDS_OUT, ["vertex 4 is not a seed but sends out 1"]),
+        ("1/2", "2", {"edge 0 4 1": "edge 4 0 1"}, ["seed vertex 0 sends out 6, demand is 8"]),
         (
-            "1/2", "2", {"path 0 4 1": "path 0 4 1/2", "path 1 4 1": "path 1 4 3/2"},
-            ["seed vertex 0 emits 15/2, demand is 8", "seed vertex 1 emits 17/2, demand is 8"],
+            "1/2", "1", {"edge 0 4 1": "", "edge 0 5 1": "edge 0 5 2"},
+            ["sink 5 absorbs 5, cap is 4"],
         ),
-        ("1", "2", {"path 0 4 1": "path 0 5 1"}, ["edge (0, 5) carries 2, congestion cap is 1"]),
         (
-            "1/2", "2", {"path 0 4 1": ""},
-            ["path amounts add to 31, header says 32", "seed vertex 0 emits 7, demand is 8"],
+            "1/2", "2", {"edge 0 4 1": "edge 0 4 1/2", "edge 1 4 1": "edge 1 4 3/2"},
+            [
+                "seed vertex 0 sends out 15/2, demand is 8",
+                "seed vertex 1 sends out 17/2, demand is 8",
+            ],
         ),
-        # every kind at once, reported header, paths, total, demand, absorption, congestion
+        (
+            "1", "2", {"edge 0 4 1": "", "edge 0 5 1": "edge 0 5 2"},
+            ["edge (0, 5) on line 6 carries 2, congestion cap is 1"],
+        ),
+        ("1/2", "2", {"edge 0 4 1": ""}, ["seed vertex 0 sends out 7, demand is 8"]),
+        # eps-sigma inf caps no absorption, but a vertex that is no seed still sends nothing
+        ("1/8", "inf", _SENDS_OUT, ["vertex 4 is not a seed but sends out 1"]),
+        # every kind at once, reported header, edge lines, demand, other vertices, congestion
         (
             "1", "1",
             {
                 "vol-a 32": "vol-a 31",
-                "path 0 4 1": "path 0 5 4 1",
-                "path 1 4 1": "path 1 5 1",
-                "path 2 4 1": "",
+                "edge 0 4 1": "edge 5 4 5",
+                "edge 1 4 1": "",
+                "edge 1 6 1": "edge 1 6 2",
             },
             [
                 "header vol-a 31 != vol(A) 32",
-                "path step (5, 4) is not an edge",
-                "path amounts add to 31, header says 32",
-                "seed vertex 2 emits 7, demand is 8",
-                "sink 5 absorbs 5, cap is 4",
-                "edge (0, 5) carries 2, congestion cap is 1",
-                "edge (1, 5) carries 2, congestion cap is 1",
+                "line 5: (5, 4) is not an edge",
+                "seed vertex 0 sends out 7, demand is 8",
+                "vertex 5 is not a seed but sends out 1",
+                "sink 4 absorbs 7, cap is 4",
+                "sink 6 absorbs 5, cap is 4",
+                "edge (1, 6) on line 15 carries 2, congestion cap is 1",
             ],
         ),
     ],
     ids=[
         "non-edge", "starts-outside", "ends-inside", "sink", "demand", "congestion", "total",
-        "all-kinds",
+        "sends-out-uncapped", "all-kinds",
     ],
 )
 def test_certificate_reports_each_violation_kind(alpha, eps, edits, violations):
@@ -221,11 +240,15 @@ def test_decompose_leaves_circulation_out():
         push(fs, arc_between(fs, u, v), fs.ag.scale)
     fs.check_conservation()
     assert all(fs.arc_flow[arc_between(fs, u, v)] == fs.ag.scale for u, v in cycle)
-    pd = decompose_paths(fs)
-    assert pd.total == fs.value
-    assert pd.paths == [(0, 3), (1, 4), (2, 5)]
+    paths = peel_paths(fs)
+    assert sum(amount for _, amount in paths) == fs.value
+    assert [path for path, _ in paths] == [(0, 3), (1, 4), (2, 5)]
+    # the certificate states the circulation too, and it still validates
     buf = io.StringIO()
-    write_certificate(buf, fs.ag, pd)
+    assert write_certificate(buf, fs) == 6
+    assert buf.getvalue().splitlines()[4:] == [
+        "edge 0 1 1", "edge 0 3 3", "edge 1 2 1", "edge 1 4 3", "edge 2 0 1", "edge 2 5 3",
+    ]
     report = validate_certificate(io.StringIO(buf.getvalue()), g, a)
     assert report.ok, report.violations
 
@@ -233,29 +256,32 @@ def test_decompose_leaves_circulation_out():
 # an accepted certificate means what it says -----------------------------------
 
 
-def _shortest_walk(g: Graph, u: int, v: int) -> list[int]:
-    """A fewest-edge walk from ``u`` to ``v``, which must be connected."""
-    parent = {u: u}
-    dq = deque([u])
-    while v not in parent:
+def _bfs_parents(g: Graph, root: int) -> dict[int, int]:
+    """Each vertex reachable from ``root`` mapped to its neighbor one step closer to it."""
+    parent = {root: root}
+    dq = deque([root])
+    while dq:
         x = dq.popleft()
         for y in map(int, g.adjacent(x)):
             if y not in parent:
                 parent[y] = x
                 dq.append(y)
-    walk = [v]
-    while walk[-1] != u:
-        walk.append(parent[walk[-1]])
-    return walk[::-1]
+    return parent
 
 
 @st.composite
-def moved_amount_certificates(draw):
-    """A full flow's certificate with part of one path's amount moved onto another walk.
+def walked_certificates(draw):
+    """A full flow's certificate with a drawn amount added along a random walk's edge lines.
 
-    The moved amount may be negative, zero, or more than the path carries;
-    the walk has the path's two ends, so every vertex still emits and
-    absorbs what it did.
+    The amount is a multiple, from -2 to 2 in quarters, of one line's
+    amount: negative, zero, or more than a cap allows. The walk runs from a
+    drawn vertex to a drawn vertex of its component, often itself, which
+    leaves every vertex's net outflow as it was. A step along a line's
+    orientation adds the amount, a step against it subtracts it, and a step
+    on an edge with no line adds one. Lines may then be turned to carry
+    positive amounts only, so that some forgeries parse. The header may
+    claim more than the flow shows: an alpha up to 4 times higher, a sink
+    factor up to 4 times lower.
     """
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     g, a, alpha, eps = random_instance(rng, nmax=8)
@@ -265,26 +291,47 @@ def moved_amount_certificates(draw):
             break
     assume(res.full_flow)
     text = io.StringIO()
-    write_certificate(text, res.flow.ag, decompose_paths(res.flow))
+    write_certificate(text, res.flow)
     lines = text.getvalue().splitlines()
-    i = draw(st.integers(4, len(lines) - 1))
-    *ids, amount = lines[i].split()[1:]
-    start, end = int(ids[0]), int(ids[-1])
-    moved = Fraction(amount) * Fraction(draw(st.integers(-8, 8)), 4)
-    lines[i] = " ".join(["path", *ids, str(Fraction(amount) - moved)])
+    ag = res.flow.ag
+    lines[0] = f"alpha {min(1, ag.alpha * draw(st.sampled_from([1, 2, 4])))}"
+    if ag.eps is not None:
+        lines[1] = f"eps-sigma {ag.eps / draw(st.sampled_from([1, 2, 4]))}"
+    flows: dict[frozenset[int], list] = {}
+    for line in lines[4:]:
+        _, u, v, amount = line.split()
+        flows[frozenset((int(u), int(v)))] = [int(u), int(v), Fraction(amount)]
+    unit = draw(st.sampled_from([f for _, _, f in flows.values()])) if flows else Fraction(1)
+    moved = unit * Fraction(draw(st.integers(-8, 8)), 4)
+    start = draw(st.sampled_from([v for v in range(g.n) if g.degree(v)]))
     walk = [start]
     for _ in range(draw(st.integers(0, 4))):
         walk.append(draw(st.sampled_from([int(w) for w in g.adjacent(walk[-1])])))
-    walk += _shortest_walk(g, walk[-1], end)[1:]
-    lines.append(" ".join(["path", *map(str, walk), str(moved)]))
-    return g, a, "\n".join(lines) + "\n"
+    end = draw(st.one_of(st.just(start), st.sampled_from(sorted(_bfs_parents(g, start)))))
+    toward_end = _bfs_parents(g, end)
+    while walk[-1] != end:
+        walk.append(toward_end[walk[-1]])
+    for x, y in zip(walk, walk[1:]):
+        line = flows.setdefault(frozenset((x, y)), [x, y, Fraction(0)])
+        line[2] += moved if line[0] == x else -moved
+    if draw(st.booleans()):
+        flows = {k: [v, u, -f] if f < 0 else [u, v, f] for k, (u, v, f) in flows.items() if f}
+    body = [f"edge {u} {v} {f}" for u, v, f in flows.values()]
+    return g, a, "\n".join(lines[:4] + body) + "\n"
 
 
 _BARBELL = barbell()
+# claims alpha * vol(A) = 7/2 > 1 on the seed's boundary, with positive amounts only:
+# read as the last of its two lines, the bridge (2, 3) would carry 1, under its cap of 2
+_REPEATED_EDGE_FORGERY = (
+    "alpha 1/2\neps-sigma inf\nvol-a 7\nflow-value 7\n"
+    "edge 0 2 2\nedge 1 2 2\nedge 2 3 8\nedge 3 2 1\n"
+)
 
 
-@given(case=moved_amount_certificates())
+@given(case=walked_certificates())
 @example(case=(_BARBELL, VertexSet(_BARBELL, [0, 1, 2]), FORGED_CERTIFICATE))
+@example(case=(_BARBELL, VertexSet(_BARBELL, [0, 1, 2]), _REPEATED_EDGE_FORGERY))
 @settings(max_examples=100, deadline=None)
 def test_accepted_certificate_bounds_every_set(case):
     """If a certificate is accepted, every set's boundary is at least the bound it states.

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gen import FORGED_CERTIFICATE, barbell, ring_of_cliques
 import localcut
-from localcut import build, decompose_paths, epsilon_sigma, graphio, local_flow_exact
+from localcut import epsilon_sigma, graphio, local_flow_exact
 from localcut.certify import write_certificate
 from localcut.cli import _PARSER, EXIT_INPUT_ERROR, EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.graphio import load_graph, load_vertex_set, parse_rational, parse_unsigned
@@ -222,11 +222,26 @@ def test_certify_round_trip(capsys, tmp_path):
     assert "valid" in out
 
 
+# what certify --out writes for the barbell fixtures at alpha 1/8, sigma 1/2
+BARBELL_CERTIFICATE = """\
+alpha 1/8
+eps-sigma 1/3
+vol-a 7
+flow-value 7
+edge 0 2 2
+edge 1 2 2
+edge 2 3 7
+edge 3 4 2
+edge 3 5 2
+edge 3 6 2/3
+"""
+
+
 def test_certify_out_equals_the_certificate_of_a_fresh_build(capsys, fixtures_dir, tmp_path):
-    """``certify --out`` writes the text a freshly built augmented graph would give."""
+    """``certify --out`` writes the pinned text, which the flow of a fresh exact run also writes."""
     graph, seed = fixtures_dir / "barbell.edgelist", fixtures_dir / "barbell_seed.txt"
     cert_file = tmp_path / "cert.txt"
-    code, _, _ = run(
+    code, out, _ = run(
         capsys,
         "certify",
         "--graph", str(graph),
@@ -235,15 +250,30 @@ def test_certify_out_equals_the_certificate_of_a_fresh_build(capsys, fixtures_di
         "--sigma", "1/2",
         "--out", str(cert_file),
     )
-    assert code == EXIT_OK
+    assert (code, out) == (EXIT_OK, f"wrote certificate with 6 edges to {cert_file}\n")
+    assert cert_file.read_text(encoding="utf-8") == BARBELL_CERTIFICATE
     g = load_graph(str(graph))
     a = load_vertex_set(str(seed), g)
-    alpha = Fraction(1, 8)
-    eps = epsilon_sigma(Fraction(1, 2), g, a)
-    pd = decompose_paths(local_flow_exact(g, a, alpha, eps).flow)
     text = io.StringIO()
-    write_certificate(text, build(g, a, alpha, eps), pd)
-    assert cert_file.read_text(encoding="utf-8") == text.getvalue()
+    eps = epsilon_sigma(Fraction(1, 2), g, a)
+    write_certificate(text, local_flow_exact(g, a, Fraction(1, 8), eps).flow)
+    assert text.getvalue() == BARBELL_CERTIFICATE
+
+
+def test_readme_certificate_example_is_valid(capsys, fixtures_dir, tmp_path):
+    """README's example certificate passes ``certify --check`` on the barbell fixtures."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```text\n(alpha .*?)```", readme, re.S).group(1)
+    assert len(example.splitlines()) == 7
+    cert_file = tmp_path / "cert.txt"
+    cert_file.write_text(example, encoding="utf-8")
+    code, out, err = run(
+        capsys, "certify",
+        "--graph", str(fixtures_dir / "barbell.edgelist"),
+        "--seed-set", str(fixtures_dir / "barbell_seed.txt"),
+        "--check", str(cert_file),
+    )
+    assert (code, out, err) == (EXIT_OK, "certificate valid\n", "")
 
 
 @pytest.mark.parametrize("alpha, sink", [("1/2", ["--sigma", "1/2"])], ids=["proper-cut"])
@@ -405,7 +435,7 @@ def write_ring_files(tmp_path):
 
 
 def test_certify_check_reads_back_ring_certificate(capsys, tmp_path):
-    # a certificate whose edges are first walked from their larger endpoint
+    # a certificate with edge lines written from their larger endpoint, as 'edge 10 0 11/3'
     common = write_ring_files(tmp_path)
     cert_file = tmp_path / "cert.txt"
     code, out, _ = run(
@@ -419,18 +449,23 @@ def test_certify_check_reads_back_ring_certificate(capsys, tmp_path):
 @pytest.mark.parametrize(
     "bad_line, message",
     [
-        ("path 30 x 1", "certificate line 5: malformed path line 'path 30 x 1'"),
-        ("path 30 99999 1", "certificate line 5: vertex 99999 out of range (n=1000)"),
-        ("path 30 -2 1", "certificate line 5: vertex -2 out of range (n=1000)"),
-        ("path 30 41 1/0", "certificate line 5: malformed path line 'path 30 41 1/0'"),
+        ("edge 30 x 1", "certificate line 5: malformed edge line 'edge 30 x 1'"),
+        ("edge 30 99999 1", "certificate line 5: vertex 99999 out of range (n=1000)"),
+        ("edge 30 -2 1", "certificate line 5: vertex -2 out of range (n=1000)"),
+        ("edge 30 41 1/0", "certificate line 5: malformed edge line 'edge 30 41 1/0'"),
         # vertex ids follow the seed-file grammar, not int()'s
-        ("path +30 41 1", "certificate line 5: malformed path line 'path +30 41 1'"),
-        ("path 30 4_1 1", "certificate line 5: malformed path line 'path 30 4_1 1'"),
-        ("path 30 \u0664\u0661 1", "certificate line 5: malformed path line 'path 30 \u0664\u0661 1'"),
-        ("path 30 --1 1", "certificate line 5: malformed path line 'path 30 --1 1'"),
-        ("path 30 -0 1", "certificate line 5: vertex -0 out of range (n=1000)"),
-        ("path 30 41 -1", "certificate line 5: path amount -1 is not positive"),
-        ("path 30 41 0", "certificate line 5: path amount 0 is not positive"),
+        ("edge +30 41 1", "certificate line 5: malformed edge line 'edge +30 41 1'"),
+        ("edge 30 4_1 1", "certificate line 5: malformed edge line 'edge 30 4_1 1'"),
+        ("edge 30 \u0664\u0661 1", "certificate line 5: malformed edge line 'edge 30 \u0664\u0661 1'"),
+        ("edge 30 --1 1", "certificate line 5: malformed edge line 'edge 30 --1 1'"),
+        ("edge 30 -0 1", "certificate line 5: vertex -0 out of range (n=1000)"),
+        ("edge 30 41 -1", "certificate line 5: amount -1 is not positive"),
+        ("edge 30 41 0", "certificate line 5: amount 0 is not positive"),
+        # an edge line names one edge; the path lines of an older format are refused
+        ("edge 30 31 32 1", "certificate line 5: malformed edge line 'edge 30 31 32 1'"),
+        ("path 30 41 1", "certificate line 5: unknown line 'path 30 41 1'"),
+        # the certificate's own 'edge 30 31 3', shifted to line 22, given first reversed
+        ("edge 31 30 3", "certificate line 22: edge (30, 31) already given on line 5"),
     ],
 )
 def test_certify_check_malformed_certificate_exits_2(capsys, tmp_path, bad_line, message):
@@ -480,7 +515,7 @@ def test_certify_check_malformed_vol_a_exits_2(capsys, tmp_path, vol_a):
     common = write_ring_files(tmp_path)
     cert_file = tmp_path / "cert.txt"
     cert_file.write_text(
-        f"alpha 1/64\neps-sigma inf\nvol-a {vol_a}\nflow-value 1\npath 30 41 1\n", encoding="utf-8"
+        f"alpha 1/64\neps-sigma inf\nvol-a {vol_a}\nflow-value 1\nedge 30 41 1\n", encoding="utf-8"
     )
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
@@ -499,7 +534,7 @@ def test_certify_check_alpha_out_of_range_exits_2(capsys, tmp_path, key, value):
     header = {"alpha": "1/64", "eps-sigma": "inf", key: value}
     cert_file.write_text(
         f"alpha {header['alpha']}\neps-sigma {header['eps-sigma']}\n"
-        "vol-a 1\nflow-value 1\npath 30 41 1\n"
+        "vol-a 1\nflow-value 1\nedge 30 41 1\n"
     )
     code, _, err = run(capsys, "certify", *common, "--check", str(cert_file))
     assert code == EXIT_INPUT_ERROR
@@ -519,7 +554,7 @@ def test_certify_check_refuses_negative_amounts(capsys, tmp_path):
         "--check", str(cert_file),
     )
     assert (code, out) == (EXIT_INPUT_ERROR, "")
-    assert err.strip() == "error: certificate line 8: path amount -1 is not positive"
+    assert err.strip() == "error: certificate line 5: amount -2 is not positive"
 
 
 def test_certify_refuses_out_with_check(capsys, tmp_path):
@@ -647,8 +682,8 @@ def test_certify_check_opens_the_certificate_before_the_graph(capsys, tmp_path):
     [
         ("certificate", "eps-sigma inf\nvol-a 7\nflow-value 7\n",
          "certificate header misses 'alpha'"),
-        ("certificate", "alpha 1\neps-sigma inf\nvol-a 7\nflow-value 7\npath 3\n",
-         "certificate line 5: malformed path line 'path 3'"),
+        ("certificate", "alpha 1\neps-sigma inf\nvol-a 7\nflow-value 7\nedge 3\n",
+         "certificate line 5: malformed edge line 'edge 3'"),
         ("metis", "", "empty METIS file"),
         ("metis", "% no header\n  %\n", "empty METIS file"),
         ("metis", "2 1\n-2\n1\n", "line 2: neighbor -2 out of range"),
@@ -805,10 +840,10 @@ def ring_certificate(tmp_path_factory):
 @settings(max_examples=200, deadline=None)
 def test_certificate_rationals_exit_cleanly(tmp_path_factory, ring_certificate, data, text):
     common, lines = ring_certificate
-    # a header value (alpha, eps-sigma, flow-value) or a path amount
+    # a header value (alpha, eps-sigma, flow-value) or an edge amount
     index = data.draw(st.sampled_from([0, 1, 3] + list(range(4, len(lines)))))
     key, _, rest = lines[index].partition(" ")
-    value = rest.rsplit(" ", 1)[0] + " " + text if key == "path" else text
+    value = rest.rsplit(" ", 1)[0] + " " + text if key == "edge" else text
     mutated = list(lines)
     mutated[index] = f"{key} {value}"
     cert = tmp_path_factory.mktemp("check") / "cert.txt"
@@ -816,5 +851,5 @@ def test_certificate_rationals_exit_cleanly(tmp_path_factory, ring_certificate, 
     code, err = _bounded_run(["certify", *common, "--check", str(cert)])
     if code == EXIT_INPUT_ERROR and err.startswith("error: "):
         amount = (value.split() or [""])[-1]  # the token the reader takes as the amount
-        refusals = ("malformed", f"path amount {amount} is not positive")
+        refusals = ("malformed", f"amount {amount} is not positive")
         assert any(f"certificate line {index + 1}: {why}" in err for why in refusals), err

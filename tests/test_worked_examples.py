@@ -10,14 +10,13 @@ from localcut import (
     blocking_flow,
     boundary_edges,
     build,
-    decompose_paths,
     local_flow,
     local_improve_overlap,
 )
 from localcut.local_flow import update_saturated_set
 
 from gen import asym_barbell, barbell
-from oracle import brute_min_conductance, brute_min_cut_value, intersection, push
+from oracle import brute_min_conductance, brute_min_cut_value, intersection, net_outflow, push
 
 
 def _dag_min_cut(arcs: dict[tuple[int, int], int], s, t) -> int:
@@ -117,14 +116,10 @@ def test_expansion_bound_exhaustive_subsets():
     eps = Fraction(a.volume, g.total_volume - a.volume)
     res = local_flow(g, a, Fraction(1), eps)
     assert res.full_flow
-    pd = decompose_paths(res.flow)
-    scale = pd.scale
-    ends = [(p[0], p[-1], amt) for p, amt in zip(pd.paths, pd.amounts)]
     alpha = Fraction(1)
     for mask in range(1, 1 << 12):
         members = {u for u in range(12) if (mask >> u) & 1}
-        crossing = sum(amt for u, v, amt in ends if u in members and v not in members)
-        routed = Fraction(crossing, scale)
+        routed = net_outflow(res.flow, members)
         s = VertexSet(g, members)
         assert alpha * routed <= boundary_edges(g, s)
         inter = intersection(s, a).volume
