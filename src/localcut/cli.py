@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -76,7 +77,7 @@ def _cmd_stats(args) -> int:
 def _cmd_improve(args) -> int:
     g = load_graph(args.graph, args.format)
     a = load_vertex_set(args.seed_set, g)
-    result = local_improve_overlap(g, a, args.sigma, args.solver, eps=args.eps)
+    result = local_improve_overlap(g, a, args.sigma, args.solver)
     payload = {
         "improved": result.improved,
         "set": list(result.cut.ids),
@@ -225,8 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=_cmd_improve, solver=solver)
         add_graph_args(p)
         p.add_argument("--sigma", required=True, **sigma)
-        p.add_argument("--eps", type=_fraction("eps"), default=Fraction(1, 5),
-                       help="stopping width of the search's fallback bisection (default 1/5)")
         p.add_argument("--instrument", action="store_true",
                        help="include locality counters in the output: the Dinic "
                        "phases the search ran (warm-started probes count only "
@@ -258,6 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--beta", help="teleport probability in (0, 1) (default 1/10)")
     p_seed.add_argument("--volume-cap", help="sets only the push threshold "
                         "1/(10 * volume_cap), not the output's volume (default m)")
+    # values such as "-1/2" and "-1e-3" reach the number grammar, not argparse's option lookup
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

@@ -42,6 +42,7 @@ from .augmented import build  # noqa: F401
 __all__ = ["ImproveResult", "local_improve", "local_improve_overlap"]
 
 _MAX_PROBES = 300
+BISECTION_WIDTH = Fraction(1, 5)  # the relative width at which the fallback bisection stops
 
 
 @dataclass
@@ -52,7 +53,7 @@ class ImproveResult:
     outcome, where ``cut`` is empty, ``phi`` is ``None``, and the final
     full-value flow state is kept as the routing certificate. Otherwise
     ``certificate_flow`` is the flow that cut ``cut``, and its ``exact``
-    tells a minimum cut from a layer cut.
+    tells a minimum cut from a layer cut. ``eps`` is the sink factor.
 
     ``phases`` is the number of Dinic phases the search actually ran: a
     probe that resumed the first probe's flow adds only its own phases.
@@ -75,26 +76,22 @@ class ImproveResult:
 def local_improve(
     g: Graph,
     a: VertexSet,
-    eps_sigma: Fraction | None,
-    eps: Fraction = Fraction(1, 5),
+    eps: Fraction | None,
     solver: str = "approx",
 ) -> ImproveResult:
     """Minimize the capacity parameter by cut-quotient search and return the best cut.
 
-    Each cut found moves the next probe to its relative quotient, until a
-    probe there routes a full flow. When a cut fails to lower the quotient
-    the search bisects instead, and ``eps`` is the relative width at which
-    that bisection stops. With the ``approx`` solver the output conductance
-    is below ``2 (1 + eps)`` times the smallest parameter at which a
-    well-overlapping low-conductance set exists; the ``exact`` solver drops
-    both factors, since its search ends at a full flow at the least
-    quotient of any set.
+    ``eps`` is the sink factor, as in ``local_flow``. Each cut found moves
+    the next probe to its relative quotient, until a probe there routes a
+    full flow. When a cut fails to lower the quotient the search bisects
+    instead, down to the relative width ``BISECTION_WIDTH`` (1/5). With
+    the ``approx`` solver the output conductance is below ``2 (1 + 1/5)``
+    times the smallest parameter at which a well-overlapping
+    low-conductance set exists; the ``exact`` solver drops both factors,
+    since its search ends at a full flow at the least quotient of any set.
     """
     if solver not in ("approx", "exact"):
         raise ParameterError(f"solver must be 'approx' or 'exact', got {solver!r}")
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ParameterError(f"eps must be in (0, 1], got {eps}")
     solve = local_flow if solver == "approx" else local_flow_exact
     alpha_min = Fraction(0)
     alpha = alpha_max = Fraction(1)
@@ -108,7 +105,7 @@ def local_improve(
     # A full flow at alpha_min proves no set has a quotient below it, so every
     # cut's quotient is at least alpha_min and the bracket never inverts.
     for _ in range(_MAX_PROBES):
-        res = solve(g, a, alpha, eps_sigma, start=first)
+        res = solve(g, a, alpha, eps, start=first)
         if first is None:
             first = res
         touched = max(touched, res.stats.touched_volume)
@@ -125,13 +122,13 @@ def local_improve(
             alpha_max = alpha
             if best[0] == 0:
                 break  # a disconnection cut cannot be beaten
-            q = relative_quotient(g, a, res.cut, eps_sigma, boundary)
+            q = relative_quotient(g, a, res.cut, eps, boundary)
             if q is not None and q < alpha:
                 alpha_max = q
                 if q > alpha_min:
                     alpha = q  # the Dinkelbach step
                     continue
-        if alpha_max - alpha_min <= eps * alpha_min:
+        if alpha_max - alpha_min <= BISECTION_WIDTH * alpha_min:
             break
         alpha = (alpha_min + alpha_max) / 2
     else:
@@ -150,7 +147,7 @@ def local_improve(
         alpha_trace=trace,
         cut_alpha=at_alpha,
         certificate_flow=winner,
-        eps=eps_sigma,
+        eps=eps,
         touched_volume=touched,
         phases=phases,
     )
@@ -161,8 +158,6 @@ def local_improve_overlap(
     a: VertexSet,
     sigma: Fraction,
     solver: str = "approx",
-    *,
-    eps: Fraction = Fraction(1, 5),
 ) -> ImproveResult:
     """Improvement run parameterized by the overlap guarantee ``sigma``.
 
@@ -171,6 +166,5 @@ def local_improve_overlap(
     ``2/overlap`` (exact) times the target's, with output volume at most
     ``(3/sigma) vol(A)``.
     """
-    eps_s = epsilon_sigma(Fraction(sigma), g, a)
-    return local_improve(g, a, eps_s, eps=eps, solver=solver)
+    return local_improve(g, a, epsilon_sigma(Fraction(sigma), g, a), solver)
 

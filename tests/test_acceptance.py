@@ -27,6 +27,7 @@ from localcut import (
 )
 from localcut.cli import EXIT_NO_IMPROVEMENT, EXIT_OK, run_cli
 from localcut.flow import check_label_monotone
+from localcut.improve import BISECTION_WIDTH
 
 from gen import (
     perturb_to_overlap,
@@ -271,9 +272,8 @@ def test_criterion_08_certificate_suite(small_suite):
 
 
 def test_criterion_09_binary_search_contract():
-    """Outputs beat 2(1+eps)*alpha_star (approx) and (1+eps)*alpha_star (exact)."""
+    """Outputs beat 2(1+w)*alpha_star (approx) and (1+w)*alpha_star (exact), w = BISECTION_WIDTH."""
     rng = random.Random(909)
-    eps_search = Fraction(1, 5)
     done = 0
     tried = 0
     while done < 20:
@@ -291,11 +291,11 @@ def test_criterion_09_binary_search_contract():
         # the closed form is the exact threshold of the planted inequality
         assert not eval_condition_41(g, a, b, alpha_star, eps)
         assert eval_condition_41(g, a, b, alpha_star * Fraction(1001, 1000), eps)
-        res_a = local_improve_overlap(g, a, Fraction(2, 3), "approx", eps=eps_search)
-        res_e = local_improve_overlap(g, a, Fraction(2, 3), "exact", eps=eps_search)
+        res_a = local_improve_overlap(g, a, Fraction(2, 3), "approx")
+        res_e = local_improve_overlap(g, a, Fraction(2, 3), "exact")
         assert res_a.improved and res_e.improved
-        assert res_a.phi < 2 * (1 + eps_search) * alpha_star
-        assert res_e.phi < (1 + eps_search) * alpha_star
+        assert res_a.phi < 2 * (1 + BISECTION_WIDTH) * alpha_star
+        assert res_e.phi < (1 + BISECTION_WIDTH) * alpha_star
         done += 1
     _report(9, True, f"{done} planted instances, both contract bounds strict")
 

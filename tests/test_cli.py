@@ -608,13 +608,15 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
         (["improve", "--sigma", "0"], "error: sigma must be in (0, 1], got 0"),
         (["improve-exact", "--sigma", "3/2"], "error: sigma must be in (0, 1], got 3/2"),
         (["flow", "--alpha", "1/2", "--sigma", "-1"], "error: sigma must be in (0, 1], got -1"),
+        (["flow", "--alpha", "1/2", "--sigma", "-1/2"], "error: sigma must be in (0, 1], got -1/2"),
+        (["flow", "--alpha", "-1/2", "--sigma", "1/2"], "error: alpha must be in (0, 1], got -1/2"),
         (["flow", "--alpha", "0", "--sigma", "1/2"], "error: alpha must be in (0, 1], got 0"),
         (["certify", "--alpha", "2", "--sigma", "1/2", "--out", "CERT"],
          "error: alpha must be in (0, 1], got 2"),
-        (["improve", "--sigma", "1/2", "--eps", "0"], "error: eps must be in (0, 1], got 0"),
-        (["improve", "--sigma", "1/2", "--eps", "1.5"], "error: eps must be in (0, 1], got 3/2"),
         # one option per quantity: the sink factor comes from --sigma, the
-        # push threshold from --volume-cap
+        # push threshold from --volume-cap; the bisection width is a constant
+        (["improve", "--sigma", "1/2", "--eps", "1/5"], "unrecognized arguments: --eps 1/5"),
+        (["improve-exact", "--sigma", "1/2", "--eps", "1/5"], "unrecognized arguments: --eps 1/5"),
         (["flow", "--alpha", "1/2", "--sigma", "1/2", "--eps-sigma", "1/100"],
          "unrecognized arguments: --eps-sigma 1/100"),
         (["certify", "--alpha", "1/2", "--eps-sigma", "1/100", "--out", "CERT"],
@@ -623,8 +625,10 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
     ],
     ids=["flow-no-sink", "certify-nothing", "certify-no-alpha", "certify-no-sink",
          "seed-beta", "seed-volume-cap", "seed-id",
-         "sigma-0", "sigma-above-1", "flow-sigma-negative", "alpha-0", "certify-alpha-above-1",
-         "eps-0", "eps-above-1", "flow-eps-sigma-gone", "certify-eps-sigma-gone", "seed-r-max-gone"],
+         "sigma-0", "sigma-above-1", "flow-sigma-negative", "flow-sigma-negative-ratio",
+         "flow-alpha-negative-ratio", "alpha-0", "certify-alpha-above-1",
+         "improve-eps-gone", "improve-exact-eps-gone",
+         "flow-eps-sigma-gone", "certify-eps-sigma-gone", "seed-r-max-gone"],
 )
 def test_option_errors_are_refused_before_any_file_is_read(capsys, tmp_path, argv, message):
     """With no graph file at all, an option error is still the one reported."""
@@ -752,12 +756,11 @@ RATIONAL_TEXTS = st.one_of(
     st.sampled_from(["1e999999999", "1e-999999999", "1/0", "0", "inf", "nan", "", " 1/2 ", "1_0"]),
     st.text(max_size=12),
 )
-# every rational argument of every subcommand, with the other arguments valid
+# every rational argument that is an exact Fraction, with the other arguments
+# valid; not seed's float --beta, whose tiny values run for about 1/beta
 RATIONAL_ARGV = [
     ("improve", "--sigma", "{}"),
-    ("improve", "--sigma", "1/2", "--eps", "{}"),
     ("improve-exact", "--sigma", "{}"),
-    ("improve-exact", "--sigma", "1/2", "--eps", "{}"),
     ("flow", "--alpha", "{}", "--sigma", "1/2"),
     ("flow", "--alpha", "1/2", "--sigma", "{}", "--solver", "exact"),
     ("certify", "--alpha", "{}", "--sigma", "1/2", "--out", "CERT"),

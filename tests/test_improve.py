@@ -58,7 +58,7 @@ def _spy_probes(monkeypatch, solver, starve=None):
     return probes
 
 
-def _check_search_rule(g, a, eps_sigma, probes, width=Fraction(1, 5)) -> int:
+def _check_search_rule(g, a, eps_sigma, probes, width=improve_module.BISECTION_WIDTH) -> int:
     """Assert the cut-quotient search's stepping rule; return how many probes bisected.
 
     The first probe is at 1. A cut whose quotient is below its alpha
@@ -153,20 +153,18 @@ def test_improve_no_improvement_outcome():
 def test_improve_probe_count_bound():
     g = asym_barbell()
     a = VertexSet(g, [0, 1, 2])
-    eps_bs = Fraction(1, 5)
-    res = local_improve_overlap(g, a, Fraction(1, 2), eps=eps_bs)
+    res = local_improve_overlap(g, a, Fraction(1, 2))
     import math
 
     phi = res.phi
-    bound = math.log2(5) + math.ceil(math.log2(1 / float(phi))) + 3
+    width = improve_module.BISECTION_WIDTH
+    bound = math.log2(1 / width) + math.ceil(math.log2(1 / float(phi))) + 3
     assert len(res.alpha_trace) <= bound
 
 
 def test_improve_parameter_validation():
     g = asym_barbell()
     a = VertexSet(g, [0, 1, 2])
-    with pytest.raises(ParameterError):
-        local_improve(g, a, Fraction(1, 3), eps=Fraction(0))
     with pytest.raises(ParameterError):
         local_improve(g, a, Fraction(1, 3), solver="bogus")
     with pytest.raises(ParameterError, match="at least"):
