@@ -257,9 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.add_argument("--beta", help="teleport probability in (0, 1) (default 1/10)")
     p_seed.add_argument("--volume-cap", help="sets only the push threshold "
                         "1/(10 * volume_cap), not the output's volume (default m)")
-    # values such as "-1/2" and "-1e-3" reach the number grammar, not argparse's option lookup
+    # any single-dash value but "-h" ("-1/2", "-1e-3", "-inf") reaches its option's grammar
     for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"-\.?\d")
+        p._negative_number_matcher = re.compile(r"-[^-]")
     return parser
 
 

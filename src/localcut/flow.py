@@ -24,16 +24,16 @@ vertex when the sink is unreachable) and, while it expands a vertex, keeps
 that vertex's residual arcs into the next layer, in list order: its
 admissible arcs. The blocking flow walks only those lists, so it never
 re-tests a label. The lists hold the arcs as they were when the labels
-were computed; the solvers drop them once the phase's blocking flow is
-done (:meth:`DistanceLabels.release`), so at most one phase's lists are
-alive at a time.
+were computed; the blocking flow is their last reader and drops them
+before it returns, so at most one phase's lists are alive at a time.
 
 Flow conservation is checked in proportion to the work done. The blocking
-flow records the arcs of every path it pushes on (``FlowState.pushed_arcs``),
-and each phase checks antisymmetry and conservation only along that record,
-then empties it. A solver checks every arc pair and every materialized
-vertex, with the source and sink totals, once per run, just before it
-returns; the localized solvers leave their last phase to that check.
+flow returns the arcs of every path it pushed on, its push record, and
+each phase checks antisymmetry and conservation only along that record;
+the same record names the sink arcs the phase filled. A solver checks
+every arc pair and every materialized vertex, with the source and sink
+totals, once per run, just before it returns; the localized solvers
+leave their last phase to that check.
 """
 
 from __future__ import annotations
@@ -61,8 +61,6 @@ class FlowState:
         "opened",
         "value",
         "touched_volume",
-        "newly_saturated",
-        "pushed_arcs",
     )
 
     def __init__(self, ag: AugmentedGraph):
@@ -74,8 +72,6 @@ class FlowState:
         self.opened: set[int] = set()
         self.value = 0
         self.touched_volume = 0
-        self.newly_saturated: list[int] = []
-        self.pushed_arcs: list[int] = []
         s = ag.source_id
         out_of_s = self.arcs_of[s]
         for u in ag.seed:  # ascending, so every list starts sorted
@@ -97,11 +93,10 @@ class FlowState:
         ratio of the scales; each edge arc becomes its multiplicity times
         ``ag.edge_cap_unit``, which is at least the scaled old capacity
         because ``1/alpha`` only grew. So the copy is a feasible flow on
-        ``ag`` with the same saturated arcs and opened set, and an empty
-        push record. This flow is left untouched. The copy is not checked
-        here: the run that resumes it checks every inherited arc before
-        returning, and scaling by one integer factor neither creates nor
-        hides an imbalance.
+        ``ag`` with the same saturated arcs and opened set. This flow is
+        left untouched. The copy is not checked here: the run that resumes
+        it checks every inherited arc before returning, and scaling by one
+        integer factor neither creates nor hides an imbalance.
 
         Raises:
             InvariantViolation: on a different instance, a higher alpha, or
@@ -131,8 +126,6 @@ class FlowState:
         fs.opened = set(self.opened)
         fs.value = self.value * factor
         fs.touched_volume = self.touched_volume
-        fs.newly_saturated = self.newly_saturated[:]
-        fs.pushed_arcs = []
         return fs
 
     def open_vertex(self, v: int) -> None:
@@ -222,25 +215,21 @@ class FlowState:
         its net outflow: zero inside, the flow value at the source and its
         negation at the sink.
 
-        Given ``pushed``, a push record such as ``pushed_arcs`` (the arcs of
-        every path :func:`blocking_flow` pushed on since the record was last
-        emptied), only what those pushes changed is checked: antisymmetry of
-        the recorded arcs' pairs and conservation at their heads other than
-        the source and the sink, which are every vertex inside a pushed
-        path. The record is then emptied, as is ``pushed_arcs`` by the full
-        check. The solvers check phases so and make one full check before
-        they return.
+        Given ``pushed``, the push record one :func:`blocking_flow` returned,
+        only what those pushes changed is checked: antisymmetry of the
+        recorded arcs' pairs and conservation at their heads other than the
+        source and the sink, which are every vertex inside a pushed path.
+        The solvers check phases so and make one full check before they
+        return.
         """
         flow = self.arc_flow
         arcs_of = self.arcs_of
         ends = (self.ag.source_id, self.ag.sink_id)
         if pushed is None:
-            self.pushed_arcs.clear()
             broken = any(map(add, islice(flow, 0, None, 2), islice(flow, 1, None, 2)))
             inside = arcs_of.keys() - ends
         else:
             arcs = set(pushed)
-            pushed.clear()
             broken = any(flow[a] + flow[a ^ 1] for a in arcs)
             inside = set(map(self.arc_to.__getitem__, arcs)).difference(ends)
         if broken:
@@ -272,7 +261,8 @@ class DistanceLabels:
     never decrease along it and each layer is one run. ``admissible`` maps
     each vertex below the sink's layer to its residual arcs into the next
     layer, in the order of its arc list; vertices with none are absent. It
-    is ``None`` once released.
+    is ``None`` once :func:`blocking_flow` has run on these labels, its
+    last reader; only ``dist`` is read after the phase.
     """
 
     __slots__ = ("dist", "admissible")
@@ -280,10 +270,6 @@ class DistanceLabels:
     def __init__(self, dist: dict[int, int], admissible: dict[int, list[int]]):
         self.dist = dist
         self.admissible: dict[int, list[int]] | None = admissible
-
-    def release(self) -> None:
-        """Drop the admissible lists; only ``dist`` is needed after the phase."""
-        self.admissible = None
 
 
 def bfs_distances(fs: FlowState) -> DistanceLabels:
@@ -330,8 +316,8 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
     return DistanceLabels(dist, admissible)
 
 
-def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
-    """Saturate the admissible graph of ``labels`` with a current-arc DFS.
+def blocking_flow(fs: FlowState, labels: DistanceLabels) -> list[int]:
+    """Saturate the admissible graph of ``labels`` with a current-arc DFS; return the push record.
 
     The DFS walks the admissible lists that :func:`bfs_distances` left in
     ``labels``, re-checking only residual capacity and dead ends; at the
@@ -340,29 +326,32 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
     solvers check this before each call (``_check_layer_containment``) and
     :func:`global_max_flow` opens everything. So the DFS takes the same arcs
     in the same order as one that scans every arc in target-id order and
-    tests labels, and pushes the same flow. Each push is applied in place
-    and checked against the arc's capacity, and the arcs of its path are
-    appended to ``fs.pushed_arcs``, the record a phase's conservation check
-    reads (:meth:`FlowState.check_conservation`). The lists are left intact: a
-    second call on the same labels finds no admissible path and pushes
-    nothing. Returns the amount pushed, 0 when the sink is unlabelled.
+    tests labels, and pushes the same flow. Each push is applied in place,
+    checked against the arc's capacity and added to ``fs.value``.
+
+    Returns the push record: the arcs of every path pushed on, in push
+    order, empty when nothing was pushed. The phase's conservation check
+    and saturated-set update read it. The lists are dropped
+    (``labels.admissible`` becomes ``None``), so a second call on the same
+    labels raises.
 
     Raises:
-        InvariantViolation: if the labels were released, or a push would
-            exceed an arc's capacity.
+        InvariantViolation: if a blocking flow already ran on ``labels``,
+            or a push would exceed an arc's capacity.
     """
-    s = fs.ag.source_id
-    t = fs.ag.sink_id
-    dt = labels.dist.get(t)
-    if dt is None:
-        return 0
     admissible = labels.admissible
     if admissible is None:
         raise InvariantViolation("blocking flow on released labels")
+    labels.admissible = None
+    s = fs.ag.source_id
+    t = fs.ag.sink_id
+    pushed: list[int] = []
+    dt = labels.dist.get(t)
+    if dt is None:
+        return pushed
     to = fs.arc_to
     cap = fs.arc_cap
     flow = fs.arc_flow
-    pushed = fs.pushed_arcs
     last = dt - 1  # the depth, and so the label, of the layer below the sink
     ptr: dict[int, int] = {}
     dead: set[int] = set()
@@ -384,9 +373,6 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
                     cut = i
             pushed += path
             total += bottleneck
-            a = path[-1]  # the sink arc
-            if flow[a] == cap[a]:
-                fs.newly_saturated.append(to[a ^ 1])
             del path[cut:]
             v = to[path[-1]] if path else s
             continue
@@ -416,7 +402,7 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> int:
         dead.add(v)
         v = to[path.pop() ^ 1]
     fs.value += total
-    return total
+    return pushed
 
 
 def check_label_monotone(prev: DistanceLabels, cur: DistanceLabels, t: int) -> None:
@@ -470,10 +456,10 @@ def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
             check_label_monotone(prev, labels, t)
         if t not in labels.dist:
             break
-        if not blocking_flow(fs, labels):
+        pushed = blocking_flow(fs, labels)
+        if not pushed:
             raise InvariantViolation("reachable sink but nothing pushed")
-        labels.release()
-        fs.check_conservation(fs.pushed_arcs)
+        fs.check_conservation(pushed)
         prev = labels
     fs.check_conservation()
     if fs.value > ag.source_total:

@@ -52,13 +52,15 @@ __all__ = [
 ]
 
 
-def update_saturated_set(fs: FlowState) -> list[int]:
-    """Open the frontier vertices whose sink arc just filled; they join the saturated set.
+def update_saturated_set(fs: FlowState, pushed: list[int]) -> list[int]:
+    """Open the frontier vertices whose sink arc ``pushed`` filled; they join the saturated set.
 
-    The saturated set is ``fs.opened`` minus the seed, so opening a vertex
-    is what adds it, and its edges join the local view. Returns the newly
-    opened vertices (sorted). Once the flow has its full value no phase can
-    follow, so nothing is opened: a sink arc that fills on the push
+    ``pushed`` is the phase's push record (:func:`blocking_flow`); a phase
+    only adds flow to sink arcs, so its full ones are those it filled. The
+    saturated set is ``fs.opened`` minus the seed, so opening a vertex is
+    what adds it, and its edges join the local view. Returns the newly
+    opened vertices (sorted). Once the flow has its full value no phase
+    can follow, so nothing is opened: a sink arc that fills on the push
     completing the flow stays out of the set.
 
     Raises:
@@ -68,12 +70,13 @@ def update_saturated_set(fs: FlowState) -> list[int]:
             as the flow completes, so this would indicate a flow bug.
     """
     ag = fs.ag
-    opened = fs.opened
     if fs.value == ag.source_total:
         fresh = []
     else:
-        fresh = sorted(v for v in set(fs.newly_saturated) if v not in opened)
-    fs.newly_saturated.clear()
+        t = ag.sink_id
+        to, cap, flow = fs.arc_to, fs.arc_cap, fs.arc_flow
+        full = {to[a ^ 1] for a in pushed if to[a] == t and flow[a] == cap[a]}
+        fresh = sorted(full - fs.opened)
     for v in fresh:
         fs.open_vertex(v)
     eps = ag.eps
@@ -230,11 +233,12 @@ def _localized_dinic(
     labelling is checked for layer containment, label monotonicity through
     the sink's layer and sink-distance growth, after, if another phase is
     to follow, antisymmetry and conservation along the previous phase's
-    pushed paths. Before returning, on either exit, the run checks these
-    two over its whole flow once, with the source and sink totals, the
-    last phase and the inherited flow of a resumed run included. The
-    growth check also bounds an uncapped run: the sink distance would
-    outgrow the materialized vertex count before the phases could.
+    push record, kept until then. Before returning, on either exit, the
+    run checks these two over its whole flow once, with the source and
+    sink totals, the last phase and the inherited flow of a resumed run
+    included. The growth check also bounds an uncapped run: the sink
+    distance would outgrow the materialized vertex count before the phases
+    could.
 
     The run starts from a zero flow, or with ``start`` from a copy of that
     result's flow, opened set included, rescaled to ``ag``'s scale, which
@@ -267,21 +271,22 @@ def _localized_dinic(
     stats = LocalFlowStats()
     t = ag.sink_id
     prev: DistanceLabels | None = None
+    pushed: list[int] = []  # the previous phase's push record
     labels = bfs_distances(fs)
     while True:
         more = t in labels.dist and (budget is None or stats.phases < budget)
-        if more and prev is not None:
-            fs.check_conservation(fs.pushed_arcs)
+        if more and pushed:
+            fs.check_conservation(pushed)
         _check_layer_containment(fs, labels)
         if prev is not None:
             check_label_monotone(prev, labels, t)
         if not more:
             break
-        if not blocking_flow(fs, labels):
+        pushed = blocking_flow(fs, labels)
+        if not pushed:
             raise InvariantViolation("reachable sink but blocking flow pushed nothing")
-        labels.release()
         stats.phases += 1
-        update_saturated_set(fs)
+        update_saturated_set(fs, pushed)
         prev = labels
         labels = bfs_distances(fs)
     fs.check_conservation()

@@ -9,7 +9,8 @@ one Dinic phase written plainly: every arc of a vertex is scanned and its
 label tested, with no admissible lists. The engine in
 :mod:`localcut.flow` must match them phase by phase, and
 :func:`reference_max_flow` runs them to a max flow, the reference for the
-localized solvers.
+localized solvers. It still runs on a ``FlowState``; the one oracle that
+shares no code with the engine is :func:`networkx_max_flow_value`.
 
 The lemmas state, on one set at a time, what the augmented graph's cuts
 and flows certify: :func:`cut_value` of a set's augmented cut,
@@ -34,6 +35,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import networkx as nx
 import numpy as np
 
 from localcut import (
@@ -64,6 +66,7 @@ __all__ = [
     "flow_certificate_bound",
     "intersection",
     "net_outflow",
+    "networkx_max_flow_value",
     "path_length_certificate",
     "peel_paths",
     "push",
@@ -480,7 +483,7 @@ def capped_flow(
 
 
 def push(fs: FlowState, a: int, amount: int) -> None:
-    """Push ``amount`` along arc ``a``, checking its capacity; a full sink arc is recorded."""
+    """Push ``amount`` along arc ``a``, checking its capacity; a sink arc adds to the flow value."""
     flow = fs.arc_flow
     flow[a] += amount
     flow[a ^ 1] -= amount
@@ -488,8 +491,6 @@ def push(fs: FlowState, a: int, amount: int) -> None:
         raise InvariantViolation("push exceeded arc capacity")
     if fs.arc_to[a] == fs.ag.sink_id:
         fs.value += amount
-        if flow[a] == fs.arc_cap[a]:
-            fs.newly_saturated.append(fs.arc_to[a ^ 1])
 
 
 def _sorted_arcs(fs: FlowState, v: int) -> list[int]:
@@ -574,6 +575,29 @@ def reference_blocking_flow(fs: FlowState, dist: dict[int, int]) -> int:
             return total
         dead.add(v)
         v = to[path.pop() ^ 1]
+
+
+def networkx_max_flow_value(ag: AugmentedGraph) -> int:
+    """The scaled max-flow value of ``ag``, by networkx on the augmented graph built in full.
+
+    The network is built here from ``ag``'s capacities alone: ``s -> u``
+    of ``source_cap(u)`` for each seed ``u``, ``v -> t`` of ``sink_cap(v)``
+    for each other vertex, and multiplicity times ``edge_cap_unit`` each
+    way on each edge. The capacities are Python ints, so the value is
+    exact; scipy's ``maximum_flow`` would wrap them to int32.
+    """
+    g = ag.graph
+    net = nx.DiGraph()
+    net.add_nodes_from(("s", "t"))
+    for u in ag.seed:
+        net.add_edge("s", u, capacity=ag.source_cap(u))
+    for v in range(g.n):
+        if v not in ag.seed:
+            net.add_edge(v, "t", capacity=ag.sink_cap(v))
+    for (u, v), mult in Counter(edges(g)).items():
+        net.add_edge(u, v, capacity=mult * ag.edge_cap_unit)
+        net.add_edge(v, u, capacity=mult * ag.edge_cap_unit)
+    return nx.maximum_flow_value(net, "s", "t")
 
 
 def reference_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:

@@ -611,6 +611,9 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
         (["flow", "--alpha", "1/2", "--sigma", "-1/2"], "error: sigma must be in (0, 1], got -1/2"),
         (["flow", "--alpha", "-1/2", "--sigma", "1/2"], "error: alpha must be in (0, 1], got -1/2"),
         (["flow", "--alpha", "0", "--sigma", "1/2"], "error: alpha must be in (0, 1], got 0"),
+        (["flow", "--alpha", "1/2", "--sigma", "-inf"], "not a rational number: '-inf'"),
+        (["flow", "--alpha", "-nan", "--sigma", "1/2"], "not a rational number: '-nan'"),
+        (["seed", "--seed", "0", "--beta", "-inf"], "not a rational number: '-inf'"),
         (["certify", "--alpha", "2", "--sigma", "1/2", "--out", "CERT"],
          "error: alpha must be in (0, 1], got 2"),
         # one option per quantity: the sink factor comes from --sigma, the
@@ -626,7 +629,9 @@ def test_certify_check_non_utf8_certificate_exits_2(capsys, tmp_path, text, line
     ids=["flow-no-sink", "certify-nothing", "certify-no-alpha", "certify-no-sink",
          "seed-beta", "seed-volume-cap", "seed-id",
          "sigma-0", "sigma-above-1", "flow-sigma-negative", "flow-sigma-negative-ratio",
-         "flow-alpha-negative-ratio", "alpha-0", "certify-alpha-above-1",
+         "flow-alpha-negative-ratio", "alpha-0",
+         "flow-sigma-negative-inf", "flow-alpha-negative-nan", "seed-beta-negative-inf",
+         "certify-alpha-above-1",
          "improve-eps-gone", "improve-exact-eps-gone",
          "flow-eps-sigma-gone", "certify-eps-sigma-gone", "seed-r-max-gone"],
 )

@@ -11,7 +11,7 @@ from localcut import (
     blocking_flow,
     build,
 )
-from localcut.flow import check_label_monotone, global_max_flow
+from localcut.flow import DistanceLabels, check_label_monotone, global_max_flow
 
 from gen import barbell, random_instance
 from oracle import brute_min_cut_value, cut_value, push
@@ -71,7 +71,7 @@ def test_saturated_source_disconnects():
         fs.arc_flow[arc ^ 1] = -fs.arc_cap[arc]
     labels = bfs_distances(fs)
     assert ag.sink_id not in labels.dist
-    assert blocking_flow(fs, labels) == 0
+    assert blocking_flow(fs, labels) == []
 
 
 def test_blocking_flow_single_path():
@@ -84,8 +84,8 @@ def test_blocking_flow_single_path():
     fs = FlowState(ag)
     fs.open_all()
     labels = bfs_distances(fs)
-    pushed = blocking_flow(fs, labels)
-    assert pushed == min(ag.source_cap(0), ag.edge_cap_unit, ag.sink_cap(1)) == 1
+    blocking_flow(fs, labels)
+    assert fs.value == min(ag.source_cap(0), ag.edge_cap_unit, ag.sink_cap(1)) == 1
 
 
 def test_dinic_barbell_min_cut():
@@ -148,13 +148,16 @@ def test_phase_labels_monotone_and_growing():
                     assert labels.dist[t] >= prev.dist[t] + 1
             if t not in labels.dist:
                 break
-            assert blocking_flow(fs, labels) > 0
+            value = fs.value
+            blocking_flow(fs, labels)
+            assert fs.value > value
             fs.check_conservation()
             prev = labels
 
 
 def test_blocking_flow_blocks_admissible_graph():
-    # after a phase, re-running the same-label blocking flow pushes nothing
+    # after a phase, re-running the same-label blocking flow, on a copy of
+    # the lists it dropped, pushes nothing
     rng = random.Random(9)
     for _ in range(30):
         g, a, alpha, eps = random_instance(rng, nmax=10)
@@ -164,8 +167,11 @@ def test_blocking_flow_blocks_admissible_graph():
         labels = bfs_distances(fs)
         if ag.sink_id not in labels.dist:
             continue
+        lists = {v: arcs[:] for v, arcs in labels.admissible.items()}
         blocking_flow(fs, labels)
-        assert blocking_flow(fs, labels) == 0
+        value = fs.value
+        assert blocking_flow(fs, DistanceLabels(labels.dist, lists)) == []
+        assert fs.value == value
         fresh = bfs_distances(fs)
         dt = fresh.dist.get(ag.sink_id)
         assert dt is None or dt > labels.dist[ag.sink_id]
@@ -175,15 +181,17 @@ def test_blocking_flow_blocks_admissible_graph():
 def test_label_monotone_rejects_a_stalled_sink(release_prev):
     """Equal labels decrease nowhere, but the sink distance did not grow.
 
-    The solvers release a phase's admissible lists before the next phase
-    checks against its labels, so the check must read ``dist`` alone.
+    A phase's blocking flow drops its admissible lists before the next
+    phase checks against its labels, so the check must read ``dist`` alone.
     """
     _, _, ag, fs = tri_state()
     prev = bfs_distances(fs)
+    cur = bfs_distances(fs)
     if release_prev:
-        prev.release()
+        blocking_flow(fs, prev)
+        assert prev.admissible is None
     with pytest.raises(InvariantViolation, match="failed to grow"):
-        check_label_monotone(prev, bfs_distances(fs), ag.sink_id)
+        check_label_monotone(prev, cur, ag.sink_id)
 
 
 def _edge_arc(fs, u, v):
@@ -211,6 +219,6 @@ def test_conservation_catches_an_interior_imbalance():
 def test_blocking_flow_refuses_released_labels():
     _, _, ag, fs = tri_state()
     labels = bfs_distances(fs)
-    labels.release()
+    blocking_flow(fs, labels)
     with pytest.raises(InvariantViolation, match="released"):
         blocking_flow(fs, labels)

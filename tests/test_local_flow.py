@@ -40,6 +40,7 @@ from oracle import (
     brute_min_cut_value,
     capped_flow,
     cut_value,
+    networkx_max_flow_value,
     reference_bfs_distances,
     reference_blocking_flow,
     reference_max_flow,
@@ -213,9 +214,11 @@ def test_local_matches_global_blocking_flow(small_suite):
             assert lab_l.dist.get(t) == lab_f.dist.get(t)
             if t not in lab_f.dist:
                 break
-            assert blocking_flow(loc, lab_l) == blocking_flow(full, lab_f)
-            update_saturated_set(loc)
-            full.newly_saturated.clear()
+            before = (loc.value, full.value)
+            pushed = blocking_flow(loc, lab_l)
+            blocking_flow(full, lab_f)
+            assert loc.value - before[0] == full.value - before[1]
+            update_saturated_set(loc, pushed)
         else:
             pytest.fail("differential run did not converge")
         assert loc.value == full.value
@@ -238,13 +241,45 @@ def test_update_saturated_set_monotone():
         labels = bfs_distances(fs)
         if ag.sink_id not in labels.dist:
             break
-        blocking_flow(fs, labels)
-        fresh = update_saturated_set(fs)
+        fresh = update_saturated_set(fs, blocking_flow(fs, labels))
         assert seen.isdisjoint(fresh)
         seen.update(fresh)
         assert fs.opened == set(a) | seen
         assert (fs.touched_volume - a.volume) * ag.eps <= a.volume
     assert seen == {3, 4, 5, 6, 7, 8}
+
+
+def test_push_record_finds_every_filled_sink_arc(small_suite):
+    """Each phase opens exactly the unopened non-seeds whose sink arc a full scan finds full.
+
+    After a full-value flow nothing opens, whatever the scan finds.
+    """
+    real = local_flow_module.update_saturated_set
+    calls = []
+
+    def update(fs, pushed):
+        t = fs.ag.sink_id
+        to, cap, flow = fs.arc_to, fs.arc_cap, fs.arc_flow
+        scan = sorted(
+            to[x]
+            for x in fs.arcs_of[t]
+            if flow[x ^ 1] == cap[x ^ 1] and to[x] not in fs.opened and to[x] not in fs.ag.seed
+        )
+        full = fs.value == fs.ag.source_total
+        fresh = real(fs, pushed)
+        assert fresh == ([] if full else scan)
+        calls.append((full and bool(scan), len(fresh)))
+        return fresh
+
+    phases = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_flow_module, "update_saturated_set", update)
+        for g, a, alpha, eps in small_suite:
+            for solve in (local_flow, local_flow_exact):
+                phases += solve(g, a, alpha, eps).stats.phases
+    assert len(calls) == phases
+    assert any(full_and_found for full_and_found, _ in calls)
+    assert sum(opened for _, opened in calls) > 500
 
 
 def _assert_saturated_record(res) -> None:
@@ -315,6 +350,22 @@ def test_local_flow_differential_exact_values(small_suite):
         assert res.exact, "phase budget must never bind on the small family"
         ref, _ = reference_max_flow(ag)
         assert res.flow.value == ref.value
+
+
+def test_solvers_agree_with_networkx_max_flow(small_suite):
+    """The networkx value shares no code with the engine; every solver must reach it."""
+    approx_exact = 0
+    for g, a, alpha, eps in small_suite:
+        ag = build(g, a, alpha, eps)
+        want = networkx_max_flow_value(ag)
+        assert global_max_flow(ag)[0].value == want
+        assert reference_max_flow(ag)[0].value == want
+        assert local_flow_exact(g, a, alpha, eps).flow.value == want
+        res = local_flow(g, a, alpha, eps)
+        if res.exact:
+            assert res.flow.value == want
+            approx_exact += 1
+    assert approx_exact > 400
 
 
 def test_local_flow_differential_up_to_fifty_vertices():
@@ -623,9 +674,9 @@ def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
     from the lists of unopened vertices, which are not sorted, and no flow,
     cut or label depends on it.
     Each blocking flow is first run by the reference on the same state,
-    which is then restored; the engine's run must push the same amount and
-    leave the same arc flows, flow value and newly saturated vertices, in
-    the same order. ``pushes`` collects the amount of every phase.
+    which is then restored; the engine's run must leave the same arc flows
+    and flow value, so it pushed the same amount and filled the same sink
+    arcs. ``pushes`` collects the amount of every phase.
     """
     real_bfs = module.bfs_distances
     real_blocking = module.blocking_flow
@@ -641,13 +692,14 @@ def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
         return labels
 
     def blocking(fs, labels):
-        before = (fs.arc_flow[:], fs.value, fs.newly_saturated[:])
-        want_pushed = reference_blocking_flow(fs, labels.dist)
-        want = (want_pushed, fs.arc_flow[:], fs.value, fs.newly_saturated[:])
-        fs.arc_flow[:], fs.value, fs.newly_saturated[:] = before
+        before = (fs.arc_flow[:], fs.value)
+        amount = reference_blocking_flow(fs, labels.dist)
+        want = (fs.arc_flow[:], fs.value)
+        fs.arc_flow[:], fs.value = before
         pushed = real_blocking(fs, labels)
-        assert (pushed, fs.arc_flow, fs.value, fs.newly_saturated) == want
-        pushes.append(pushed)
+        assert (fs.arc_flow, fs.value) == want
+        assert bool(pushed) == bool(amount)
+        pushes.append(amount)
         return pushed
 
     mp.setattr(module, "bfs_distances", bfs)
@@ -765,62 +817,6 @@ def test_admissible_lists_released_before_next_bfs(small_suite):
 # conservation: checked along each phase's pushes, and in full once per run ---
 
 
-def test_push_record_is_empty_after_every_phase(small_suite):
-    """Each phase's check empties the push record, so it never outgrows one phase.
-
-    Every blocking flow that pushes leaves its paths in the record; the
-    record is empty again when the next blocking flow starts and when the
-    run returns, for the localized solvers and the global one. The global
-    solver checks a phase before its next BFS; the localized ones check
-    after it, once it shows that another phase follows.
-    """
-    filled = 0
-
-    def spy_bfs(real):
-        def bfs(fs):
-            assert fs.pushed_arcs == []
-            return real(fs)
-
-        return bfs
-
-    def spy_blocking(real):
-        def blocking(fs, labels):
-            nonlocal filled
-            assert fs.pushed_arcs == []
-            pushed = real(fs, labels)
-            assert bool(fs.pushed_arcs) == bool(pushed)
-            filled += bool(pushed)
-            return pushed
-
-        return blocking
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(flow_module, "bfs_distances", spy_bfs(flow_module.bfs_distances))
-        for module in (local_flow_module, flow_module):
-            mp.setattr(module, "blocking_flow", spy_blocking(module.blocking_flow))
-        for g, a, alpha, eps in small_suite[:100]:
-            for res in (
-                local_flow(g, a, alpha, eps),
-                local_flow_exact(g, a, alpha, eps),
-                local_flow_exact(g, a, alpha, eps, start=local_flow(g, a, alpha, eps)),
-            ):
-                assert res.flow.pushed_arcs == []
-            assert global_max_flow(build(g, a, alpha, eps))[0].pushed_arcs == []
-    assert filled > 300
-
-
-def test_resumed_copy_starts_with_an_empty_push_record():
-    g = asym_barbell()
-    ag = build(g, VertexSet(g, [0, 1, 2]), Fraction(1, 3), Fraction(1, 10))
-    fs = FlowState(ag)
-    assert blocking_flow(fs, bfs_distances(fs)) > 0
-    record = fs.pushed_arcs[:]
-    assert record
-    copy = fs.resumed(ag)
-    assert copy.pushed_arcs == []
-    assert fs.pushed_arcs == record
-
-
 # A corruption is injected right after the blocking flow of one phase. The
 # instance has two phases: the first pushes only along s-2-3-t, the second
 # adds paths through 4..7; seeds 0 and 1 lie on no pushed path in either.
@@ -833,10 +829,10 @@ def _edge(fs: FlowState, u: int, v: int) -> int:
     return next(x for x in fs.arcs_of[u] if fs.arc_to[x] == v)
 
 
-def _on_path(fs: FlowState) -> int:
-    """The first recorded arc between two base vertices: inside a pushed path."""
+def _on_path(fs: FlowState, pushed: list[int]) -> int:
+    """The first arc of the push record between two base vertices: inside a pushed path."""
     n = fs.ag.graph.n
-    return next(x for x in fs.pushed_arcs if fs.arc_to[x] < n and fs.arc_to[x ^ 1] < n)
+    return next(x for x in pushed if fs.arc_to[x] < n and fs.arc_to[x ^ 1] < n)
 
 
 def _shift(fs: FlowState, x: int) -> None:
@@ -875,9 +871,9 @@ _SOLVERS = pytest.mark.parametrize(
 
 
 def _run_corrupted(solve, module, corrupt) -> tuple[list[str], str]:
-    """Run ``solve`` on the instance above with ``corrupt(fs)`` right after its first blocking flow.
+    """Run ``solve`` on the instance above with ``corrupt(fs, pushed)`` after its first phase.
 
-    The run must raise. Returns the conservation checks it made, in order
+    ``pushed`` is the push record that phase's blocking flow returned. The run must raise. Returns the conservation checks it made, in order
     (:func:`_spy_checks`), the last being the one that raised, and the
     error message.
     """
@@ -888,7 +884,7 @@ def _run_corrupted(solve, module, corrupt) -> tuple[list[str], str]:
         nonlocal corrupted
         pushed = real_blocking(fs, labels)
         if not corrupted:
-            corrupt(fs)
+            corrupt(fs, pushed)
             corrupted = True
         return pushed
 
@@ -907,7 +903,7 @@ def test_far_seeds_stay_off_every_pushed_path():
 
     def blocking(fs, labels):
         pushed = real_blocking(fs, labels)
-        heads.append({fs.arc_to[x] for x in fs.pushed_arcs})
+        heads.append({fs.arc_to[x] for x in pushed})
         return pushed
 
     with pytest.MonkeyPatch.context() as mp:
@@ -921,7 +917,10 @@ def test_far_seeds_stay_off_every_pushed_path():
 
 @_SOLVERS
 def test_corrupted_arc_on_a_pushed_path_is_caught_in_its_phase(solve, module):
-    checks, error = _run_corrupted(solve, module, lambda fs: _shift(fs, _on_path(fs)))
+    def corrupt(fs, pushed):
+        _shift(fs, _on_path(fs, pushed))
+
+    checks, error = _run_corrupted(solve, module, corrupt)
     assert checks == ["phase"]
     assert error in (
         "conservation violated at vertex 2: 1",
@@ -931,8 +930,8 @@ def test_corrupted_arc_on_a_pushed_path_is_caught_in_its_phase(solve, module):
 
 @_SOLVERS
 def test_broken_antisymmetry_on_a_pushed_pair_is_caught_in_its_phase(solve, module):
-    def corrupt(fs):
-        fs.arc_flow[_on_path(fs) ^ 1] -= 1
+    def corrupt(fs, pushed):
+        fs.arc_flow[_on_path(fs, pushed) ^ 1] -= 1
 
     checks, error = _run_corrupted(solve, module, corrupt)
     assert checks == ["phase"]
@@ -947,7 +946,7 @@ def test_corrupted_arc_far_from_the_pushes_is_caught_before_the_run_returns(solv
     check only the first, which a second phase follows, and leave the last
     to the full check.
     """
-    checks, error = _run_corrupted(solve, module, lambda fs: _shift(fs, _edge(fs, 0, 1)))
+    checks, error = _run_corrupted(solve, module, lambda fs, _: _shift(fs, _edge(fs, 0, 1)))
     if module is flow_module:
         assert checks == ["phase", "phase", "full"]
     else:

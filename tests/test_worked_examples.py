@@ -62,7 +62,8 @@ def test_first_phase_blocking_flow_matches_dag_oracle():
                 if w == t or labels.dist[w] < dt:
                     admissible[(u, w)] = fs.arc_cap[arc]
     expected = _dag_min_cut(admissible, s, t)
-    assert blocking_flow(fs, labels) == expected == 3  # only s->2->3->t is admissible, sink cap 3
+    blocking_flow(fs, labels)
+    assert fs.value == expected == 3  # only s->2->3->t is admissible, sink cap 3
 
 
 def test_update_saturated_trivial_cases():
@@ -71,14 +72,14 @@ def test_update_saturated_trivial_cases():
     ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
     fs = FlowState(ag)
     # nothing saturated: no change
-    assert update_saturated_set(fs) == []
+    assert update_saturated_set(fs, []) == []
     assert fs.opened == {0, 1, 2}
     # saturate the single frontier vertex's sink arc by hand
     arc = next(
         x for x in fs.arcs_of[3] if fs.arc_to[x] == ag.sink_id
     )
     push(fs, arc, ag.sink_cap(3))
-    fresh = update_saturated_set(fs)
+    fresh = update_saturated_set(fs, [arc])
     assert fresh == [3]
     assert fs.opened == {0, 1, 2, 3}
 
