@@ -19,7 +19,6 @@ from .errors import (
     ParameterError,
 )
 from .exact_flow import local_flow_exact
-from .flow import FlowState, bfs_distances, blocking_flow
 from .graphio import load_graph, load_vertex_set
 from .graphs import Graph, VertexSet, boundary_edges, conductance
 from .improve import ImproveResult, local_improve, local_improve_overlap
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AugmentedGraph",
-    "FlowState",
     "Graph",
     "GraphFormatError",
     "ImproveResult",
@@ -40,8 +38,6 @@ __all__ = [
     "ParameterError",
     "VertexSet",
     "appr_push",
-    "bfs_distances",
-    "blocking_flow",
     "boundary_edges",
     "build",
     "conductance",

@@ -24,16 +24,14 @@ vertex when the sink is unreachable) and, while it expands a vertex, keeps
 that vertex's residual arcs into the next layer, in list order: its
 admissible arcs. The blocking flow walks only those lists, so it never
 re-tests a label. The lists hold the arcs as they were when the labels
-were computed; the blocking flow is their last reader and drops them
-before it returns, so at most one phase's lists are alive at a time.
+were computed.
 
 Flow conservation is checked in proportion to the work done. The blocking
 flow returns the arcs of every path it pushed on, its push record, and
-each phase checks antisymmetry and conservation only along that record;
-the same record names the sink arcs the phase filled. A solver checks
-every arc pair and every materialized vertex, with the source and sink
-totals, once per run, just before it returns; the localized solvers
-leave their last phase to that check.
+each phase checks antisymmetry and conservation only along that record,
+right after its push; the same record names the sink arcs the phase
+filled. A solver checks every arc pair and every materialized vertex,
+with the source and sink totals, once per run, just before it returns.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from .augmented import AugmentedGraph
 from .errors import InvariantViolation
 from .graphs import VertexSet
 
-__all__ = ["FlowState", "DistanceLabels", "bfs_distances", "blocking_flow", "global_max_flow"]
+__all__ = ["FlowState", "bfs_distances", "blocking_flow", "global_max_flow"]
 
 
 class FlowState:
@@ -253,36 +251,19 @@ class FlowState:
                 raise InvariantViolation("flow value disagrees with source/sink excess")
 
 
-class DistanceLabels:
-    """Unit-length shortest-path labels from the source over residual arcs.
+def bfs_distances(fs: FlowState) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """Unit-length labels from ``s`` over positive-residual arcs: the pair ``(dist, admissible)``.
 
-    ``dist`` holds layers ``0..d(t)``, or every reachable vertex when the
-    sink is unreachable, in the order the BFS labelled them, so its labels
-    never decrease along it and each layer is one run. ``admissible`` maps
-    each vertex below the sink's layer to its residual arcs into the next
-    layer, in the order of its arc list; vertices with none are absent. It
-    is ``None`` once :func:`blocking_flow` has run on these labels, its
-    last reader; only ``dist`` is read after the phase.
-    """
-
-    __slots__ = ("dist", "admissible")
-
-    def __init__(self, dist: dict[int, int], admissible: dict[int, list[int]]):
-        self.dist = dist
-        self.admissible: dict[int, list[int]] | None = admissible
-
-
-def bfs_distances(fs: FlowState) -> DistanceLabels:
-    """Shortest-path labels from ``s`` over positive-residual arcs, with admissible arcs.
-
-    The lazily built arc structure confines the search to the materialized
-    subgraph. The search stops when it dequeues the first vertex of the
-    sink's layer, so that layer is labelled but none of it is expanded,
-    and nothing beyond it is labelled: no blocking-flow path, cut or check
-    reads past the sink. Each vertex's arcs are scanned in list order,
-    which :meth:`FlowState.open_vertex` fixed: target-id order for the
-    source and every opened vertex. Those into the next layer are kept as
-    the vertex's admissible list.
+    The search covers only the materialized subgraph and stops when it
+    dequeues the first vertex of the sink's layer: that layer is labelled
+    but not expanded, and no blocking-flow path, cut or check reads past
+    it. ``dist`` holds layers ``0..d(t)`` (every reachable vertex when the
+    sink is unreachable) in labelling order, so each layer is one run.
+    Each vertex's arcs are scanned in list order, which
+    :meth:`FlowState.open_vertex` fixed: target-id order for the source
+    and every opened vertex. ``admissible`` maps each vertex below the
+    sink's layer to its residual arcs into the next layer, in that order;
+    vertices with none are absent.
     """
     s = fs.ag.source_id
     t = fs.ag.sink_id
@@ -313,40 +294,35 @@ def bfs_distances(fs: FlowState) -> DistanceLabels:
                     out.append(a)
         if out:
             admissible[u] = out
-    return DistanceLabels(dist, admissible)
+    return dist, admissible
 
 
-def blocking_flow(fs: FlowState, labels: DistanceLabels) -> list[int]:
-    """Saturate the admissible graph of ``labels`` with a current-arc DFS; return the push record.
+def blocking_flow(
+    fs: FlowState, dist: dict[int, int], admissible: dict[int, list[int]]
+) -> list[int]:
+    """Saturate one labelling's admissible graph with a current-arc DFS; return the push record.
 
-    The DFS walks the admissible lists that :func:`bfs_distances` left in
-    ``labels``, re-checking only residual capacity and dead ends; at the
-    sink's last layer only the sink arc advances. Below that layer every
-    vertex is opened, so its list is in target-id order: the localized
-    solvers check this before each call (``_check_layer_containment``) and
-    :func:`global_max_flow` opens everything. So the DFS takes the same arcs
-    in the same order as one that scans every arc in target-id order and
-    tests labels, and pushes the same flow. Each push is applied in place,
-    checked against the arc's capacity and added to ``fs.value``.
+    The DFS walks the lists :func:`bfs_distances` returned with ``dist``,
+    re-checking only residual capacity and dead ends; at the sink's last
+    layer only the sink arc advances. Below that layer every vertex is
+    opened, so its list is in target-id order: the localized solvers check
+    this before each call (``_check_layer_containment``) and
+    :func:`global_max_flow` opens everything. So the DFS takes the same
+    arcs in the same order as one that scans every arc in target-id order
+    and tests labels, and pushes the same flow. Each push is applied in
+    place, checked against the arc's capacity and added to ``fs.value``.
 
     Returns the push record: the arcs of every path pushed on, in push
-    order, empty when nothing was pushed. The phase's conservation check
-    and saturated-set update read it. The lists are dropped
-    (``labels.admissible`` becomes ``None``), so a second call on the same
-    labels raises.
+    order, empty when nothing was pushed (as on a second call on the same
+    lists). The phase's conservation check and saturated-set update read it.
 
     Raises:
-        InvariantViolation: if a blocking flow already ran on ``labels``,
-            or a push would exceed an arc's capacity.
+        InvariantViolation: if a push would exceed an arc's capacity.
     """
-    admissible = labels.admissible
-    if admissible is None:
-        raise InvariantViolation("blocking flow on released labels")
-    labels.admissible = None
     s = fs.ag.source_id
     t = fs.ag.sink_id
     pushed: list[int] = []
-    dt = labels.dist.get(t)
+    dt = dist.get(t)
     if dt is None:
         return pushed
     to = fs.arc_to
@@ -405,30 +381,27 @@ def blocking_flow(fs: FlowState, labels: DistanceLabels) -> list[int]:
     return pushed
 
 
-def check_label_monotone(prev: DistanceLabels, cur: DistanceLabels, t: int) -> None:
-    """Assert no label of ``prev`` fell in ``cur``, and the sink distance grew.
+def check_label_monotone(prev: dict[int, int], cur: dict[int, int], t: int) -> None:
+    """Assert no label of ``prev`` fell in ``cur`` (successive ``dist``) and the sink distance grew.
 
     A Dinic phase raises the sink distance by at least one, so a sink
-    labelled in both ``prev`` and ``cur`` must be strictly farther in
-    ``cur``. Every label of ``prev`` is checked, which holds even while the
-    localized solvers materialize more of the graph, because ``prev`` stops
-    at the sink's layer ``d(t)``. A phase opens only the vertices whose
-    sink arc it filled, which sit at ``d(t) - 1``, and every other
-    unopened labelled vertex still has residual capacity to the sink, so it
-    sits at ``d(t) - 1`` or beyond. So every arc added between two BFS
-    passes joins vertices labelled at least ``d(t) - 1`` and lowers no
-    label up to ``d(t)``; the blocking flow's reverse arcs lead down a
-    layer and lower none either.
+    labelled in both must be strictly farther in ``cur``. Every label of
+    ``prev`` is checked, which holds even while the localized solvers
+    materialize more of the graph, because ``prev`` stops at the sink's
+    layer ``d(t)``. A phase opens only the vertices whose sink arc it
+    filled, which sit at ``d(t) - 1``, and every other unopened labelled
+    vertex still has residual capacity to the sink, so it sits at
+    ``d(t) - 1`` or beyond. So every arc added between two BFS passes
+    joins vertices labelled at least ``d(t) - 1`` and lowers no label up
+    to ``d(t)``; the blocking flow's reverse arcs lead down a layer and
+    lower none either.
     """
-    cd = cur.dist
-    for v, d_old in prev.dist.items():
-        d_new = cd.get(v)
+    for v, d_old in prev.items():
+        d_new = cur.get(v)
         if d_new is not None and d_new < d_old:
-            raise InvariantViolation(
-                f"distance label decreased at vertex {v}: {d_old} -> {d_new}"
-            )
-    before = prev.dist.get(t)
-    after = cd.get(t)
+            raise InvariantViolation(f"distance label decreased at vertex {v}: {d_old} -> {d_new}")
+    before = prev.get(t)
+    after = cur.get(t)
     if before is not None and after is not None and after <= before:
         raise InvariantViolation("sink distance failed to grow across a phase")
 
@@ -449,21 +422,21 @@ def global_max_flow(ag: AugmentedGraph) -> tuple[FlowState, VertexSet]:
     fs = FlowState(ag)
     fs.open_all()
     t = ag.sink_id
-    prev: DistanceLabels | None = None
+    prev: dict[int, int] | None = None
     while True:
-        labels = bfs_distances(fs)
+        dist, admissible = bfs_distances(fs)
         if prev is not None:
-            check_label_monotone(prev, labels, t)
-        if t not in labels.dist:
+            check_label_monotone(prev, dist, t)
+        if t not in dist:
             break
-        pushed = blocking_flow(fs, labels)
+        pushed = blocking_flow(fs, dist, admissible)
         if not pushed:
-            raise InvariantViolation("reachable sink but nothing pushed")
+            raise InvariantViolation("reachable sink but blocking flow pushed nothing")
         fs.check_conservation(pushed)
-        prev = labels
+        prev = dist
     fs.check_conservation()
     if fs.value > ag.source_total:
         raise InvariantViolation("flow value exceeds total source capacity")
     n = ag.graph.n
-    cut = VertexSet(ag.graph, (v for v in labels.dist if v < n))
+    cut = VertexSet(ag.graph, (v for v in dist if v < n))
     return fs, cut

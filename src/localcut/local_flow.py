@@ -41,7 +41,7 @@ from operator import itemgetter
 
 from .augmented import AugmentedGraph, build, overlap_for_sink_factor
 from .errors import InvariantViolation
-from .flow import DistanceLabels, FlowState, bfs_distances, blocking_flow, check_label_monotone
+from .flow import FlowState, bfs_distances, blocking_flow, check_label_monotone
 from .graphs import Graph, VertexSet, best_prefix
 
 __all__ = [
@@ -157,14 +157,13 @@ class LocalFlowResult:
         return self.flow.flow_value
 
 
-def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
-    """Layers up to ``d(t) - 2`` sit inside the core; the last one may touch the frontier.
+def _check_layer_containment(fs: FlowState, dist: dict[int, int]) -> None:
+    """Layers up to ``d(t) - 2`` of ``dist`` lie in the core; the last one may touch the frontier.
 
     The last needs no check: each labelled vertex heads an arc, so it is opened or adjacent to one.
     :func:`blocking_flow` relies on this check: it walks the lists below the last layer as
     target-id ordered, which only an opened vertex's list is.
     """
-    dist = labels.dist
     ag = fs.ag
     dt = dist.get(ag.sink_id)
     if dt is None:
@@ -178,17 +177,17 @@ def _check_layer_containment(fs: FlowState, labels: DistanceLabels) -> None:
             raise InvariantViolation(f"vertex {v} at distance {d} outside seed and saturated set")
 
 
-def _best_layer_cut(fs: FlowState, labels: DistanceLabels) -> VertexSet:
-    """The lowest-conductance prefix union of layers 1..d(t)-2 (:func:`best_prefix`).
+def _best_layer_cut(fs: FlowState, dist: dict[int, int]) -> VertexSet:
+    """The lowest-conductance prefix union of layers 1..d(t)-2 of ``dist`` (:func:`best_prefix`).
 
     The BFS labels in nondecreasing order, so each layer is one run of
-    ``labels.dist``, and a prefix union's conductance does not depend on
-    the order inside a layer. :func:`_check_layer_containment` has already
+    ``dist``, and a prefix union's conductance does not depend on the
+    order inside a layer. :func:`_check_layer_containment` has already
     checked these layers against the same labels.
     """
     g = fs.ag.graph
-    top = labels.dist[fs.ag.sink_id] - 2
-    runs = groupby(labels.dist.items(), key=itemgetter(1))
+    top = dist[fs.ag.sink_id] - 2
+    runs = groupby(dist.items(), key=itemgetter(1))
     groups = ([v for v, _ in run] for d, run in runs if 1 <= d <= top)
     best = best_prefix(g, groups, g.total_volume - 1)
     if best is None:
@@ -228,14 +227,15 @@ def _localized_dinic(
 ) -> LocalFlowResult:
     """Run at most ``budget`` localized Dinic phases; ``None`` runs to a max flow.
 
-    Each phase labels the materialized residual graph, saturates its
-    admissible arcs, and opens the vertices whose sink arcs filled. Every
-    labelling is checked for layer containment, label monotonicity through
-    the sink's layer and sink-distance growth, after, if another phase is
-    to follow, antisymmetry and conservation along the previous phase's
-    push record, kept until then. Before returning, on either exit, the
-    run checks these two over its whole flow once, with the source and
-    sink totals, the last phase and the inherited flow of a resumed run
+    Each phase labels the materialized residual graph (the pair ``dist``,
+    ``admissible`` of :func:`bfs_distances`) and checks the labels for
+    layer containment, label monotonicity through the sink's layer and
+    sink-distance growth. The run stops there if the sink is unreachable
+    or the budget is spent. Otherwise the phase saturates the admissible
+    arcs, checks antisymmetry and conservation along its push record at
+    once, and opens the vertices whose sink arcs filled. Before returning,
+    on either exit, the run checks these two over its whole flow once,
+    with the source and sink totals, the inherited flow of a resumed run
     included. The growth check also bounds an uncapped run: the sink
     distance would outgrow the materialized vertex count before the phases
     could.
@@ -270,34 +270,30 @@ def _localized_dinic(
     fs = FlowState(ag) if start is None else start.flow.resumed(ag)
     stats = LocalFlowStats()
     t = ag.sink_id
-    prev: DistanceLabels | None = None
-    pushed: list[int] = []  # the previous phase's push record
-    labels = bfs_distances(fs)
+    prev: dict[int, int] | None = None
     while True:
-        more = t in labels.dist and (budget is None or stats.phases < budget)
-        if more and pushed:
-            fs.check_conservation(pushed)
-        _check_layer_containment(fs, labels)
+        dist, admissible = bfs_distances(fs)
+        _check_layer_containment(fs, dist)
         if prev is not None:
-            check_label_monotone(prev, labels, t)
-        if not more:
+            check_label_monotone(prev, dist, t)
+        if t not in dist or stats.phases == budget:
             break
-        pushed = blocking_flow(fs, labels)
+        pushed = blocking_flow(fs, dist, admissible)
         if not pushed:
             raise InvariantViolation("reachable sink but blocking flow pushed nothing")
+        fs.check_conservation(pushed)
         stats.phases += 1
         update_saturated_set(fs, pushed)
-        prev = labels
-        labels = bfs_distances(fs)
+        prev = dist
     fs.check_conservation()
     stats.touched_volume = fs.touched_volume
-    if t not in labels.dist:
+    if t not in dist:
         if fs.value > ag.source_total:
             raise InvariantViolation("flow value exceeds total source capacity")
         full = fs.value == ag.source_total
         n = g.n
-        cut = VertexSet(g, (v for v in labels.dist if v < n))
+        cut = VertexSet(g, (v for v in dist if v < n))
         if full and len(cut) != 0:
             raise InvariantViolation("full-value flow must leave the source isolated")
         return LocalFlowResult(fs, cut, True, full, stats)
-    return LocalFlowResult(fs, _best_layer_cut(fs, labels), False, False, stats)
+    return LocalFlowResult(fs, _best_layer_cut(fs, dist), False, False, stats)

@@ -40,7 +40,6 @@ import numpy as np
 
 from localcut import (
     AugmentedGraph,
-    FlowState,
     Graph,
     InvariantViolation,
     NotACertificateError,
@@ -51,6 +50,7 @@ from localcut import (
     conductance,
 )
 from localcut.certify import RoutingCheck, validate_certificate, write_certificate
+from localcut.flow import FlowState
 from localcut.local_flow import LocalFlowResult, _localized_dinic, phase_budget
 
 __all__ = [

@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from localcut import (
-    FlowState,
     Graph,
     NotACertificateError,
     ParameterError,
@@ -19,6 +18,7 @@ from localcut import (
     local_flow_exact,
 )
 from localcut.certify import validate_certificate, write_certificate
+from localcut.flow import FlowState
 
 from gen import FORGED_CERTIFICATE, barbell, path_graph, random_instance
 from oracle import expansion_lower_bound, path_length_certificate, peel_paths, push, routing_check

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from localcut import (
+from localcut import InvariantViolation, VertexSet, build
+from localcut.flow import (
     FlowState,
-    InvariantViolation,
-    VertexSet,
     bfs_distances,
     blocking_flow,
-    build,
+    check_label_monotone,
+    global_max_flow,
 )
-from localcut.flow import DistanceLabels, check_label_monotone, global_max_flow
 
 from gen import barbell, random_instance
 from oracle import brute_min_cut_value, cut_value, push
@@ -58,9 +57,9 @@ def test_residual_capacity_after_push():
 
 def test_zero_flow_sink_distance_is_three():
     _, _, _, fs = tri_state()
-    labels = bfs_distances(fs)
-    assert labels.dist[fs.ag.source_id] == 0
-    assert labels.dist[fs.ag.sink_id] == 3
+    dist, _ = bfs_distances(fs)
+    assert dist[fs.ag.source_id] == 0
+    assert dist[fs.ag.sink_id] == 3
 
 
 def test_saturated_source_disconnects():
@@ -69,9 +68,9 @@ def test_saturated_source_disconnects():
     for arc in list(fs.arcs_of[s]):
         fs.arc_flow[arc] = fs.arc_cap[arc]
         fs.arc_flow[arc ^ 1] = -fs.arc_cap[arc]
-    labels = bfs_distances(fs)
-    assert ag.sink_id not in labels.dist
-    assert blocking_flow(fs, labels) == []
+    dist, admissible = bfs_distances(fs)
+    assert ag.sink_id not in dist
+    assert blocking_flow(fs, dist, admissible) == []
 
 
 def test_blocking_flow_single_path():
@@ -83,8 +82,7 @@ def test_blocking_flow_single_path():
     ag = build(g, a, Fraction(1), Fraction(1))
     fs = FlowState(ag)
     fs.open_all()
-    labels = bfs_distances(fs)
-    blocking_flow(fs, labels)
+    blocking_flow(fs, *bfs_distances(fs))
     assert fs.value == min(ag.source_cap(0), ag.edge_cap_unit, ag.sink_cap(1)) == 1
 
 
@@ -141,55 +139,48 @@ def test_phase_labels_monotone_and_growing():
         t = ag.sink_id
         prev = None
         while True:
-            labels = bfs_distances(fs)
+            dist, admissible = bfs_distances(fs)
             if prev is not None:
-                check_label_monotone(prev, labels, t)
-                if t in labels.dist:
-                    assert labels.dist[t] >= prev.dist[t] + 1
-            if t not in labels.dist:
+                check_label_monotone(prev, dist, t)
+                if t in dist:
+                    assert dist[t] >= prev[t] + 1
+            if t not in dist:
                 break
             value = fs.value
-            blocking_flow(fs, labels)
+            blocking_flow(fs, dist, admissible)
             assert fs.value > value
             fs.check_conservation()
-            prev = labels
+            prev = dist
 
 
 def test_blocking_flow_blocks_admissible_graph():
     # after a phase, re-running the same-label blocking flow, on a copy of
-    # the lists it dropped, pushes nothing
+    # the lists it walked, pushes nothing
     rng = random.Random(9)
     for _ in range(30):
         g, a, alpha, eps = random_instance(rng, nmax=10)
         ag = build(g, a, alpha, eps)
         fs = FlowState(ag)
         fs.open_all()
-        labels = bfs_distances(fs)
-        if ag.sink_id not in labels.dist:
+        dist, admissible = bfs_distances(fs)
+        if ag.sink_id not in dist:
             continue
-        lists = {v: arcs[:] for v, arcs in labels.admissible.items()}
-        blocking_flow(fs, labels)
+        lists = {v: arcs[:] for v, arcs in admissible.items()}
+        blocking_flow(fs, dist, admissible)
         value = fs.value
-        assert blocking_flow(fs, DistanceLabels(labels.dist, lists)) == []
+        assert blocking_flow(fs, dist, lists) == []
         assert fs.value == value
-        fresh = bfs_distances(fs)
-        dt = fresh.dist.get(ag.sink_id)
-        assert dt is None or dt > labels.dist[ag.sink_id]
+        fresh, _ = bfs_distances(fs)
+        dt = fresh.get(ag.sink_id)
+        assert dt is None or dt > dist[ag.sink_id]
 
 
-@pytest.mark.parametrize("release_prev", [False, True])
+@pytest.mark.parametrize("release_prev", [False])
 def test_label_monotone_rejects_a_stalled_sink(release_prev):
-    """Equal labels decrease nowhere, but the sink distance did not grow.
-
-    A phase's blocking flow drops its admissible lists before the next
-    phase checks against its labels, so the check must read ``dist`` alone.
-    """
+    """Equal labels decrease nowhere, but the sink distance did not grow."""
     _, _, ag, fs = tri_state()
-    prev = bfs_distances(fs)
-    cur = bfs_distances(fs)
-    if release_prev:
-        blocking_flow(fs, prev)
-        assert prev.admissible is None
+    prev, _ = bfs_distances(fs)
+    cur, _ = bfs_distances(fs)
     with pytest.raises(InvariantViolation, match="failed to grow"):
         check_label_monotone(prev, cur, ag.sink_id)
 
@@ -215,10 +206,3 @@ def test_conservation_catches_an_interior_imbalance():
     with pytest.raises(InvariantViolation, match="conservation violated at vertex 0: 1"):
         fs.check_conservation()
 
-
-def test_blocking_flow_refuses_released_labels():
-    _, _, ag, fs = tri_state()
-    labels = bfs_distances(fs)
-    blocking_flow(fs, labels)
-    with pytest.raises(InvariantViolation, match="released"):
-        blocking_flow(fs, labels)

@@ -1,6 +1,7 @@
 import importlib
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -137,6 +138,50 @@ def test_search_rule_with_starved_layer_cuts(small_suite, monkeypatch):
         assert [alpha for alpha, _ in probes] == [alpha for alpha, _ in res.alpha_trace]
         midpoints += _check_search_rule(g, a, eps, probes)
     assert midpoints >= 10, f"only {midpoints} bisection probes"
+
+
+_FULL = "full"
+
+
+def _scripted_trace(monkeypatch, script: dict) -> str:
+    """The search's probes, as ``"alpha outcome"``, against a solver that follows ``script``.
+
+    ``script`` maps each alpha to ``_FULL`` (a full flow, empty cut) or
+    to the relative quotient of the cut found there, possibly ``None``.
+    Every cut is the triangle of ``asym_barbell``, whose conductance is
+    1/7, so no cut stops the search as a disconnection.
+    """
+    g = asym_barbell()
+    a = VertexSet(g, [0, 1, 2])
+    probed: list[Fraction] = []
+
+    def solve(g, a, alpha, eps, **kwargs):
+        probed.append(alpha)
+        full = script[alpha] == _FULL
+        return SimpleNamespace(
+            cut=VertexSet(g, () if full else a),
+            full_flow=full,
+            stats=SimpleNamespace(touched_volume=0, phases=0),
+        )
+
+    monkeypatch.setattr(improve_module, "local_flow", solve)
+    monkeypatch.setattr(improve_module, "relative_quotient", lambda *args: script[probed[-1]])
+    res = local_improve(g, a, Fraction(1, 3))
+    assert [alpha for alpha, _ in res.alpha_trace] == probed
+    short = {"cut-found": "cut", "full-flow": "full"}
+    return ", ".join(f"{alpha} {short[outcome]}" for alpha, outcome in res.alpha_trace)
+
+
+def test_search_probe_rule_at_exact_ties(monkeypatch):
+    """A quotient equal to the bracket's floor is not probed again; a bracket of exactly
+    the bisection width stops the search."""
+    F = Fraction
+    # the cut at 3/8 has quotient 1/4, where a full flow was already routed
+    dinkelbach_tie = {F(1): F(1, 2), F(1, 2): F(1, 2), F(1, 4): _FULL, F(3, 8): F(1, 4)}
+    assert _scripted_trace(monkeypatch, dinkelbach_tie) == "1 cut, 1/2 cut, 1/4 full, 3/8 cut"
+    # after 5/8 the bracket [5/8, 3/4] is exactly BISECTION_WIDTH * 5/8 wide
+    width_tie = {F(1): None, F(1, 2): _FULL, F(3, 4): F(3, 4), F(5, 8): _FULL, F(11, 16): _FULL}
+    assert _scripted_trace(monkeypatch, width_tie) == "1 cut, 1/2 full, 3/4 cut, 5/8 full"
 
 
 def test_improve_no_improvement_outcome():

@@ -10,12 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localcut import (
-    FlowState,
     Graph,
     InvariantViolation,
     VertexSet,
-    bfs_distances,
-    blocking_flow,
     build,
     conductance,
     local_flow,
@@ -24,7 +21,7 @@ from localcut import (
 from localcut import flow as flow_module
 from localcut.augmented import least_scale, overlap_for_sink_factor, sink_factor_for_overlap
 from localcut.certify import validate_certificate, write_certificate
-from localcut.flow import global_max_flow
+from localcut.flow import FlowState, bfs_distances, blocking_flow, global_max_flow
 from localcut.improve import local_improve, local_improve_overlap
 from localcut.local_flow import phase_budget, update_saturated_set
 
@@ -211,12 +208,12 @@ def test_local_matches_global_blocking_flow(small_suite):
         for _ in range(g.n + 5):
             lab_l = bfs_distances(loc)
             lab_f = bfs_distances(full)
-            assert lab_l.dist.get(t) == lab_f.dist.get(t)
-            if t not in lab_f.dist:
+            assert lab_l[0].get(t) == lab_f[0].get(t)
+            if t not in lab_f[0]:
                 break
             before = (loc.value, full.value)
-            pushed = blocking_flow(loc, lab_l)
-            blocking_flow(full, lab_f)
+            pushed = blocking_flow(loc, *lab_l)
+            blocking_flow(full, *lab_f)
             assert loc.value - before[0] == full.value - before[1]
             update_saturated_set(loc, pushed)
         else:
@@ -238,10 +235,10 @@ def test_update_saturated_set_monotone():
     fs = FlowState(ag)
     seen: set[int] = set()
     for _ in range(60):
-        labels = bfs_distances(fs)
-        if ag.sink_id not in labels.dist:
+        dist, admissible = bfs_distances(fs)
+        if ag.sink_id not in dist:
             break
-        fresh = update_saturated_set(fs, blocking_flow(fs, labels))
+        fresh = update_saturated_set(fs, blocking_flow(fs, dist, admissible))
         assert seen.isdisjoint(fresh)
         seen.update(fresh)
         assert fs.opened == set(a) | seen
@@ -380,17 +377,20 @@ def test_local_flow_differential_up_to_fifty_vertices():
 
 
 def _spy_bfs(mp: pytest.MonkeyPatch, mutate=None, module=local_flow_module) -> list[int]:
-    """Collect the sink distance of every BFS ``module`` runs, after ``mutate(fs, labels)``."""
+    """Collect the sink distance of every BFS ``module`` runs, after ``mutate(fs, dist)``.
+
+    The spy returns the BFS's pair ``(dist, admissible)``, with ``dist`` as mutated.
+    """
     real = module.bfs_distances
     trace: list[int] = []
 
     def bfs(fs):
-        labels = real(fs)
+        dist, admissible = real(fs)
         if mutate is not None:
-            mutate(fs, labels)
-        if fs.ag.sink_id in labels.dist:
-            trace.append(labels.dist[fs.ag.sink_id])
-        return labels
+            mutate(fs, dist)
+        if fs.ag.sink_id in dist:
+            trace.append(dist[fs.ag.sink_id])
+        return dist, admissible
 
     mp.setattr(module, "bfs_distances", bfs)
     return trace
@@ -428,11 +428,11 @@ def test_stalled_sink_distance_is_caught():
     ):
         seen: list[int] = []
 
-        def stall(fs, labels):
+        def stall(fs, dist):
             t = fs.ag.sink_id
-            if seen and t in labels.dist:
-                labels.dist[t] = seen[0]
-            seen.append(labels.dist.get(t))
+            if seen and t in dist:
+                dist[t] = seen[0]
+            seen.append(dist.get(t))
 
         with pytest.MonkeyPatch.context() as mp:
             _spy_bfs(mp, stall, module)
@@ -456,14 +456,14 @@ def test_fallen_label_in_the_sink_layer_is_caught():
         prev = []
         hit = []
 
-        def lower(fs, labels):
+        def lower(fs, dist):
             if prev and not hit:
-                dt = prev[-1].dist[fs.ag.sink_id]
-                v = next((v for v in sorted(fs.opened) if prev[-1].dist.get(v) == dt), None)
+                dt = prev[-1][fs.ag.sink_id]
+                v = next((v for v in sorted(fs.opened) if prev[-1].get(v) == dt), None)
                 if v is not None:
-                    labels.dist[v] = dt - 1
+                    dist[v] = dt - 1
                     hit.append(v)
-            prev.append(labels)
+            prev.append(dist)
 
         with pytest.MonkeyPatch.context() as mp:
             _spy_bfs(mp, lower)
@@ -483,10 +483,10 @@ def test_unopened_vertex_in_a_low_layer_is_caught():
     a = VertexSet(g, [0, 1, 2])
     for solve in (local_flow, local_flow_exact):
 
-        def misplace(fs, labels):
+        def misplace(fs, dist):
             outside = min(v for v in range(g.n) if v not in fs.opened)
-            assert labels.dist[fs.ag.sink_id] >= 3
-            labels.dist[outside] = 1
+            assert dist[fs.ag.sink_id] >= 3
+            dist[outside] = 1
 
         with pytest.MonkeyPatch.context() as mp:
             _spy_bfs(mp, misplace)
@@ -520,7 +520,7 @@ def test_forced_early_stop_returns_layer_cut(small_suite):
     res = capped_flow(g, a, alpha, eps, full.stats.phases - 1)
     assert not res.exact and not res.full_flow
     assert set(res.cut) <= res.flow.opened
-    dist = bfs_distances(res.flow).dist
+    dist, _ = bfs_distances(res.flow)
     dt = dist[res.flow.ag.sink_id]
     top = max(dist[v] for v in res.cut)
     assert top <= dt - 2
@@ -683,20 +683,20 @@ def _lockstep(mp: pytest.MonkeyPatch, module, pushes: list[int]) -> None:
 
     def bfs(fs):
         want = reference_bfs_distances(fs)
-        labels = real_bfs(fs)
+        dist, admissible = real_bfs(fs)
         dt = want.get(fs.ag.sink_id)
-        assert labels.dist == {v: d for v, d in want.items() if dt is None or d <= dt}
-        assert [v for v, d in labels.dist.items() if dt is None or d < dt] == [
+        assert dist == {v: d for v, d in want.items() if dt is None or d <= dt}
+        assert [v for v, d in dist.items() if dt is None or d < dt] == [
             v for v, d in want.items() if dt is None or d < dt
         ]
-        return labels
+        return dist, admissible
 
-    def blocking(fs, labels):
+    def blocking(fs, dist, admissible):
         before = (fs.arc_flow[:], fs.value)
-        amount = reference_blocking_flow(fs, labels.dist)
+        amount = reference_blocking_flow(fs, dist)
         want = (fs.arc_flow[:], fs.value)
         fs.arc_flow[:], fs.value = before
-        pushed = real_blocking(fs, labels)
+        pushed = real_blocking(fs, dist, admissible)
         assert (fs.arc_flow, fs.value) == want
         assert bool(pushed) == bool(amount)
         pushes.append(amount)
@@ -786,34 +786,6 @@ def test_open_vertex_keeps_every_list_in_order(small_suite):
     assert counts["open"] > 10000 and counts["resumed"] > 200
 
 
-def test_admissible_lists_released_before_next_bfs(small_suite):
-    """No labels of an earlier phase still hold admissible lists when the next BFS starts."""
-    made = []
-
-    def spy(real):
-        def bfs(fs):
-            assert all(labels.admissible is None for labels in made)
-            made.append(real(fs))
-            return made[-1]
-
-        return bfs
-
-    multi_phase = 0
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(local_flow_module, "bfs_distances", spy(local_flow_module.bfs_distances))
-        mp.setattr(flow_module, "bfs_distances", spy(flow_module.bfs_distances))
-        for g, a, alpha, eps in small_suite[:100]:
-            for run in (
-                lambda: local_flow(g, a, alpha, eps),
-                lambda: local_flow_exact(g, a, alpha, eps),
-                lambda: global_max_flow(build(g, a, alpha, eps)),
-            ):
-                made.clear()
-                run()
-                multi_phase += len(made) > 2
-    assert multi_phase > 50
-
-
 # conservation: checked along each phase's pushes, and in full once per run ---
 
 
@@ -870,6 +842,21 @@ _SOLVERS = pytest.mark.parametrize(
 )
 
 
+@_SOLVERS
+def test_blocking_flow_replayed_on_its_lists_is_caught(solve, module):
+    """A blocking flow run again on the lists it just walked pushes nothing, and the loop raises."""
+    real_blocking = module.blocking_flow
+
+    def replay(fs, dist, admissible):
+        real_blocking(fs, dist, admissible)
+        return real_blocking(fs, dist, admissible)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "blocking_flow", replay)
+        with pytest.raises(InvariantViolation, match="pushed nothing"):
+            solve(_G, _A, Fraction(1, 4), _EPS)
+
+
 def _run_corrupted(solve, module, corrupt) -> tuple[list[str], str]:
     """Run ``solve`` on the instance above with ``corrupt(fs, pushed)`` after its first phase.
 
@@ -880,9 +867,9 @@ def _run_corrupted(solve, module, corrupt) -> tuple[list[str], str]:
     real_blocking = module.blocking_flow
     corrupted = False
 
-    def blocking(fs, labels):
+    def blocking(fs, dist, admissible):
         nonlocal corrupted
-        pushed = real_blocking(fs, labels)
+        pushed = real_blocking(fs, dist, admissible)
         if not corrupted:
             corrupt(fs, pushed)
             corrupted = True
@@ -901,8 +888,8 @@ def test_far_seeds_stay_off_every_pushed_path():
     heads = []
     real_blocking = local_flow_module.blocking_flow
 
-    def blocking(fs, labels):
-        pushed = real_blocking(fs, labels)
+    def blocking(fs, dist, admissible):
+        pushed = real_blocking(fs, dist, admissible)
         heads.append({fs.arc_to[x] for x in pushed})
         return pushed
 
@@ -942,15 +929,11 @@ def test_broken_antisymmetry_on_a_pushed_pair_is_caught_in_its_phase(solve, modu
 def test_corrupted_arc_far_from_the_pushes_is_caught_before_the_run_returns(solve, module):
     """The phase checks pass over the corruption; the run's full check catches it.
 
-    The global solver checks both phases' records. The localized solvers
-    check only the first, which a second phase follows, and leave the last
-    to the full check.
+    Every solver checks each of the two phases' records right after its
+    push, then makes its full check.
     """
     checks, error = _run_corrupted(solve, module, lambda fs, _: _shift(fs, _edge(fs, 0, 1)))
-    if module is flow_module:
-        assert checks == ["phase", "phase", "full"]
-    else:
-        assert checks == ["phase", "full"]
+    assert checks == ["phase", "phase", "full"]
     assert error in (
         "conservation violated at vertex 0: 1",
         "conservation violated at vertex 1: -1",

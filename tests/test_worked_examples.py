@@ -4,15 +4,13 @@ import itertools
 from fractions import Fraction
 
 from localcut import (
-    FlowState,
     VertexSet,
-    bfs_distances,
-    blocking_flow,
     boundary_edges,
     build,
     local_flow,
     local_improve_overlap,
 )
+from localcut.flow import FlowState, bfs_distances, blocking_flow
 from localcut.local_flow import update_saturated_set
 
 from gen import asym_barbell, barbell
@@ -49,20 +47,20 @@ def test_first_phase_blocking_flow_matches_dag_oracle():
     ag = build(g, a, Fraction(1, 2), Fraction(1, 3))
     fs = FlowState(ag)
     fs.open_all()
-    labels = bfs_distances(fs)
+    dist, lists = bfs_distances(fs)
     s, t = ag.source_id, ag.sink_id
-    dt = labels.dist[t]
+    dt = dist[t]
     admissible: dict[tuple[int, int], int] = {}
-    for u, d in labels.dist.items():
+    for u, d in dist.items():
         if u == t or d >= dt:
             continue
         for arc in fs.arcs_of[u]:
             w = fs.arc_to[arc]
-            if fs.arc_cap[arc] > 0 and labels.dist.get(w) == d + 1:
-                if w == t or labels.dist[w] < dt:
+            if fs.arc_cap[arc] > 0 and dist.get(w) == d + 1:
+                if w == t or dist[w] < dt:
                     admissible[(u, w)] = fs.arc_cap[arc]
     expected = _dag_min_cut(admissible, s, t)
-    blocking_flow(fs, labels)
+    blocking_flow(fs, dist, lists)
     assert fs.value == expected == 3  # only s->2->3->t is admissible, sink cap 3
 
 
