@@ -30,8 +30,18 @@ int64 value per token, and vectorized checks. Working memory is a few arrays of 
 size plus the parsed tokens. When a check finds a bad line, the first one
 in file order is re-read by a per-line check that words the error.
 
+A file of two or more blocks is tokenized on two cores: one helper thread,
+started the first time such a file is read, tokenizes every other block
+while the calling thread tokenizes the one before it; numpy releases the
+GIL inside the calls that do the work. The readers still take the blocks
+in file order, so every check, message and line number is the same as on
+one core. The helper runs nothing but :func:`_tokenize`, which calls only
+numpy: the benchmark's tracer (``perfbench/spans.py``) keeps one span
+stack per process, so a traced function called on the helper thread would
+corrupt it.
+
 Both formats build through :mod:`localcut.graphs`, which alone forms the
-CSR arc keys ``tail << 32 | head``; a METIS file hands over its arcs.
+CSR arc keys; a METIS file hands over its arcs.
 
 Rational parameters, on the command line and in certificates, go through
 :func:`parse_rational`, whose digit and exponent bounds keep a short
@@ -44,13 +54,16 @@ import io
 import os
 import re
 from fractions import Fraction
-from functools import partial
-from typing import IO, Iterator, NamedTuple
+from functools import cache, partial
+from typing import IO, TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import GraphFormatError, InvariantViolation
 from .graphs import _MAX_N, Graph, VertexSet
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 __all__ = [
     "load_graph",
@@ -214,8 +227,12 @@ def _tokenize(data: bytes, comment: int) -> _Tokens:
     ends = np.flatnonzero(a == _LF)
     if not len(ends) or ends[-1] != len(a) - 1:
         ends = np.append(ends, len(a))
-    # space, tab, LF, VT, FF, CR; uint8 wrap-around keeps bytes below TAB out
-    space = (a == 32) | (a - np.uint8(9) < 5)
+    # space, tab, LF, VT, FF, CR; uint8 wrap-around keeps bytes below TAB out.
+    # One blank byte pads each side, so every token starts and ends at a flip.
+    padded = np.ones(len(a) + 2, dtype=bool)
+    space = padded[1:-1]
+    np.equal(a, 32, out=space)
+    space |= a - np.uint8(9) < 5
     comment_lines = np.zeros(len(ends), dtype=bool) if comment == _PERCENT else None
     marks = np.flatnonzero(a == comment)
     if len(marks):
@@ -236,28 +253,63 @@ def _tokenize(data: bytes, comment: int) -> _Tokens:
         space |= _line_spans(marks, ends[mline], len(a))
     bad = np.flatnonzero(~space & (a - np.uint8(48) >= 10))
     other = int(np.searchsorted(ends, bad[0])) if len(bad) else len(ends)
-    # token bounds: where the blank mask flips, plus the block's own ends
-    edge = np.flatnonzero(space[1:] != space[:-1]) + 1
-    if not space[0]:
-        edge = np.insert(edge, 0, 0)
-    if not space[-1]:
-        edge = np.append(edge, len(a))
-    del space, bad
-    start = edge[0::2]
-    length = edge[1::2] - start
-    del edge
+    # token bounds: where the padded blank mask flips
+    edge = np.flatnonzero(padded[1:] != padded[:-1])
+    del padded, space, bad
+    start, stop = edge[0::2], edge[1::2]
+    length = stop - start
     # digit k from the right of every token at once; longer tokens are read below
-    stop = start + length
     value = np.zeros(len(start), dtype=np.int64)
+    at = np.empty(len(start), dtype=np.int64)  # the digit's offset, then its weighted value
+    digit = np.empty(len(start), dtype=np.uint8)
     for k in range(1, min(int(length.max(initial=0)), _DIGITS) + 1):
-        digit = a[stop - k].astype(np.int64) - 48
+        np.subtract(stop, k, out=at)
+        np.take(a, at, out=digit)
+        digit -= 48
         digit[length < k] = 0
-        value += digit * 10 ** (k - 1)
+        np.multiply(digit, np.int64(10 ** (k - 1)), out=at)
+        value += at
+    del at, digit
     for t in np.flatnonzero(length > _DIGITS):
-        token = data[start[t] : start[t] + length[t]]
+        token = data[start[t] : stop[t]]
         if token.isdigit():
             value[t] = _value(token)
     return _Tokens(data, ends, np.searchsorted(start, ends), value, other, comment_lines)
+
+
+def _tokenized(source: str | os.PathLike | bytes, comment: int) -> Iterator[_Tokens]:
+    """:func:`_tokenize` of each block of :func:`_blocks`, in file order.
+
+    When there are two or more blocks, the helper thread tokenizes every
+    other one (the second, the fourth, ...) while this thread tokenizes the
+    one before it, so at most two blocks are tokenized at once.
+    """
+    blocks = _blocks(source)
+    for data in blocks:
+        ahead = next(blocks, None)
+        if ahead is None:
+            yield _tokenize(data, comment)
+            return
+        pending = _helper().submit(_tokenize, ahead, comment)
+        try:
+            yield _tokenize(data, comment)
+        finally:
+            # also when the reader stops here: no work outlives the read
+            ahead = pending.result()
+        yield ahead
+
+
+@cache
+def _helper() -> Executor:
+    """The one helper thread, started the first time a file has two blocks."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="localcut-tokenize")
+
+
+# a forked child has the executor but not its thread; it starts its own
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_helper.cache_clear)
 
 
 def _raise_line(error: str | None, lineno: int) -> None:
@@ -338,8 +390,7 @@ def _edge_blocks(source: str | os.PathLike | bytes) -> Iterator[tuple[np.ndarray
     Raises at the first bad line, in file order.
     """
     lineno = 1
-    for data in _blocks(source):
-        t = _tokenize(data, _HASH)
+    for t in _tokenized(source, _HASH):
         count = t.count()
         bad = int(min([t.other, *np.flatnonzero((count != 0) & (count != 2))[:1]]))
         uv = t.value[: t.tokens_before(bad)].reshape(-1, 2)
@@ -378,8 +429,8 @@ def load_edgelist(source: str | os.PathLike | IO[str]) -> Graph:
 def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     """Parse METIS adjacency format (1-based, each edge listed from both sides).
 
-    The arcs build through ``graphs``, which forms their keys ``tail << 32 |
-    head`` and checks that each has its reverse; this reader words it if not.
+    The arcs build through ``graphs``, which forms their keys and checks
+    that each has its reverse; this reader words it if not.
     """
     header: tuple[int, int] | None = None
     rows = 0  # adjacency lines seen, the header excluded
@@ -387,8 +438,7 @@ def load_metis(source: str | os.PathLike | IO[str]) -> Graph:
     heads: list[np.ndarray] = []
     first_bad: tuple[int, bytes, int] | None = None  # line number, text, vertex
     lineno = 1
-    for data in _blocks(_rereadable(source)):
-        t = _tokenize(data, _PERCENT)
+    for t in _tokenized(_rereadable(source), _PERCENT):
         body = np.flatnonzero(~t.comment)
         skip = 0  # the header's tokens
         if header is None and len(body):
@@ -467,8 +517,7 @@ def load_vertex_set(source: str | os.PathLike | IO[str], g: Graph) -> VertexSet:
     """Parse whitespace/newline-separated vertex ids; '#' starts a comment."""
     ids: list[np.ndarray] = []
     lineno = 1
-    for data in _blocks(_rereadable(source)):
-        t = _tokenize(data, _HASH)
+    for t in _tokenized(_rereadable(source), _HASH):
         bad = min(t.other, t.first_line(np.flatnonzero(t.value >= g.n)))
         if bad < len(t.ends):
             _raise_line(_seed_line_error(t.text(bad), g.n), lineno + bad)

@@ -6,13 +6,16 @@ are rejected at construction. Adjacency is stored in CSR form so a graph
 with millions of edges stays compact and cheap to share between runs: an
 int64 offsets array and an int32 array of heads, each adjacency run sorted,
 served as read-only memoryviews with no copy. Only this module knows the
-arc key ``tail << 32 | head``; both builders (edge pairs, the METIS
-loader's arcs) sort the int64 keys once, in place, then mask them block by
-block to int32 heads in the front half of the same buffer and shrink it to
-that half. An edge-pair build peaks at the larger of the sorted keys (16
-bytes per edge) and the heads plus the offsets and one degree count; the
-finished CSR takes 8 bytes per edge plus 8 per vertex, 0.55 times an int64
-CSR on a ring of cliques.
+arc keys, which sort by tail, then head; both builders (edge pairs, the
+METIS loader's arcs) sort them once, in place, and take the heads from the
+same buffer. Their width follows ``n``: up to ``2**16`` vertices a key is
+the uint32 ``tail << 16 | head``, masked in place to its low 16 bits; above
+that it is the int64 ``tail << 32 | head``, masked block by block to int32
+heads in the front half of the buffer, which then shrinks to that half. An
+edge-pair build peaks at the larger of the sorted keys (8 bytes per edge
+up to ``2**16`` vertices, 16 above) and the heads plus the offsets and one
+degree count; the finished CSR takes 8 bytes per edge plus 8 per vertex,
+0.55 times an int64 CSR on a ring of cliques.
 
 All conductance and volume arithmetic is exact (integers and
 :class:`fractions.Fraction`); nothing in this module touches floating
@@ -39,6 +42,8 @@ __all__ = [
 
 # the largest vertex count whose heads fit in int32 (its arc keys fit in int64)
 _MAX_N = 2**31
+# the largest vertex count whose arc keys fit in uint32
+_HALF_N = 2**16
 # keys masked to heads per step: the one block numpy copies is 64 KiB
 _BLOCK = 8192
 
@@ -89,9 +94,9 @@ class Graph:
         # CSR with each adjacency run sorted: one in-place sort of both
         # directions' keys, written straight into the one buffer that becomes the heads
         u, v = pairs[:, 0], pairs[:, 1]
-        key = np.empty(2 * m, dtype=np.int64)
-        _arc_keys(u, v, out=key[:m])
-        _arc_keys(v, u, out=key[m:])
+        key = np.empty(2 * m, dtype=_key_dtype(n))
+        _arc_keys(u, v, n, out=key[:m])
+        _arc_keys(v, u, n, out=key[m:])
         key.sort()
         self._set_csr(n, key, np.bincount(pairs.ravel(), minlength=n))
 
@@ -103,9 +108,9 @@ class Graph:
         """
         if n > _MAX_N:  # before anything is sized by n, and before a key overflows
             raise ValueError(f"vertex count {n} exceeds {_MAX_N}")
-        key = _arc_keys(tails, heads)
+        key = _arc_keys(tails, heads, n)
         key.sort()
-        reverse = _arc_keys(heads, tails)
+        reverse = _arc_keys(heads, tails, n)
         reverse.sort()
         if not np.array_equal(key, reverse):
             return None
@@ -159,22 +164,37 @@ class Graph:
         return f"Graph(n={self._n}, m={self._m})"
 
 
-def _arc_keys(tails: np.ndarray, heads: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The int64 arc keys ``tail << 32 | head``, which sort by tail, then head."""
-    key = np.left_shift(tails, 32, out=out)
-    key |= heads
-    return key
+def _key_dtype(n: int) -> type[np.integer]:
+    return np.uint32 if n <= _HALF_N else np.int64
+
+
+def _arc_keys(
+    tails: np.ndarray, heads: np.ndarray, n: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The arc keys, which sort by tail, then head, of ids below ``n``.
+
+    Up to ``2**16`` vertices they are the uint32 ``tail << 16 | head``,
+    above that the int64 ``tail << 32 | head``.
+    """
+    dtype = _key_dtype(n)
+    key = np.left_shift(tails, 16 if n <= _HALF_N else 32, out=out, dtype=dtype, casting="unsafe")
+    return np.bitwise_or(key, heads, out=key, dtype=dtype, casting="unsafe")
 
 
 def _reduce_to_heads(key: np.ndarray) -> np.ndarray:
-    """The heads, the low 32 bits of the sorted int64 arc keys, as int32 in ``key``'s buffer.
+    """The heads of the sorted arc keys as int32, in ``key``'s buffer.
 
-    Each block's heads go to the int32 slots at its keys' indices; past the
-    first block, which numpy copies before writing, these end at or before
-    the block's first key. The buffer, which ``key`` must own, then shrinks
-    in place to the heads' half (arcs come in pairs); a view of ``key``
-    taken before the call would dangle.
+    A uint32 key's head is its low 16 bits, masked in place. An int64
+    key's head is its low 32 bits: each block's heads go to the int32
+    slots at its keys' indices; past the first block, which numpy copies
+    before writing, these end at or before the block's first key. The
+    buffer, which ``key`` must own, then shrinks in place to the heads'
+    half (arcs come in pairs); a view of ``key`` taken before the call
+    would dangle.
     """
+    if key.dtype == np.uint32:
+        key &= 0xFFFF
+        return key.view(np.int32)
     heads = key.view(np.int32)
     for start in range(0, len(key), _BLOCK):
         stop = min(start + _BLOCK, len(key))

@@ -1,10 +1,16 @@
 import io
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gen import random_edge_array, ring_of_cliques
@@ -211,11 +217,17 @@ def test_loaders_read_paths(tmp_path):
     st.integers(2, 40) | st.integers(2, 20_000),
     st.integers(0, 2**32 - 1),
 )
+# the largest n of uint32 keys, the smallest of int64 keys, and a larger one
+@example(4097, 2**16, 1)
+@example(8193, 2**16 + 1, 2)
+@example(4097, 200_000, 3)
 @settings(max_examples=25, deadline=None)
 def test_metis_csr_matches_lexsort_reference(m, n, seed):
-    # the loaded graph's int32 heads, reduced from its sorted keys in blocks
-    # of 8192, against one lexsort of both arc directions
+    # the loaded graph's int32 heads, taken from its sorted keys (uint32 up
+    # to 2**16 vertices, int64 reduced in blocks of 8192 above), against
+    # one lexsort of both arc directions
     edges = random_edge_array(seed, n, m)
+    edges[-1] = (n - 1, n - 2)  # the largest id is present
     adj = [[] for _ in range(n)]
     for u, v in edges.tolist():
         adj[u].append(str(v + 1))
@@ -223,6 +235,89 @@ def test_metis_csr_matches_lexsort_reference(m, n, seed):
     g = load_metis(io.StringIO(f"{n} {m}\n" + "".join(" ".join(row) + "\n" for row in adj)))
     assert np.asarray(g._flat).dtype == np.int32
     assert (list(g._off), list(g._flat)) == reference_csr(n, edges)
+
+
+# Five blocks of four 16-byte lines at CHUNK_BYTES = 64: the helper thread
+# tokenizes blocks 2 and 4 (lines 5-8 and 13-16), this thread 1, 3 and 5.
+def padded(lines):
+    return "".join(line.ljust(15) + "\n" for line in lines)
+
+
+CYCLE = [f"{i} {i + 1}" for i in range(19)] + ["19 0"]
+CYCLE_METIS = ["19 19"] + [f"{(u - 1) % 19 + 1} {(u + 1) % 19 + 1}" for u in range(19)]
+
+
+@pytest.mark.parametrize(
+    "load, ref, lines, bad, message",
+    [
+        (load_edgelist, ref_load_edgelist, CYCLE, {6: "5 5", 14: "x 1"}, "self-loop at vertex 5"),
+        (load_metis, ref_load_metis, CYCLE_METIS, {6: "4 x", 14: "12 13"}, "non-integer neighbor 'x'"),
+    ],
+    ids=["edgelist", "metis"],
+)
+def test_helper_block_error_is_reported_in_file_order(monkeypatch, load, ref, lines, bad, message):
+    tokenize, on_helper = graphio._tokenize, []
+
+    def recording(data, comment):
+        if threading.current_thread() is not threading.main_thread():
+            on_helper.append(data)
+        return tokenize(data, comment)
+
+    monkeypatch.setattr(graphio, "_tokenize", recording)
+    monkeypatch.setattr(graphio, "CHUNK_BYTES", 64)
+    text = padded(lines)
+    blocks = list(graphio._blocks(text.encode()))
+    load(io.StringIO(text))
+    assert [len(b) for b in blocks] == [64] * 5
+    assert sorted(blocks.index(data) + 1 for data in on_helper) == [2, 4]
+    text = padded(bad.get(i + 1, line) for i, line in enumerate(lines))
+    assert outcome(load, text) == (6, f"line 6: {message}") == outcome(ref, text)
+
+
+def test_helper_starts_only_for_a_second_block(tmp_path):
+    # in a fresh process: a one-block file imports no executor and starts
+    # no thread; the five-block file then starts the one helper
+    path = tmp_path / "g.edgelist"
+    path.write_text(padded(CYCLE))
+    script = f"""
+import sys, threading
+from localcut import graphio
+graphio.CHUNK_BYTES = {len(padded(CYCLE))}
+graphio.load_edgelist({str(path)!r})
+before = ("concurrent.futures" in sys.modules, threading.active_count())
+graphio.CHUNK_BYTES = 64
+graphio.load_edgelist({str(path)!r})
+print(before, threading.active_count())
+"""
+    src = str(Path(graphio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stdout == "(False, 1) 2\n", proc.stderr
+
+
+def read_in_child(queue):
+    queue.put(csr(load_edgelist(io.StringIO(padded(CYCLE)))))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+# Python 3.12 and later warn on every fork of a process with threads
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_starts_its_own_helper(monkeypatch):
+    # the parent's helper thread does not survive a fork; a child reusing
+    # its executor would wait forever for the helper's block
+    monkeypatch.setattr(graphio, "CHUNK_BYTES", 64)
+    want = csr(load_edgelist(io.StringIO(padded(CYCLE))))
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=read_in_child, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=30) == want
+    finally:
+        child.join(timeout=5)
+        if child.is_alive():
+            child.kill()
+    assert child.exitcode == 0
 
 
 # one-line corruptions of a valid file; the reference words the expected error

@@ -183,12 +183,12 @@ def test_csr_matches_sorted_adjacency(n_edges, given_as):
     assert [list(g.adjacent(u)) for u in range(n)] == [sorted(a) for a in adj]
 
 
-def test_csr_build_peak_memory():
-    # the build's only arrays are the sorted keys (16 bytes per edge), the
-    # degree count and the offsets; a temporary per endpoint array would
-    # push the peak past the bound. Afterwards only the int32 heads (8 bytes
-    # per edge) and the offsets stay: an int64 CSR would read 1.00.
-    ring = ring_of_cliques(2000, 10)
+def check_csr_build_peak(num, peak_bound):
+    # the build's only arrays are the sorted keys, the degree count and the
+    # offsets; a temporary per endpoint array would push the peak past the
+    # bound. Afterwards only the int32 heads (8 bytes per edge) and the
+    # offsets stay: an int64 CSR would read 1.00.
+    ring = ring_of_cliques(num, 10)
     pairs = np.array(list(edges(ring)), dtype=np.int64)
     csr_bytes = 16 * ring.m + 8 * (ring.n + 1)
     tracemalloc.start()
@@ -198,8 +198,18 @@ def test_csr_build_peak_memory():
     finally:
         tracemalloc.stop()
     assert list(g._flat) == list(ring._flat)
-    assert peak < 1.5 * csr_bytes, f"peak {peak} bytes is {peak / csr_bytes:.2f} x the CSR"
+    assert peak < peak_bound * csr_bytes, f"peak {peak} bytes is {peak / csr_bytes:.2f} x the CSR"
     assert current < 0.6 * csr_bytes, f"kept {current} bytes, {current / csr_bytes:.2f} x the CSR"
+
+
+def test_csr_build_peak_memory():
+    # 20 000 vertices: uint32 keys, 8 bytes per edge (int64 keys read 1.10)
+    check_csr_build_peak(2000, 0.8)
+
+
+def test_csr_build_peak_memory_int64_keys():
+    # 70 000 vertices: int64 keys, 16 bytes per edge
+    check_csr_build_peak(7000, 1.5)
 
 
 def test_graph_pickles_and_deep_copies():
@@ -243,16 +253,18 @@ def test_int32_csr_matches_lexsort_reference(m, n, seed, given_as):
     assert (list(g._off), list(g._flat)) == want
 
 
-# arcs come in pairs, so key counts are even
+# arcs come in pairs, so key counts are even; up to 2**16 vertices the keys
+# are uint32, above that int64
 @pytest.mark.parametrize("arcs", [0, 2, BLOCK - 2, BLOCK, BLOCK + 2, 3 * BLOCK + 2])
-@pytest.mark.parametrize("n", [7, graphs._MAX_N])
+@pytest.mark.parametrize("n", [7, graphs._HALF_N, graphs._HALF_N + 1, graphs._MAX_N])
 def test_reduce_to_heads_at_block_edges(arcs, n):
     rng = np.random.default_rng(arcs + n)
     tails, heads = rng.integers(0, n, size=(2, arcs), dtype=np.int64)
     if arcs:
         tails[-1] = heads[-1] = n - 1  # the largest tail and head, 2**31 - 1 at the cap
     want = heads[np.lexsort((heads, tails))].tolist()
-    keys = graphs._arc_keys(tails, heads)
+    keys = graphs._arc_keys(tails, heads, n)
+    assert keys.dtype == (np.uint32 if n <= graphs._HALF_N else np.int64)
     keys.sort()
     got = graphs._reduce_to_heads(keys)
     assert got.dtype == np.int32 and got.tolist() == want
